@@ -112,21 +112,31 @@ def _merge_into(base: dict, override: dict, path: str = ""):
             base[key] = type(base[key])(value)
 
 
+def _read_config(path: str | None) -> dict:
+    """The JSON config file's top-level object ({} without a file)."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            user = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(user, dict):
+        raise ConfigError("config file must contain a JSON object")
+    return user
+
+
+def _overlay(user: dict) -> dict:
+    resolved = _deep_copy(DEFAULTS)
+    _merge_into(resolved, user)
+    return resolved
+
+
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the JSON config file, strictly validated."""
-    resolved = _deep_copy(DEFAULTS)
-    if path is not None:
-        try:
-            with open(path) as fh:
-                user = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config file must contain a JSON object")
-        _merge_into(resolved, user)
-    return resolved
+    return _overlay(_read_config(path))
 
 
 def _apply_flag(cfg: dict, section: str, key: str, value):
@@ -343,24 +353,17 @@ def _ehrenfest_setup(blk: dict):
     return spec, reg
 
 
-def _ehrenfest_block(cfg: dict) -> dict:
-    blk = dict(cfg["ehrenfest"])
+def _ehrenfest_block(blk: dict, given: set) -> dict:
+    """The case's own defaults, overlaid with every key the user gave."""
     if blk["case"] == "free":
-        merged = dict(_EHRENFEST_FREE)
-        for key, value in cfg["ehrenfest"].items():
-            if value != DEFAULTS["ehrenfest"].get(key):
-                merged[key] = value
-        merged["case"] = "free"
-        return merged
+        return {**_EHRENFEST_FREE, **{key: blk[key] for key in given}}
     if blk["case"] != "scattering":
         raise ConfigError(f"unknown ehrenfest case: {blk['case']!r}")
     return blk
 
 
 def cmd_ehrenfest(cfg: dict, seed: int, out_dir: str) -> int:
-    blk = _ehrenfest_block(cfg)
-    cfg = dict(cfg)
-    cfg["ehrenfest"] = blk
+    blk = cfg["ehrenfest"]
     _echo_config("ehrenfest", cfg, seed, out_dir)
     spec, reg = _ehrenfest_setup(blk)
     p = cfg["params"]
@@ -705,7 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace) -> tuple:
-    cfg = load_config(getattr(args, "config", None))
+    user = _read_config(getattr(args, "config", None))
+    cfg = _overlay(user)
     seed = int(getattr(args, "seed", 0))
     out_dir = getattr(args, "out", ".")
     command = args.command
@@ -735,15 +739,15 @@ def _resolve(args: argparse.Namespace) -> tuple:
         if args.v0_list is not None:
             cfg["limits"]["v0_list"] = _parse_floats(args.v0_list)
     elif command == "ehrenfest":
-        _apply_flag(cfg, "ehrenfest", "case", args.case)
-        _apply_flag(cfg, "ehrenfest", "dt", args.dt)
-        _apply_flag(cfg, "ehrenfest", "t_final", args.t_final)
-        _apply_flag(cfg, "ehrenfest", "save_stride", args.save_stride)
-        _apply_flag(cfg, "ehrenfest", "k0", args.k0)
-        _apply_flag(cfg, "ehrenfest", "sigma", args.sigma)
-        _apply_flag(cfg, "ehrenfest", "x0", args.x0)
-        _apply_flag(cfg, "ehrenfest", "v0", args.v0)
-        _apply_flag(cfg, "ehrenfest", "eps", args.eps)
+        # the free case has its own defaults: keep what was given, by
+        # config file or by flag, whatever its value
+        given = set(user.get("ehrenfest", {}))
+        for key in ("case", "dt", "t_final", "save_stride", "k0", "sigma",
+                    "x0", "v0", "eps"):
+            if getattr(args, key) is not None:
+                cfg["ehrenfest"][key] = getattr(args, key)
+                given.add(key)
+        cfg["ehrenfest"] = _ehrenfest_block(cfg["ehrenfest"], given)
     elif command == "report":
         if args.n_random is not None:
             cfg["report"]["n_random"] = args.n_random

@@ -19,10 +19,11 @@ compared against stationary probabilities at the carrier momentum.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .core import GridSpec, PhysicalParams, RegularizedPotential, grid_build
 from .errors import BoxTooSmall, UnderResolved
@@ -142,7 +143,13 @@ def expectation_force(state: EvolutionState) -> float:
 
 
 def _cn_arrays(state: EvolutionState, dt: float):
-    """Banded Crank-Nicolson system for the state's grid and potential."""
+    """Factored Crank-Nicolson matrix for the state's grid and potential.
+
+    The matrix is constant over a run, so it is LU-factored once here
+    (LAPACK ``zgttrf``) and every step only back-substitutes.  Returns the
+    factors, the interior diagonal of the explicit half-step and the
+    off-diagonal coupling.
+    """
     x = state.x
     h = state.dx
     n = len(x)
@@ -165,25 +172,50 @@ def _cn_arrays(state: EvolutionState, dt: float):
     off = alpha * (-(hbar**2) / (2.0 * mass * h * h))
     diag_a = 1.0 + alpha * (kin + phi)
     diag_b = 1.0 - alpha * (kin + phi)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = off
-    ab[1, :] = diag_a
-    ab[2, :-1] = off
-    # hard walls: clamp the edge values
-    ab[0, 1] = 0.0
-    ab[1, 0] = 1.0
-    ab[1, -1] = 1.0
-    ab[2, -2] = 0.0
-    return ab, diag_b, off
+    upper = np.full(n - 1, off, dtype=complex)
+    lower = np.full(n - 1, off, dtype=complex)
+    # hard walls: identity edge rows clamp the edge values
+    diag_a[0] = 1.0
+    diag_a[-1] = 1.0
+    upper[0] = 0.0
+    lower[-1] = 0.0
+    if not (np.isfinite(diag_a).all() and np.isfinite(off)):
+        raise ValueError(
+            f"Crank-Nicolson matrix is not finite (dt = {dt}, h = {h})")
+    *factors, info = zgttrf(lower, diag_a, upper)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"Crank-Nicolson matrix is singular at row {info}")
+    return factors, diag_b[1:-1], off
 
 
-def _cn_step(psi: np.ndarray, ab: np.ndarray, diag_b: np.ndarray,
-             off: complex) -> np.ndarray:
-    rhs = np.empty_like(psi)
-    rhs[1:-1] = diag_b[1:-1] * psi[1:-1] - off * (psi[:-2] + psi[2:])
-    rhs[0] = 0.0
-    rhs[-1] = 0.0
-    return solve_banded((1, 1), ab, rhs)
+def _cn_steps(state: EvolutionState, dt: float, n_steps: int,
+              wall_tol: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (step, psi) after each of n_steps Crank-Nicolson steps.
+
+    The explicit half-step is built in one buffer reused by every step;
+    each yielded psi is a fresh array.  Raises ``BoxTooSmall`` as soon as
+    a step leaves more than ``wall_tol`` of amplitude next to a wall.
+    """
+    factors, diag_b, off = _cn_arrays(state, dt)
+    rhs = np.zeros((len(state.psi), 1), dtype=complex)  # edge rows stay 0
+    inner = rhs[1:-1, 0]
+    pair = np.empty_like(inner)
+    psi = state.psi
+    for step in range(1, n_steps + 1):
+        t = state.t + step * dt
+        np.multiply(diag_b, psi[1:-1], out=inner)
+        np.add(psi[:-2], psi[2:], out=pair)
+        pair *= off
+        inner -= pair
+        if not np.isfinite(rhs).all():
+            raise ValueError(f"wave function is not finite at t = {t:g}")
+        psi = zgttrs(*factors, rhs)[0][:, 0]
+        amp = max(abs(psi[1]), abs(psi[-2]))
+        if amp > wall_tol:
+            raise BoxTooSmall(
+                f"wall amplitude {amp:.3e} exceeds {wall_tol} at t = {t:g}")
+        yield step, psi
 
 
 def evolve(state: EvolutionState, dt: float, n_steps: int,
@@ -193,15 +225,9 @@ def evolve(state: EvolutionState, dt: float, n_steps: int,
     Aborts if the wave function climbs the hard walls above ``wall_tol``:
     Dirichlet walls reflect silently, so contamination must be fatal.
     """
-    ab, diag_b, off = _cn_arrays(state, dt)
     psi = state.psi
-    for step in range(1, n_steps + 1):
-        psi = _cn_step(psi, ab, diag_b, off)
-        amp = max(abs(psi[1]), abs(psi[-2]))
-        if amp > wall_tol:
-            raise BoxTooSmall(
-                f"wall amplitude {amp:.3e} exceeds {wall_tol} at "
-                f"t = {state.t + step * dt:g}")
+    for _, psi in _cn_steps(state, dt, n_steps, wall_tol):
+        pass
     return replace(state, psi=psi, t=state.t + n_steps * dt)
 
 
@@ -245,33 +271,26 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     if save_stride < 1:
         raise ValueError("save_stride must be at least 1")
     state = gaussian_packet(spec, reg, hbar, mass)
-    ab, diag_b, off = _cn_arrays(state, dt)
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     n_steps += (-n_steps) % save_stride
 
     times, momenta, forces, positions, norms = [], [], [], [], []
     wall_max = 0.0
-    psi = state.psi
 
-    def record(t: float, cur: EvolutionState):
+    def record(cur: EvolutionState):
         nonlocal wall_max
-        amp = cur.wall_amplitude()
-        wall_max = max(wall_max, amp)
-        if amp > wall_tol:
-            raise BoxTooSmall(
-                f"wall amplitude {amp:.3e} exceeds {wall_tol} at t = {t:g}")
-        times.append(t)
+        wall_max = max(wall_max, cur.wall_amplitude())
+        times.append(cur.t)
         momenta.append(expectation_momentum(cur))
         forces.append(expectation_force(cur))
         positions.append(expectation_position(cur))
         norms.append(cur.norm())
 
-    record(0.0, state)
-    for step in range(1, n_steps + 1):
-        psi = _cn_step(psi, ab, diag_b, off)
+    record(state)
+    for step, psi in _cn_steps(state, dt, n_steps, wall_tol):
         if step % save_stride == 0:
             state = replace(state, psi=psi, t=step * dt)
-            record(step * dt, state)
+            record(state)
 
     times_a = np.asarray(times)
     momenta_a = np.asarray(momenta)

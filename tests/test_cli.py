@@ -165,6 +165,28 @@ def test_ehrenfest_free_run_writes_table(tmp_path, capsys):
     assert float(first[4]) == pytest.approx(1.0, abs=1e-12)
 
 
+def _echoed_config(out: str) -> dict:
+    head, _, body = out.partition("\n")
+    assert head == "resolved config:"
+    return json.JSONDecoder().raw_decode(body)[0]
+
+
+def test_ehrenfest_free_keeps_values_equal_to_scattering_defaults(
+        tmp_path, capsys):
+    # -12 is the scattering default for x0 and 4e-4 its dt; the free case
+    # defaults to -10 and 1e-3, yet given values must win
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ehrenfest": {"dt": 4.0e-4}}))
+    assert run(["ehrenfest", "--case", "free", "--x0", "-12",
+                "--t-final", "0.2", "--config", str(cfg),
+                "--out", str(tmp_path)]) == 0
+    blk = _echoed_config(capsys.readouterr().out)["ehrenfest"]
+    assert blk["x0"] == -12.0
+    assert blk["dt"] == 4.0e-4
+    assert blk["t_final"] == 0.2
+    assert blk["n_points"] == 2001  # untouched keys take the free defaults
+
+
 def test_ehrenfest_box_guard_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ehrenfest": {"x_min": -20.0,

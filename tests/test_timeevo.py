@@ -1,7 +1,10 @@
 """Packet evolution: guards, conservation laws, momentum-balance audit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from stepforce.core import GridSpec, RegularizedPotential
 from stepforce.errors import BoxTooSmall, UnderResolved
@@ -78,6 +81,59 @@ def test_scattering_audit_balances_momentum():
     # ...by exactly the time integral of the mean force
     impulse = float(np.trapezoid(rep.forces, rep.times))
     assert impulse == pytest.approx(dp, rel=0.02)
+
+
+def _solve_banded_reference(state, dt, n_steps):
+    """Crank-Nicolson steps re-solved from scratch with solve_banded."""
+    n = len(state.x)
+    h = state.dx
+    phi = np.zeros(n) if state.reg is None else state.reg.eval(state.x)
+    alpha = 1j * dt / 2.0
+    off = alpha * (-1.0 / (2.0 * h * h))
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 2:] = off
+    ab[1, :] = 1.0 + alpha * (1.0 / (h * h) + phi)
+    ab[2, :-2] = off
+    ab[1, 0] = ab[1, -1] = 1.0
+    diag_b = 1.0 - alpha * (1.0 / (h * h) + phi)
+    psi = state.psi
+    for _ in range(n_steps):
+        rhs = np.zeros_like(psi)
+        rhs[1:-1] = diag_b[1:-1] * psi[1:-1] - off * (psi[:-2] + psi[2:])
+        psi = solve_banded((1, 1), ab, rhs)
+    return psi
+
+
+@pytest.mark.parametrize("reg", [
+    None, RegularizedPotential(v0=0.5, eps=0.2, shape="logistic")])
+def test_factored_kernel_matches_solve_banded_exactly(reg):
+    grid = GridSpec(x_min=-40.0, x_max=40.0, n_points=2001)
+    spec = PacketSpec(x0=-5.0, sigma=1.0, k0=2.0, grid=grid)
+    state = gaussian_packet(spec, reg)
+    dt, n_steps = 1e-3, 300
+    out = evolve(state, dt, n_steps)
+    np.testing.assert_array_equal(
+        out.psi, _solve_banded_reference(state, dt, n_steps))
+    rep = ehrenfest_report(spec, reg, dt, t_final=n_steps * dt,
+                           save_stride=50)
+    assert rep.final_state.t == out.t
+    np.testing.assert_array_equal(rep.final_state.psi, out.psi)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_wave_function_is_rejected(bad):
+    state = gaussian_packet(FREE_SPEC)
+    psi = state.psi.copy()
+    psi[600] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="not finite"):
+        evolve(replace(state, psi=psi), dt=2e-3, n_steps=3)
+
+
+def test_non_finite_matrix_is_rejected():
+    state = gaussian_packet(FREE_SPEC)
+    with pytest.raises(ValueError, match="matrix is not finite"):
+        evolve(state, dt=np.nan, n_steps=3)
 
 
 def test_time_step_resolution_guard():
