@@ -9,9 +9,10 @@ time-dependent) that probe every boundary condition behind them.
 
 from .core import (GridSpec, PhysicalParams, RegularizedPotential,
                    StepPotential, grid_build)
-from .errors import (BelowThreshold, BoxTooSmall, ConfigError, InvalidWidth,
-                     NoConvergence, ProbeInsideSmoothing, StepForceError,
-                     UndefinedAtOrigin, UnderResolved, UnresolvedWindow)
+from .errors import (BelowThreshold, BoxTooSmall, ConfigError,
+                     CrossCheckFailed, InvalidWidth, NoConvergence,
+                     ProbeInsideSmoothing, StepForceError, UndefinedAtOrigin,
+                     UnderResolved, UnresolvedWindow)
 from .force import (boundary_terms, delta_conventions, density,
                     infinite_step_sweep, interface_probe, kfg_density_jump,
                     mean_force_closed, nonrel_residuals)
@@ -31,7 +32,7 @@ __all__ = [
     "grid_build",
     "StepForceError", "ConfigError", "UndefinedAtOrigin", "InvalidWidth",
     "BelowThreshold", "UnderResolved", "NoConvergence", "UnresolvedWindow",
-    "ProbeInsideSmoothing", "BoxTooSmall",
+    "ProbeInsideSmoothing", "BoxTooSmall", "CrossCheckFailed",
     "MatrixSet", "ScatterMode", "dispersion", "classify_regime",
     "solve_step_mode", "fv_lift", "bc_residuals", "random_mode",
     "density", "interface_probe", "kfg_density_jump", "mean_force_closed",

@@ -7,7 +7,8 @@ produce byte-identical JSON.  Wall-clock timings therefore never enter
 report.json; they go to a sidecar text file.
 
 Exit codes: 0 success; 1 physics-domain failure (thresholds, unresolved
-numerics, box contamination); 2 configuration or usage error.
+numerics, box contamination) or a failed internal cross-check; 2
+configuration or usage error.
 """
 
 from __future__ import annotations
@@ -146,8 +147,7 @@ def _apply_flag(cfg: dict, section: str, key: str, value):
 
 def build_params(cfg: dict, v0: float) -> PhysicalParams:
     p = cfg["params"]
-    return PhysicalParams(hbar=p["hbar"], mass=p["mass"], c=p["c"],
-                          v0=v0, natural_units=(p["c"] == 1.0))
+    return PhysicalParams(hbar=p["hbar"], mass=p["mass"], c=p["c"], v0=v0)
 
 
 def _echo_config(command: str, cfg: dict, seed: int, out_dir: str):

@@ -47,22 +47,19 @@ _SHAPE_ALIASES = {
 class PhysicalParams:
     """Problem constants: hbar, particle mass, light speed, step height v0.
 
-    ``natural_units`` asserts hbar = mass = c = 1 and exists so configs can
-    state the convention explicitly; it does not rescale anything.
+    Any positive, consistent unit system works; the defaults are natural
+    units hbar = mass = c = 1.
     """
 
     hbar: float = 1.0
     mass: float = 1.0
     c: float = 1.0
     v0: float = 0.5
-    natural_units: bool = True
 
     def __post_init__(self):
         for name in ("hbar", "mass", "c"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.natural_units and not (self.hbar == self.mass == self.c == 1.0):
-            raise ValueError("natural_units=True requires hbar = mass = c = 1")
 
     @property
     def rest_energy(self) -> float:

@@ -17,6 +17,7 @@ __all__ = [
     "UnresolvedWindow",
     "ProbeInsideSmoothing",
     "BoxTooSmall",
+    "CrossCheckFailed",
 ]
 
 
@@ -82,3 +83,10 @@ class BoxTooSmall(StepForceError):
     """Wave packet contaminated the walls of the evolution box."""
 
     code = "box-too-small"
+
+
+class CrossCheckFailed(StepForceError):
+    """Two independent evaluations of one quantity disagree beyond rounding,
+    or an internal search found nothing to check (CLI exit code 1)."""
+
+    code = "cross-check"

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PhysicalParams, RegularizedPotential
-from .errors import UndefinedAtOrigin, UnresolvedWindow
+from .errors import CrossCheckFailed, UndefinedAtOrigin, UnresolvedWindow
 from .modes import ScatterMode, fv_lift, solve_step_mode
 
 __all__ = [
@@ -162,8 +162,10 @@ def kfg_density_jump(mode: ScatterMode) -> float:
     scale = max(abs(jump), abs(closed),
                 abs(probe.rho_left), abs(probe.rho_right), 1e-300)
     if abs(jump - closed) > 1e-12 * scale:
-        raise ArithmeticError(
-            f"density-jump cross-check failed: {jump!r} vs {closed!r}")
+        raise CrossCheckFailed(
+            f"density jump rho(0+) - rho(0-) = {jump!r} vs "
+            f"-(v0/mc^2)|psi(0)|^2 = {closed!r}: difference "
+            f"{abs(jump - closed):.3e} exceeds 1e-12 * {scale:.3e}")
     return jump
 
 
@@ -190,9 +192,10 @@ def mean_force_closed(mode: ScatterMode) -> float:
         floor = 0.5 * v0 * max(abs(probe.rho_left), abs(probe.rho_right))
         scale = max(abs(value), abs(restated), floor, 1e-300)
         if abs(value - restated) > 1e-12 * scale:
-            raise ArithmeticError(
-                f"half-jump force vs one-component restatement disagree: "
-                f"{value!r} vs {restated!r}")
+            raise CrossCheckFailed(
+                f"half-jump force -(v0/2)(rho(0+) - rho(0-)) = {value!r} vs "
+                f"(v0^2/2mc^2)|psi(0)|^2 = {restated!r}: difference "
+                f"{abs(value - restated):.3e} exceeds 1e-12 * {scale:.3e}")
         return value
     probe = interface_probe(mode)
     return -v0 * probe.rho_left
@@ -341,8 +344,7 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
     rows = []
     logs = []
     for c in c_list:
-        pars = PhysicalParams(hbar=hbar, mass=mass, c=c, v0=v0,
-                              natural_units=False)
+        pars = PhysicalParams(hbar=hbar, mass=mass, c=c, v0=v0)
         if energy_nr >= pars.rest_energy:
             rows.append(NonrelRow(c, math.nan, math.nan, "not-nonrelativistic"))
             continue
@@ -469,7 +471,7 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
     smoothing width (raise otherwise) yet stay small against the wavelength
     so the sharp-side lobe of psi does not re-enter the integral.
     """
-    from .regularized import solve_smooth_mode
+    from .regularized import _running_sum, solve_smooth_mode
 
     v0 = reg.v0
     if v0 != 0.0 and v0 < 100.0 * energy:
@@ -491,14 +493,11 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
     n_panels = max(int(math.ceil(2.0 * window / width)), 16)
     nodes, weights = np.polynomial.legendre.leggauss(10)
     edges = np.linspace(-window, window, n_panels + 1)
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        for node, wgt in zip(nodes, weights):
-            x = mid + half * node
-            u, _ = nm.eval_scalar(x)
-            total += wgt * half * reg.eval(x) * u
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    x = (mid + half * nodes).ravel()
+    u, _ = nm.eval_scalar(x)
+    total = _running_sum((weights * half).ravel() * reg.eval(x) * u, 0.0j)
 
     sharp = solve_step_mode("s", energy, pars)
     target = -(hbar**2 / (2.0 * mass)) * sharp.psix0

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PhysicalParams
-from .errors import BelowThreshold, UndefinedAtOrigin
+from .errors import BelowThreshold, CrossCheckFailed, UndefinedAtOrigin
 
 __all__ = [
     "THEORIES",
@@ -522,4 +522,7 @@ def random_mode(theory: str, rng, params: PhysicalParams | None = None):
         if theory in ("s", "kfg") and abs(k + q) < 1e-3 * abs(k):
             continue  # singular matching point (strong-step pole)
         return solve_step_mode(theory, energy, pars)
-    raise RuntimeError("rejection sampling failed to find an admissible mode")
+    raise CrossCheckFailed(
+        f"rejection sampling found no admissible {theory} mode in 1000 draws "
+        f"(draws within 1e-3 of a threshold or of the k + q pole are "
+        f"rejected)")

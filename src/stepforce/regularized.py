@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,31 @@ class PiecewiseModel:
     def window(self) -> float:
         return float(self.edges[-1])
 
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """Per-segment k^2 of the scalar theories, q^2 of the Dirac theory."""
+        p, energy = self.params, self.energy
+        if self.theory != "dirac":
+            return np.array([_scalar_k2(self.theory, energy, phi, p)
+                             for phi in self.values.tolist()])
+        a, b = self._dirac_factors
+        return (a * b / (p.hbar * p.c) ** 2).astype(complex)
+
+    @cached_property
+    def generator(self) -> np.ndarray | None:
+        """Per-segment off-diagonal entries (rows g01, g10) of the Dirac
+        generator; None for the scalar theories."""
+        if self.theory != "dirac":
+            return None
+        return (1j / (self.params.hbar * self.params.c)) * np.array(
+            self._dirac_factors)
+
+    @property
+    def _dirac_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        mc2 = self.params.rest_energy
+        return (self.energy - self.values + mc2,
+                self.energy - self.values - mc2)
+
 
 def _scalar_k2(theory: str, energy: float, phi: float,
                params: PhysicalParams) -> complex:
@@ -138,48 +164,70 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
 # ---------------------------------------------------------------------------
 # exact constant-potential propagators
 # ---------------------------------------------------------------------------
+#
+# The batched arithmetic below rounds exactly as the scalar complex formulas
+# it replaces: products and quotients are taken component by component in
+# CPython's order, because numpy's complex multiply fuses products and its
+# complex division multiplies by a reciprocal.  numpy's complex sin, cos,
+# exp and sqrt agree with cmath on the real and imaginary axes, the only
+# places their arguments lie (k^2 is real).
 
-def _scalar_propagator(k2: complex, d: float) -> np.ndarray:
-    """Advance (u, u') by d where u'' = -k2 u."""
-    if k2 == 0.0:
-        return np.array([[1.0, d], [0.0, 1.0]], dtype=complex)
-    kk = cmath.sqrt(k2)
-    z = kk * d
-    if abs(z) < 1e-8:
-        # series keeps the entries smooth through k2 ~ 0
-        s_over_k = d * (1.0 - z * z / 6.0)
-        c = 1.0 - z * z / 2.0
-    else:
-        s_over_k = cmath.sin(z) / kk
-        c = cmath.cos(z)
-    return np.array([[c, s_over_k], [-k2 * s_over_k, c]], dtype=complex)
-
-
-def _dirac_generator(phi: float, energy: float,
-                     params: PhysicalParams) -> tuple[np.ndarray, complex]:
-    hc = params.hbar * params.c
-    mc2 = params.rest_energy
-    a = (energy - phi + mc2)
-    b = (energy - phi - mc2)
-    gen = (1j / hc) * np.array([[0.0, a], [b, 0.0]], dtype=complex)
-    q2 = complex(a * b / hc**2)
-    return gen, q2
+def _complex(re, im) -> np.ndarray:
+    """Complex array with exactly these real and imaginary parts."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
-def _dirac_propagator(phi: float, energy: float, params: PhysicalParams,
-                      d: float) -> np.ndarray:
-    gen, q2 = _dirac_generator(phi, energy, params)
-    if q2 == 0.0:
-        return np.eye(2, dtype=complex) + d * gen
-    kk = cmath.sqrt(q2)
-    z = kk * d
-    if abs(z) < 1e-8:
-        s_over_k = d * (1.0 - z * z / 6.0)
-        c = 1.0 - z * z / 2.0
-    else:
-        s_over_k = cmath.sin(z) / kk
-        c = cmath.cos(z)
-    return c * np.eye(2, dtype=complex) + s_over_k * gen
+def _cmul(a, b) -> np.ndarray:
+    """a * b rounded as CPython rounds a complex product."""
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    return _complex(ar * br - ai * bi, ar * bi + ai * br)
+
+
+def _cdiv(a, b) -> np.ndarray:
+    """a / b rounded as CPython rounds a complex quotient (b nonzero)."""
+    ar, ai = np.real(a), np.imag(a)
+    b = np.asarray(b, dtype=complex)
+    br, bi = b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai)
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar)
+    return _complex(re / denom, im / denom)
+
+
+def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
+    """Entries (m00, m01, m10, m11) of exact constant-potential propagators.
+
+    Elementwise over the arrays ``k2`` and ``d``: the matrix that carries a
+    state across distance d where the local wavenumber squared is k2.  For
+    the scalar theories the state is (u, u') with u'' = -k2 u; for Dirac,
+    ``generator`` holds the off-diagonal generator entries (g01, g10) and
+    k2 is q^2.  In both cases M = c + s_over_k * G with c = cos(k d) and
+    s_over_k = sin(k d) / k, taken as c = 1, s_over_k = d when k2 = 0 and
+    by their series when |k d| < 1e-8, which keeps them smooth through
+    k2 ~ 0.
+    """
+    c = np.ones(d.shape, dtype=complex)
+    s_over_k = d.astype(complex)
+    nonzero = k2 != 0.0
+    kk = np.sqrt(k2[nonzero])
+    z = _cmul(kk, d[nonzero])
+    series = np.hypot(z.real, z.imag) < 1e-8
+    z2 = _cmul(z, z)
+    c_nz = np.where(series, 1.0 - _cdiv(z2, 2.0), np.cos(z))
+    s_nz = np.where(series, _cmul(d[nonzero], 1.0 - _cdiv(z2, 6.0)),
+                    _cdiv(np.sin(z), kk))
+    c[nonzero] = c_nz
+    s_over_k[nonzero] = s_nz
+    if generator is None:
+        return c, s_over_k, _cmul(-k2, s_over_k), c
+    g01, g10 = generator
+    return c, _cmul(s_over_k, g01), _cmul(s_over_k, g10), c
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +255,6 @@ class NumericalMode:
     k: complex
     q: complex
     seg_states: np.ndarray     # state at each fine segment's left edge
-    x_grid: np.ndarray = field(repr=False)
-    u_grid: np.ndarray = field(repr=False)
-    ux_grid: np.ndarray = field(repr=False)
 
     @property
     def params(self) -> PhysicalParams:
@@ -223,68 +268,103 @@ class NumericalMode:
     def shape(self) -> str:
         return self.model.reg.shape
 
+    def _locate(self, x: np.ndarray):
+        """Masks of the left plateau, right plateau and window points, plus
+        each window point's segment and its distance from the segment's
+        left edge."""
+        edges = self.model.edges
+        left = x <= edges[0]
+        right = ~left & (x >= edges[-1])
+        inside = ~(left | right)
+        idx = np.minimum(np.searchsorted(edges, x[inside], side="right") - 1,
+                         len(self.model.values) - 1)
+        return left, right, inside, idx, x[inside] - edges[idx]
+
+    def _carry(self, idx, d):
+        """Segment states carried to the window points: the two components."""
+        gen = self.model.generator
+        m00, m01, m10, m11 = _propagators(
+            self.model.k2[idx], d, None if gen is None else gen[:, idx])
+        a, b = self.seg_states[idx, 0], self.seg_states[idx, 1]
+        return _cmul(m00, a) + _cmul(m01, b), _cmul(m10, a) + _cmul(m11, b)
+
     # -- scalar reconstruction -------------------------------------------
-    def eval_scalar(self, x: float) -> tuple[complex, complex]:
-        """(u, u') at x for the scalar theories."""
+    def eval_scalar(self, x: float | np.ndarray):
+        """(u, u') at x for the scalar theories.
+
+        ``x`` may be a float, which returns a pair of complex numbers, or an
+        array, which returns a pair of complex arrays of its shape.
+        """
         if self.theory == "dirac":
             raise ValueError("scalar evaluation undefined for the spin-1/2 theory")
-        edges = self.model.edges
-        if x <= edges[0]:
-            e_p = cmath.exp(1j * self.k * x)
-            e_m = cmath.exp(-1j * self.k * x)
-            return (e_p + self.r * e_m, 1j * self.k * (e_p - self.r * e_m))
-        if x >= edges[-1]:
-            e_t = self.t * cmath.exp(1j * self.q * x)
-            return (e_t, 1j * self.q * e_t)
-        i = min(int(np.searchsorted(edges, x, side="right")) - 1,
-                len(self.model.values) - 1)
-        k2 = _scalar_k2(self.theory, self.energy, self.model.values[i],
-                        self.params)
-        v = _scalar_propagator(k2, x - edges[i]) @ self.seg_states[i]
-        return (complex(v[0]), complex(v[1]))
+        xa = np.asarray(x, dtype=float)
+        flat = xa.ravel()
+        left, right, inside, idx, d = self._locate(flat)
+        u = np.empty(flat.shape, dtype=complex)
+        ux = np.empty(flat.shape, dtype=complex)
+        ik = 1j * self.k
+        e_p = np.exp(_cmul(ik, flat[left]))
+        r_e_m = _cmul(self.r, np.exp(_cmul(-1j * self.k, flat[left])))
+        u[left] = e_p + r_e_m
+        ux[left] = _cmul(ik, e_p - r_e_m)
+        iq = 1j * self.q
+        e_t = _cmul(self.t, np.exp(_cmul(iq, flat[right])))
+        u[right] = e_t
+        ux[right] = _cmul(iq, e_t)
+        u[inside], ux[inside] = self._carry(idx, d)
+        if xa.ndim == 0:
+            return complex(u[0]), complex(ux[0])
+        return u.reshape(xa.shape), ux.reshape(xa.shape)
 
     # -- spinor reconstruction ---------------------------------------------
-    def eval_spinor(self, x: float) -> np.ndarray:
+    def eval_spinor(self, x: float | np.ndarray) -> np.ndarray:
+        """Spinor at x: shape (2,) for a float, x.shape + (2,) for an array."""
         if self.theory != "dirac":
             raise ValueError("spinor evaluation defined only for the spin-1/2 theory")
-        edges = self.model.edges
+        xa = np.asarray(x, dtype=float)
+        flat = xa.ravel()
+        left, right, inside, idx, d = self._locate(flat)
         p = self.params
         mc2 = p.rest_energy
-        if x <= edges[0]:
-            lam = p.hbar * p.c * self.k / (self.energy + mc2)
-            inc = np.array([1.0, lam], dtype=complex) * cmath.exp(1j * self.k * x)
-            ref = np.array([1.0, -lam], dtype=complex) * cmath.exp(-1j * self.k * x)
-            return inc + self.r * ref
-        if x >= edges[-1]:
-            lamp = p.hbar * p.c * self.q / (
-                self.energy - self.model.plateau_right + mc2)
-            return (self.t * np.array([1.0, lamp], dtype=complex)
-                    * cmath.exp(1j * self.q * x))
-        i = min(int(np.searchsorted(edges, x, side="right")) - 1,
-                len(self.model.values) - 1)
-        m = _dirac_propagator(self.model.values[i], self.energy, p,
-                              x - edges[i])
-        return m @ self.seg_states[i]
+        psi = np.empty(flat.shape + (2,), dtype=complex)
+        # numpy's complex products, in the operand order of the per-point
+        # reference in tests/test_regularized.py, so the bits match it
+        lam = p.hbar * p.c * self.k / (self.energy + mc2)
+        e_p = np.exp(_cmul(1j * self.k, flat[left]))
+        e_m = np.exp(_cmul(-1j * self.k, flat[left]))
+        psi[left, 0] = e_p + self.r * e_m
+        psi[left, 1] = lam * e_p + self.r * (-lam * e_m)
+        lamp = p.hbar * p.c * self.q / (
+            self.energy - self.model.plateau_right + mc2)
+        amp = self.t * np.array([1.0, lamp], dtype=complex)
+        e_t = np.exp(_cmul(1j * self.q, flat[right]))
+        psi[right, 0] = amp[0] * e_t
+        psi[right, 1] = amp[1] * e_t
+        psi[inside, 0], psi[inside, 1] = self._carry(idx, d)
+        return psi.reshape(xa.shape + (2,))
 
 
-def _march(model: PiecewiseModel, propagator, init_state: np.ndarray):
+def _march(model: PiecewiseModel, init_state: np.ndarray) -> np.ndarray:
     """Carry the transmitted-side state leftward across the fine segments.
 
-    Returns the per-segment states at left edges plus the product of all
-    renormalization factors folded back in (states are exact, not scaled).
+    Returns the state at every segment's left edge.  All propagators come
+    from one batched call; only the recurrence itself is sequential.  As k^2
+    is real, each entry is real or (Dirac off-diagonal) imaginary, and the
+    recurrence rounds exactly as a numpy 2x2 matmul of the same entries.
     Marching right-to-left follows the growing (stable) direction when the
     right side is evanescent, so contamination by the spurious solution
     decays relative to the signal.
     """
     edges = model.edges
+    m00, m01, m10, m11 = (m.tolist() for m in _propagators(
+        model.k2, edges[:-1] - edges[1:], model.generator))
     n = len(model.values)
-    states = np.empty((n, 2), dtype=complex)
-    v = init_state.astype(complex)
+    states = [None] * n
+    a, b = complex(init_state[0]), complex(init_state[1])
     for i in range(n - 1, -1, -1):
-        d = edges[i] - edges[i + 1]
-        v = propagator(model.values[i], d) @ v
-        states[i] = v
-    return states
+        a, b = m00[i] * a + m01[i] * b, m10[i] * a + m11[i] * b
+        states[i] = (a, b)
+    return np.array(states, dtype=complex)
 
 
 def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
@@ -307,12 +387,9 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
     xs = model.window
 
     if theory in ("s", "kfg"):
-        def prop(phi, d):
-            return _scalar_propagator(_scalar_k2(theory, energy, phi, p), d)
-
         init = np.array([cmath.exp(1j * q * xs),
                          1j * q * cmath.exp(1j * q * xs)], dtype=complex)
-        states = _march(model, prop, init)
+        states = _march(model, init)
         u_l, ux_l = states[0]
         # split the left-edge state into incident and reflected plane waves
         a_loc = 0.5 * (u_l + ux_l / (1j * k))
@@ -324,14 +401,11 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
         states /= a_coef
         w_t = (abs(t) ** 2 * (q.real / k.real)) if q.imag == 0.0 else 0.0
     else:
-        def prop(phi, d):
-            return _dirac_propagator(phi, energy, p, d)
-
         lamp = p.hbar * p.c * q / (energy - model.plateau_right + mc2)
         lam = p.hbar * p.c * k / (energy - model.plateau_left + mc2)
         init = (np.array([1.0, lamp], dtype=complex)
                 * cmath.exp(1j * q * xs))
-        states = _march(model, prop, init)
+        states = _march(model, init)
         psi1, psi2 = states[0]
         a_loc = 0.5 * (psi1 + psi2 / lam)
         b_loc = 0.5 * (psi1 - psi2 / lam)
@@ -344,39 +418,35 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
 
     flux_residual = abs(1.0 - abs(r) ** 2 - w_t) / (1.0 + abs(r) ** 2 + abs(w_t))
 
-    mode = NumericalMode(
+    return NumericalMode(
         theory=theory, energy=float(energy), r=complex(r), t=complex(t),
         defect=float(flux_residual), model=model, k=k, q=q,
-        seg_states=states,
-        x_grid=np.empty(0), u_grid=np.empty(0), ux_grid=np.empty(0))
-
-    x_grid = np.linspace(-model.domain, model.domain, 1001)
-    if theory == "dirac":
-        sp = np.array([mode.eval_spinor(float(x)) for x in x_grid])
-        u_grid, ux_grid = sp, np.empty(0)
-    else:
-        pairs = np.array([mode.eval_scalar(float(x)) for x in x_grid])
-        u_grid, ux_grid = pairs[:, 0], pairs[:, 1]
-    object.__setattr__(mode, "x_grid", x_grid)
-    object.__setattr__(mode, "u_grid", u_grid)
-    object.__setattr__(mode, "ux_grid", ux_grid)
-    return mode
+        seg_states=states)
 
 
 # ---------------------------------------------------------------------------
 # route B: force from the smooth profile
 # ---------------------------------------------------------------------------
 
-def _smooth_density(mode: NumericalMode, x: float) -> float:
-    reg = mode.model.reg
+def _smooth_density(mode: NumericalMode, x: np.ndarray) -> np.ndarray:
+    """Density at the points x (a 1-D array)."""
+    if mode.theory == "dirac":
+        psi = mode.eval_spinor(x)
+        return np.vecdot(psi, psi).real
+    u, _ = mode.eval_scalar(x)
+    # abs() and ** per point: numpy's complex abs and square round differently
+    rho = np.array([abs(v) ** 2 for v in u.tolist()])
     if mode.theory == "s":
-        u, _ = mode.eval_scalar(x)
-        return abs(u) ** 2
-    if mode.theory == "kfg":
-        u, _ = mode.eval_scalar(x)
-        return (mode.energy - reg.eval(x)) / mode.params.rest_energy * abs(u) ** 2
-    psi = mode.eval_spinor(x)
-    return float(np.real(np.vdot(psi, psi)))
+        return rho
+    return (mode.energy - mode.model.reg.eval(x)) / mode.params.rest_energy * rho
+
+
+def _running_sum(terms: np.ndarray, start: float | complex = 0.0):
+    """Left-to-right sum of ``terms`` (np.sum adds pairwise, other bits)."""
+    total = start
+    for term in terms.tolist():
+        total += term
+    return total
 
 
 def route_b_integral(mode: NumericalMode) -> float:
@@ -385,6 +455,8 @@ def route_b_integral(mode: NumericalMode) -> float:
     The integrand's support is the smoothing window; panel widths resolve
     both the smoothing scale and the local wavelength, so twelve-point
     panels are far below the 1e-8 relative tolerance this quadrature owes.
+    All nodes are evaluated in one batch and summed panel by panel, node by
+    node.
     """
     model = mode.model
     reg = model.reg
@@ -393,14 +465,11 @@ def route_b_integral(mode: NumericalMode) -> float:
     width = min(reg.eps, 2.0 * math.pi / (8.0 * kmax))
     n_panels = max(int(math.ceil(2.0 * xs / width)), 8)
     edges = np.linspace(-xs, xs, n_panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-            x = mid + half * node
-            total += weight * half * reg.deriv(x) * _smooth_density(mode, x)
-    return -total
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    x = (mid + half * _GL_NODES).ravel()
+    weighted = (_GL_WEIGHTS * half).ravel() * reg.deriv(x)
+    return -_running_sum(weighted * _smooth_density(mode, x))
 
 
 def route_b_force(theory: str, energy: float, reg: RegularizedPotential,
@@ -562,7 +631,9 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
         u, ux = nm.eval_scalar(x)
         phi = nm.model.plateau_right if side > 0 else nm.model.plateau_left
         k2 = _scalar_k2("kfg", energy, phi, p)
-        return _scalar_propagator(k2, -x) @ np.array([u, ux], dtype=complex)
+        m00, m01, m10, m11 = _propagators(np.array([k2]), np.array([-x]))
+        return np.concatenate([_cmul(m00, u) + _cmul(m01, ux),
+                               _cmul(m10, u) + _cmul(m11, ux)])
 
     (u_l, ux_l) = transported(-1)
     (u_r, ux_r) = transported(+1)

@@ -225,6 +225,10 @@ def evolve(state: EvolutionState, dt: float, n_steps: int,
     Aborts if the wave function climbs the hard walls above ``wall_tol``:
     Dirichlet walls reflect silently, so contamination must be fatal.
     """
+    if dt <= 0.0:
+        raise ValueError(f"time step must be positive, got {dt}")
+    if n_steps < 0:
+        raise ValueError(f"step count must be non-negative, got {n_steps}")
     psi = state.psi
     for _, psi in _cn_steps(state, dt, n_steps, wall_tol):
         pass
@@ -270,6 +274,11 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     """Propagate the packet and audit the momentum balance along the way."""
     if save_stride < 1:
         raise ValueError("save_stride must be at least 1")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt}")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(
+            f"final time must be positive and finite, got {t_final}")
     state = gaussian_packet(spec, reg, hbar, mass)
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     n_steps += (-n_steps) % save_stride

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, config plumbing, file outputs."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from stepforce import cli
+from stepforce import cli, force
 
 KFG_R = 0.21543808788147607
 S_R = 0.17157287525380990
@@ -204,6 +206,55 @@ def test_ehrenfest_rejects_unknown_case(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags,quantity", [
+    (["--dt", "0"], "time step"),
+    (["--dt", "-0.001"], "time step"),
+    (["--t-final", "-1"], "final time"),
+    (["--t-final", "inf"], "final time")])
+def test_ehrenfest_rejects_nonpositive_times(flags, quantity, tmp_path,
+                                             capsys):
+    code = run(["ehrenfest", "--case", "free", *flags,
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: config: {quantity} must be positive" in err
+    assert not (tmp_path / "ehrenfest.csv").exists()
+
+
+def test_mode_accepts_a_non_natural_hbar(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"hbar": 2.0}}))
+    assert run(["mode", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "mode.json").read_text())
+    assert abs(payload["identity_residual"]) <= 1e-13
+
+
+def test_infinite_step_limits_accept_non_natural_units(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"mass": 2.0, "c": 3.0}}))
+    assert run(["limits", "--kind", "infinite-step", "--config", str(cfg),
+                "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
+def test_failed_cross_check_exits_1_naming_both_quantities(
+        tmp_path, capsys, monkeypatch):
+    real_probe = force.interface_probe
+
+    def corrupted(mode):
+        probe = real_probe(mode)
+        return replace(probe, rho_right=probe.rho_right * (1.0 + 1e-6))
+
+    monkeypatch.setattr(force, "interface_probe", corrupted)
+    code = run(["converge", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: cross-check: density jump rho(0+) - rho(0-)")
+    assert "-(v0/mc^2)|psi(0)|^2" in err and "exceeds 1e-12" in err
+    assert "Traceback" not in err
+
+
 def test_report_bundle_content(report_runs):
     bundle = report_runs["bundle"]
     assert bundle["version"]
@@ -224,3 +275,11 @@ def test_report_bundle_content(report_runs):
     for theory in ("s", "dirac"):
         for v in bundle["route_b"][theory]["verdicts"].values():
             assert v["matched"] in ("both", "sharp_closed_form")
+
+
+def test_report_matches_the_recorded_oracle(report_runs):
+    # the seed-0 bytes recorded before any optimisation: speed work must
+    # leave them unchanged
+    oracle = (Path(__file__).resolve().parents[1] / "perfbench" / "oracle"
+              / "report_seed0.json")
+    assert report_runs["raw"][0] == oracle.read_bytes()

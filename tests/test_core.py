@@ -12,23 +12,17 @@ def test_default_params_are_natural_units():
     pars = PhysicalParams()
     assert pars.hbar == pars.mass == pars.c == 1.0
     assert pars.rest_energy == 1.0
-    assert pars.natural_units
 
 
 def test_rest_energy_scales_with_c_squared():
-    pars = PhysicalParams(hbar=1.0, mass=2.0, c=10.0, natural_units=False)
+    pars = PhysicalParams(hbar=1.0, mass=2.0, c=10.0)
     assert pars.rest_energy == 200.0
 
 
 @pytest.mark.parametrize("bad", [{"hbar": 0.0}, {"mass": -1.0}, {"c": 0.0}])
 def test_nonpositive_constants_rejected(bad):
     with pytest.raises(ValueError):
-        PhysicalParams(natural_units=False, **bad)
-
-
-def test_natural_units_flag_must_match_constants():
-    with pytest.raises(ValueError):
-        PhysicalParams(c=10.0, natural_units=True)
+        PhysicalParams(**bad)
 
 
 def test_sharp_step_takes_one_sided_values_only():

@@ -17,8 +17,10 @@ literals:
 import numpy as np
 import pytest
 
+from stepforce import modes
 from stepforce.core import PhysicalParams
-from stepforce.errors import BelowThreshold, UndefinedAtOrigin
+from stepforce.errors import (BelowThreshold, CrossCheckFailed,
+                              UndefinedAtOrigin)
 from stepforce.modes import (DEFAULT_MATRICES, THEORIES, MatrixSet,
                              bc_residuals, classify_regime, dispersion,
                              fv_components, fv_lift, fv_system_residual,
@@ -298,3 +300,13 @@ def test_bad_matrix_algebra_is_rejected():
         representation_swap_check(
             2.0, PARS, MatrixSet(alpha=0.5 * DEFAULT_MATRICES.tau1,
                                  beta=DEFAULT_MATRICES.tau3, **base))
+
+
+def test_random_mode_reports_exhausted_draws(monkeypatch):
+    # every draw lands on the k + q pole, so rejection sampling gives up
+    monkeypatch.setattr(modes, "dispersion",
+                        lambda theory, energy, phi, params:
+                        1.0 + 0.0j if phi == 0.0 else -1.0 + 0.0j)
+    with pytest.raises(CrossCheckFailed,
+                       match="no admissible s mode in 1000 draws"):
+        random_mode("s", np.random.default_rng(0))

@@ -1,17 +1,22 @@
 """Smoothed-step modes, the quadrature force, extrapolation, diagnostics."""
 
 import cmath
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from stepforce import regularized
 from stepforce.core import PhysicalParams, RegularizedPotential
 from stepforce.errors import (BelowThreshold, NoConvergence,
                               ProbeInsideSmoothing, UnderResolved)
+from stepforce.force import weak_product_check
 from stepforce.modes import solve_step_mode
-from stepforce.regularized import (ConvergenceSeries, _scalar_propagator,
-                                   build_piecewise_model, extrapolate,
-                                   route_b_force, route_b_sweep,
+from stepforce.regularized import (ConvergenceSeries, _march, _propagators,
+                                   _scalar_k2, build_piecewise_model,
+                                   extrapolate, route_b_force,
+                                   route_b_integral, route_b_sweep,
                                    smooth_jump_diagnostics,
                                    solve_smooth_mode)
 
@@ -44,11 +49,17 @@ def test_model_covers_the_smoothing_window():
     assert model.values[0] <= 1e-12 and model.values[-1] >= 0.5 - 1e-12
 
 
+def _scalar_matrix(k2: complex, d: float) -> np.ndarray:
+    entries = _propagators(np.array([k2]), np.array([d]))
+    return np.array([[entries[0][0], entries[1][0]],
+                     [entries[2][0], entries[3][0]]])
+
+
 def test_plane_wave_propagator_is_exact():
     k2 = 2.0
     k = cmath.sqrt(k2)
     d = 0.3
-    p = _scalar_propagator(complex(k2), d)
+    p = _scalar_matrix(complex(k2), d)
     start = np.array([1.0, 1j * k])
     out = p @ start
     np.testing.assert_allclose(out, np.exp(1j * k * d) * start, rtol=1e-14)
@@ -57,14 +68,14 @@ def test_plane_wave_propagator_is_exact():
 
 def test_decaying_propagator_is_exact():
     kappa = cmath.sqrt(2.0)
-    p = _scalar_propagator(complex(-2.0), 0.4)
+    p = _scalar_matrix(complex(-2.0), 0.4)
     start = np.array([1.0, -kappa])
     out = p @ start
     np.testing.assert_allclose(out, np.exp(-kappa * 0.4) * start, rtol=1e-14)
 
 
 def test_propagator_series_branch_near_zero():
-    p = _scalar_propagator(complex(1e-20), 1e-3)
+    p = _scalar_matrix(complex(1e-20), 1e-3)
     np.testing.assert_allclose(p, np.array([[1.0, 1e-3], [0.0, 1.0]]),
                                atol=1e-15)
     assert abs(np.linalg.det(p) - 1.0) <= 1e-14
@@ -243,3 +254,276 @@ def test_jump_diagnostics_reproduce_the_matricial_condition():
     assert fractions_d[0] <= 0.01
     assert fractions_v[0] > fractions_v[1] > fractions_v[2]
     assert fractions_d[0] > fractions_d[1] > fractions_d[2]
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-segment, per-node reference
+# ---------------------------------------------------------------------------
+#
+# The reference below is the one-matrix-at-a-time implementation the batched
+# code replaced: one 2x2 propagator and one matmul per fine segment and per
+# quadrature node, cmath throughout, and a running sum node by node.  The
+# batched code must reproduce it exactly, so these tests assert ==.
+
+def _ref_scalar_propagator(k2, d):
+    if k2 == 0.0:
+        return np.array([[1.0, d], [0.0, 1.0]], dtype=complex)
+    kk = cmath.sqrt(k2)
+    z = kk * d
+    if abs(z) < 1e-8:
+        s_over_k = d * (1.0 - z * z / 6.0)
+        c = 1.0 - z * z / 2.0
+    else:
+        s_over_k = cmath.sin(z) / kk
+        c = cmath.cos(z)
+    return np.array([[c, s_over_k], [-k2 * s_over_k, c]], dtype=complex)
+
+
+def _ref_dirac_propagator(phi, energy, params, d):
+    hc = params.hbar * params.c
+    mc2 = params.rest_energy
+    a = (energy - phi + mc2)
+    b = (energy - phi - mc2)
+    gen = (1j / hc) * np.array([[0.0, a], [b, 0.0]], dtype=complex)
+    q2 = complex(a * b / hc**2)
+    if q2 == 0.0:
+        return np.eye(2, dtype=complex) + d * gen
+    kk = cmath.sqrt(q2)
+    z = kk * d
+    if abs(z) < 1e-8:
+        s_over_k = d * (1.0 - z * z / 6.0)
+        c = 1.0 - z * z / 2.0
+    else:
+        s_over_k = cmath.sin(z) / kk
+        c = cmath.cos(z)
+    return c * np.eye(2, dtype=complex) + s_over_k * gen
+
+
+def _ref_propagator(model, i, d):
+    phi = model.values[i]
+    if model.theory == "dirac":
+        return _ref_dirac_propagator(phi, model.energy, model.params, d)
+    return _ref_scalar_propagator(
+        _scalar_k2(model.theory, model.energy, phi, model.params), d)
+
+
+def _ref_march(model, init_state):
+    edges = model.edges
+    states = np.empty((len(model.values), 2), dtype=complex)
+    v = init_state.astype(complex)
+    for i in range(len(model.values) - 1, -1, -1):
+        v = _ref_propagator(model, i, edges[i] - edges[i + 1]) @ v
+        states[i] = v
+    return states
+
+
+def _ref_inside(mode, x):
+    edges = mode.model.edges
+    i = min(int(np.searchsorted(edges, x, side="right")) - 1,
+            len(mode.model.values) - 1)
+    return _ref_propagator(mode.model, i, x - edges[i]) @ mode.seg_states[i]
+
+
+def _ref_eval_scalar(mode, x):
+    edges = mode.model.edges
+    if x <= edges[0]:
+        e_p = cmath.exp(1j * mode.k * x)
+        e_m = cmath.exp(-1j * mode.k * x)
+        return (e_p + mode.r * e_m, 1j * mode.k * (e_p - mode.r * e_m))
+    if x >= edges[-1]:
+        e_t = mode.t * cmath.exp(1j * mode.q * x)
+        return (e_t, 1j * mode.q * e_t)
+    v = _ref_inside(mode, x)
+    return (complex(v[0]), complex(v[1]))
+
+
+def _ref_eval_spinor(mode, x):
+    edges = mode.model.edges
+    p = mode.params
+    mc2 = p.rest_energy
+    if x <= edges[0]:
+        lam = p.hbar * p.c * mode.k / (mode.energy + mc2)
+        inc = np.array([1.0, lam], dtype=complex) * cmath.exp(1j * mode.k * x)
+        ref = np.array([1.0, -lam], dtype=complex) * cmath.exp(-1j * mode.k * x)
+        return inc + mode.r * ref
+    if x >= edges[-1]:
+        lamp = p.hbar * p.c * mode.q / (
+            mode.energy - mode.model.plateau_right + mc2)
+        return (mode.t * np.array([1.0, lamp], dtype=complex)
+                * cmath.exp(1j * mode.q * x))
+    return _ref_inside(mode, x)
+
+
+def _ref_density(mode, x):
+    if mode.theory == "s":
+        return abs(_ref_eval_scalar(mode, x)[0]) ** 2
+    if mode.theory == "kfg":
+        u = _ref_eval_scalar(mode, x)[0]
+        return ((mode.energy - mode.model.reg.eval(x))
+                / mode.params.rest_energy * abs(u) ** 2)
+    psi = _ref_eval_spinor(mode, x)
+    return float(np.real(np.vdot(psi, psi)))
+
+
+def _ref_route_b_integral(mode):
+    reg = mode.model.reg
+    xs = mode.model.window
+    kmax = max(abs(mode.k), abs(mode.q), 1e-6)
+    width = min(reg.eps, 2.0 * math.pi / (8.0 * kmax))
+    n_panels = max(int(math.ceil(2.0 * xs / width)), 8)
+    edges = np.linspace(-xs, xs, n_panels + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        for node, weight in zip(nodes, weights):
+            x = mid + half * node
+            total += weight * half * reg.deriv(x) * _ref_density(mode, x)
+    return -total
+
+
+def _ref_solve(monkeypatch, *args):
+    with monkeypatch.context() as patched:
+        patched.setattr(regularized, "_march", _ref_march)
+        return solve_smooth_mode(*args)
+
+
+ODD_UNITS = PhysicalParams(hbar=2.0, mass=3.0, c=1.5, v0=0.5)
+# (theory, energy, v0, shape, params): every theory and shape, evanescent
+# right sides, and a unit system other than hbar = mass = c = 1
+EXACT_CASES = [
+    ("s", 1.0, 0.5, "logistic", PARS),
+    ("s", 1.0, 0.5, "erf", PARS),
+    ("s", 1.0, 0.5, "ramp", PARS),
+    ("kfg", 2.0, 0.5, "logistic", PARS),
+    ("kfg", 2.0, 0.5, "erf", PARS),
+    ("kfg", 2.0, 0.5, "ramp", PARS),
+    ("dirac", 2.0, 0.5, "logistic", PARS),
+    ("dirac", 2.0, 0.5, "erf", PARS),
+    ("dirac", 2.0, 0.5, "ramp", PARS),
+    ("s", 1.0, 2.0, "erf", PARS),
+    ("kfg", 2.0, 1.5, "logistic", PARS),
+    ("dirac", 2.0, 1.5, "ramp", PARS),
+    ("kfg", 2.0, 5.0, "erf", PARS),
+    ("s", 1.0, 0.5, "logistic", ODD_UNITS),
+    ("kfg", ODD_UNITS.rest_energy + 1.0, 0.5, "erf", ODD_UNITS),
+    ("dirac", ODD_UNITS.rest_energy + 1.0, 0.5, "ramp", ODD_UNITS),
+]
+
+
+def _case_id(case):
+    theory, energy, v0, shape, params = case
+    units = "odd-units" if params is ODD_UNITS else "natural"
+    return f"{theory}-E{energy:g}-V{v0:g}-{shape}-{units}"
+
+
+@pytest.mark.parametrize("case", EXACT_CASES, ids=_case_id)
+def test_batched_solve_and_route_b_equal_the_reference(case, monkeypatch):
+    theory, energy, v0, shape, params = case
+    for eps in (0.05, 0.0125):
+        reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)
+        nm = solve_smooth_mode(theory, energy, reg, params)
+        ref = _ref_solve(monkeypatch, theory, energy, reg, params)
+        assert np.array_equal(nm.seg_states, ref.seg_states)
+        assert (nm.r, nm.t, nm.defect) == (ref.r, ref.t, ref.defect)
+        assert route_b_integral(nm) == _ref_route_b_integral(ref)
+
+
+@pytest.mark.parametrize("theory,energy", [("s", 1.0), ("kfg", 2.0),
+                                           ("dirac", 2.0)])
+@pytest.mark.parametrize("shape", ["logistic", "erf", "ramp"])
+def test_batched_sweep_limits_equal_the_reference(theory, energy, shape,
+                                                  monkeypatch):
+    series = route_b_sweep(theory, energy, shape, 0.5, PARS)
+    with monkeypatch.context() as patched:
+        patched.setattr(regularized, "_march", _ref_march)
+        patched.setattr(regularized, "route_b_integral", _ref_route_b_integral)
+        ref = route_b_sweep(theory, energy, shape, 0.5, PARS)
+    assert series.values == ref.values
+    assert series.defects == ref.defects
+    assert series.extrapolated == ref.extrapolated
+    assert series.order == ref.order
+
+
+@pytest.mark.parametrize("theory,params,energy", [
+    ("s", PARS, 1.0), ("kfg", PARS, 2.0), ("dirac", PARS, 2.0),
+    ("s", ODD_UNITS, 1.0), ("kfg", ODD_UNITS, ODD_UNITS.rest_energy + 1.0),
+    ("dirac", ODD_UNITS, ODD_UNITS.rest_energy + 1.0)])
+def test_batched_propagators_cover_every_branch(theory, params, energy):
+    """k^2 = 0, the |k d| < 1e-8 series, growing and decaying segments."""
+    model = build_piecewise_model(
+        theory, energy, RegularizedPotential(v0=0.5, eps=0.05), params)
+    mc2 = params.rest_energy
+    threshold = energy if theory == "s" else energy - mc2
+    # k^2 = 0 exactly, propagating, evanescent and (relativistic) klein
+    values = np.array([threshold, 0.0, 0.3, energy + 0.5, energy + 4.0 * mc2])
+    model = replace(model, values=values, edges=np.linspace(-1.0, 1.0, 6))
+    assert model.k2[0] == 0.0
+    dists = np.array([-0.3, -1e-12, 0.0, 1e-12, 0.7, -2.0])
+    idx = np.repeat(np.arange(len(values)), len(dists))
+    d = np.tile(dists, len(values))
+    gen = model.generator
+    entries = _propagators(model.k2[idx], d,
+                           None if gen is None else gen[:, idx])
+    for j, (i, dj) in enumerate(zip(idx.tolist(), d.tolist())):
+        ref = _ref_propagator(model, i, np.float64(dj))
+        got = np.array([[entries[0][j], entries[1][j]],
+                        [entries[2][j], entries[3][j]]])
+        assert np.array_equal(got, ref), (i, dj)
+    init = np.array([0.3 - 0.2j, 1.1 + 0.4j])
+    assert np.array_equal(_march(model, init), _ref_march(model, init))
+
+
+@pytest.mark.parametrize("theory,energy,v0", [("s", 1.0, 0.5),
+                                              ("s", 1.0, 2.0),
+                                              ("kfg", 2.0, 0.5),
+                                              ("kfg", 2.0, 1.5),
+                                              ("dirac", 2.0, 0.5),
+                                              ("dirac", 2.0, 1.5)])
+def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
+    reg = RegularizedPotential(v0=v0, eps=0.05, shape="erf")
+    nm = solve_smooth_mode(theory, energy, reg, PhysicalParams(v0=v0))
+    edges = nm.model.edges
+    # plateaus, both window edges, segment edges (|k d| = 0), points just
+    # past a segment edge (the series branch) and generic window points
+    x = np.concatenate([[-20.0, -3.7, edges[0], edges[-1], 2.9, 20.0],
+                        edges[1:-1:97], edges[1:-1:89] + 1e-13,
+                        np.linspace(edges[0], edges[-1], 301)[1:-1]])
+    if theory == "dirac":
+        psi = nm.eval_spinor(x)
+        assert psi.shape == (len(x), 2)
+        for j, xj in enumerate(x.tolist()):
+            one = nm.eval_spinor(xj)
+            assert isinstance(one, np.ndarray) and one.shape == (2,)
+            assert np.array_equal(psi[j], one)
+            assert np.array_equal(one, _ref_eval_spinor(nm, xj))
+        assert nm.eval_spinor(x.reshape(-1, 2)).shape == (len(x) // 2, 2, 2)
+    else:
+        u, ux = nm.eval_scalar(x)
+        for j, xj in enumerate(x.tolist()):
+            one = nm.eval_scalar(xj)
+            assert all(type(v) is complex for v in one)
+            assert (u[j], ux[j]) == one == _ref_eval_scalar(nm, xj)
+
+
+def test_weak_product_equals_the_per_node_reference():
+    hbar, mass, energy, v0 = 2.0, 3.0, 1.0, 500.0
+    reg = RegularizedPotential(v0=v0, eps=0.0025)
+    got = weak_product_check(energy, reg, hbar=hbar, mass=mass)
+    nm = solve_smooth_mode("s", energy, reg,
+                           PhysicalParams(hbar=hbar, mass=mass, v0=v0))
+    kappa = math.sqrt(2.0 * mass * (v0 - energy)) / hbar
+    width = min(reg.eps, 0.25 / kappa)
+    n_panels = max(int(math.ceil(2.0 * got.window / width)), 16)
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    edges = np.linspace(-got.window, got.window, n_panels + 1)
+    total = 0.0 + 0.0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        for node, wgt in zip(nodes, weights):
+            x = mid + half * node
+            u, _ = _ref_eval_scalar(nm, x)
+            total += wgt * half * reg.eval(x) * u
+    assert got.integral == complex(total)

@@ -136,6 +136,25 @@ def test_non_finite_matrix_is_rejected():
         evolve(state, dt=np.nan, n_steps=3)
 
 
+@pytest.mark.parametrize("dt,n_steps,match", [
+    (0.0, 3, "time step"), (-1e-3, 3, "time step"),
+    (1e-3, -1, "step count")])
+def test_evolve_rejects_bad_time_inputs(dt, n_steps, match):
+    state = gaussian_packet(FREE_SPEC)
+    with pytest.raises(ValueError, match=match):
+        evolve(state, dt=dt, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("dt,t_final,match", [
+    (0.0, 1.0, "time step"), (-1e-3, 1.0, "time step"),
+    (np.nan, 1.0, "time step"), (1e-3, 0.0, "final time"),
+    (1e-3, -1.0, "final time"), (1e-3, np.inf, "final time"),
+    (1e-3, np.nan, "final time")])
+def test_audit_rejects_bad_time_inputs(dt, t_final, match):
+    with pytest.raises(ValueError, match=match):
+        ehrenfest_report(FREE_SPEC, None, dt, t_final)
+
+
 def test_time_step_resolution_guard():
     state = gaussian_packet(FREE_SPEC)
     with pytest.raises(UnderResolved, match="time step"):
