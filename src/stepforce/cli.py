@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -62,6 +63,9 @@ DEFAULTS = {
     "report": {"n_random": 100},
 }
 
+# energy of each theory's flagship experiment (mode payloads and route B)
+FLAGSHIP_ENERGY = {"s": 1.0, "kfg": 2.0, "dirac": 2.0}
+
 _EHRENFEST_FREE = {
     "case": "free",
     "k0": 1.0, "sigma": 2.0, "x0": -10.0, "v0": 0.0, "eps": 0.1,
@@ -90,6 +94,15 @@ def _deep_copy(tree):
     return tree
 
 
+def _finite(name: str, value):
+    """``value`` (a number, string or list) unless it holds a NaN or an
+    infinity: the one check config-file values and flags both pass."""
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ConfigError(f"{name} must be finite, got {item!r}")
+    return value
+
+
 def _merge_into(base: dict, override: dict, path: str = ""):
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
@@ -102,7 +115,7 @@ def _merge_into(base: dict, override: dict, path: str = ""):
         elif isinstance(base[key], list):
             if not isinstance(value, list):
                 raise ConfigError(f"config key {here} must be a list")
-            base[key] = list(value)
+            base[key] = list(_finite(here, value))
         elif isinstance(base[key], str):
             if not isinstance(value, str):
                 raise ConfigError(f"config key {here} must be a string")
@@ -110,7 +123,7 @@ def _merge_into(base: dict, override: dict, path: str = ""):
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"config key {here} must be a number")
-            base[key] = type(base[key])(value)
+            base[key] = type(base[key])(_finite(here, value))
 
 
 def _read_config(path: str | None) -> dict:
@@ -142,7 +155,7 @@ def load_config(path: str | None) -> dict:
 
 def _apply_flag(cfg: dict, section: str, key: str, value):
     if value is not None:
-        cfg[section][key] = value
+        cfg[section][key] = _finite(f"{section}.{key}", value)
 
 
 def build_params(cfg: dict, v0: float) -> PhysicalParams:
@@ -162,7 +175,9 @@ def _echo_config(command: str, cfg: dict, seed: int, out_dir: str):
     sys.stdout.write(dumps_json(subset))
 
 
-def _parse_floats(text: str) -> list:
+def _parse_floats(text: str | None) -> list | None:
+    if text is None:
+        return None
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
@@ -441,10 +456,9 @@ def _sweep_residuals(theory: str, rng, n: int, pars: PhysicalParams) -> dict:
 
 def _report_route_b(cfg: dict) -> dict:
     out = {}
-    flagship_energy = {"s": 1.0, "kfg": 2.0, "dirac": 2.0}
     for theory in ("s", "kfg", "dirac"):
         pars = build_params(cfg, 0.5)
-        energy = flagship_energy[theory]
+        energy = FLAGSHIP_ENERGY[theory]
         shapes = ("logistic", "erf", "ramp") if theory == "kfg" else (
             "logistic", "erf")
         series_by_shape = {}
@@ -587,10 +601,11 @@ def run_report(cfg: dict, seed: int) -> dict:
     """Assemble the full verification bundle (pure: no timing, no files)."""
     rng = np.random.default_rng(seed)
     n = int(cfg["report"]["n_random"])
+    if n < 0:
+        raise ConfigError(f"report.n_random must be >= 0, got {n}")
     pars_template = build_params(cfg, 0.5)
-    flagship_energy = {"s": 1.0, "kfg": 2.0, "dirac": 2.0}
     flagships = {
-        theory: _mode_payload(theory, flagship_energy[theory],
+        theory: _mode_payload(theory, FLAGSHIP_ENERGY[theory],
                               build_params(cfg, 0.5))
         for theory in ("s", "kfg", "dirac")
     }
@@ -725,27 +740,28 @@ def _resolve(args: argparse.Namespace) -> tuple:
             cfg["converge"]["shapes"] = [s.strip()
                                          for s in args.shapes.split(",")
                                          if s.strip()]
-        if args.epsilons is not None:
-            cfg["converge"]["epsilons"] = _parse_floats(args.epsilons)
+        _apply_flag(cfg, "converge", "epsilons", _parse_floats(args.epsilons))
         _apply_flag(cfg, "converge", "domain", args.domain)
         _apply_flag(cfg, "converge", "resolution", args.resolution)
     elif command == "limits":
         _apply_flag(cfg, "limits", "kind", args.kind)
         _apply_flag(cfg, "limits", "energy_nr", args.energy_nr)
         _apply_flag(cfg, "limits", "v0", args.v0)
-        if args.speeds is not None:
-            cfg["limits"]["speeds"] = _parse_floats(args.speeds)
+        _apply_flag(cfg, "limits", "speeds", _parse_floats(args.speeds))
         _apply_flag(cfg, "limits", "energy", args.energy)
-        if args.v0_list is not None:
-            cfg["limits"]["v0_list"] = _parse_floats(args.v0_list)
+        _apply_flag(cfg, "limits", "v0_list", _parse_floats(args.v0_list))
     elif command == "ehrenfest":
         # the free case has its own defaults: keep what was given, by
         # config file or by flag, whatever its value
         given = set(user.get("ehrenfest", {}))
         for key in ("case", "dt", "t_final", "save_stride", "k0", "sigma",
                     "x0", "v0", "eps"):
-            if getattr(args, key) is not None:
-                cfg["ehrenfest"][key] = getattr(args, key)
+            value = getattr(args, key)
+            if value is not None:
+                # the library's own check names the time step or final time
+                cfg["ehrenfest"][key] = (
+                    value if key in ("dt", "t_final")
+                    else _finite(f"ehrenfest.{key}", value))
                 given.add(key)
         cfg["ehrenfest"] = _ehrenfest_block(cfg["ehrenfest"], given)
     elif command == "report":

@@ -86,13 +86,21 @@ class PiecewiseModel:
 
     @cached_property
     def k2(self) -> np.ndarray:
-        """Per-segment k^2 of the scalar theories, q^2 of the Dirac theory."""
-        p, energy = self.params, self.energy
-        if self.theory != "dirac":
-            return np.array([_scalar_k2(self.theory, energy, phi, p)
-                             for phi in self.values.tolist()])
-        a, b = self._dirac_factors
-        return (a * b / (p.hbar * p.c) ** 2).astype(complex)
+        """Per-segment k^2 of the scalar theories, q^2 of the Dirac theory.
+
+        Elementwise the arithmetic of ``_scalar_k2``; the spin-0 square
+        goes through Python's pow per segment, as it does there.
+        """
+        p, diff = self.params, self.energy - self.values
+        if self.theory == "s":
+            k2 = 2.0 * p.mass * diff / p.hbar**2
+        elif self.theory == "kfg":
+            square = np.array([v ** 2 for v in diff.tolist()])
+            k2 = (square - p.rest_energy**2) / (p.hbar * p.c) ** 2
+        else:
+            a, b = self._dirac_factors
+            k2 = a * b / (p.hbar * p.c) ** 2
+        return k2.astype(complex)
 
     @cached_property
     def generator(self) -> np.ndarray | None:
@@ -118,6 +126,19 @@ def _scalar_k2(theory: str, energy: float, phi: float,
     return complex(((energy - phi) ** 2 - mc2**2) / (params.hbar * params.c) ** 2)
 
 
+def _plateau_k2(theory: str, energy: float, phi: float,
+                params: PhysicalParams) -> complex:
+    """k^2 (Dirac q^2) on a plateau; ValueError unless it is finite."""
+    try:
+        k2 = _scalar_k2(theory, energy, phi, params)
+    except ArithmeticError:     # ** overflowed, or hbar * c underflowed
+        k2 = complex(math.inf)
+    if not cmath.isfinite(k2):
+        raise ValueError(f"k^2 on the plateau phi = {phi!r} at energy "
+                         f"{energy!r} is {k2.real!r}; it must be finite")
+    return k2
+
+
 def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
                           params: PhysicalParams, domain: float = DEFAULT_DOMAIN,
                           resolution: int = 8) -> PiecewiseModel:
@@ -136,8 +157,10 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
             f"resolution {resolution} too coarse; need >= 8 segments per eps")
 
     xs = min(max(reg.support_halfwidth(), 5.0 * eps), 0.9 * domain)
-    kmax = max(abs(cmath.sqrt(_scalar_k2(theory, energy, 0.0, params))),
-               abs(cmath.sqrt(_scalar_k2(theory, energy, reg.v0, params))))
+    # the profile lies between its plateaus, so finite plateau k^2 bound
+    # every segment's k^2
+    kmax = max(abs(cmath.sqrt(_plateau_k2(theory, energy, phi, params)))
+               for phi in (0.0, reg.v0))
     width = eps / resolution
     if kmax > 0.0:
         width = min(width, 2.0 * math.pi / (20.0 * kmax))
@@ -166,11 +189,21 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
 # ---------------------------------------------------------------------------
 #
 # The batched arithmetic below rounds exactly as the scalar complex formulas
-# it replaces: products and quotients are taken component by component in
-# CPython's order, because numpy's complex multiply fuses products and its
-# complex division multiplies by a reciprocal.  numpy's complex sin, cos,
-# exp and sqrt agree with cmath on the real and imaginary axes, the only
-# places their arguments lie (k^2 is real).
+# it replaces:
+#
+# * products and quotients are taken component by component in CPython's
+#   order, because numpy's complex multiply fuses products and its complex
+#   division multiplies by a reciprocal; a quotient takes, per element, the
+#   one branch CPython takes (scaled by the real or by the imaginary part);
+# * numpy's complex sin, cos, exp and sqrt agree with cmath on the real and
+#   imaginary axes, the only places their arguments lie (k^2 is real);
+# * squares go through Python's pow per element: the C library's
+#   pow(x, 2) differs from x * x (numpy's square and its x ** 2) in about
+#   0.08 % of doubles, e.g. 4.68625888565849, by one ulp;
+# * np.hypot(re, im) is CPython's complex abs bit for bit (both call the C
+#   library's hypot), while numpy's complex abs rounds differently;
+# * np.add.accumulate adds strictly left to right, like a running loop,
+#   whereas np.sum adds pairwise.
 
 def _complex(re, im) -> np.ndarray:
     """Complex array with exactly these real and imaginary parts."""
@@ -186,18 +219,33 @@ def _cmul(a, b) -> np.ndarray:
     return _complex(ar * br - ai * bi, ar * bi + ai * br)
 
 
+def _cdiv_by_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ratio = b.imag / b.real
+    denom = b.real + b.imag * ratio
+    return _complex((a.real + a.imag * ratio) / denom,
+                    (a.imag - a.real * ratio) / denom)
+
+
+def _cdiv_by_imag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ratio = b.real / b.imag
+    denom = b.real * ratio + b.imag
+    return _complex((a.real * ratio + a.imag) / denom,
+                    (a.imag * ratio - a.real) / denom)
+
+
 def _cdiv(a, b) -> np.ndarray:
     """a / b rounded as CPython rounds a complex quotient (b nonzero)."""
-    ar, ai = np.real(a), np.imag(a)
-    b = np.asarray(b, dtype=complex)
-    br, bi = b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_real, bi / br, br / bi)
-        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai)
-        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar)
-    return _complex(re / denom, im / denom)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    if by_real.all():
+        return _cdiv_by_real(a, b)
+    if not by_real.any():
+        return _cdiv_by_imag(a, b)
+    a, b, by_real = np.broadcast_arrays(a, b, by_real)
+    out = np.empty(a.shape, dtype=complex)
+    for mask, branch in ((by_real, _cdiv_by_real), (~by_real, _cdiv_by_imag)):
+        out[mask] = branch(a[mask], b[mask])
+    return out
 
 
 def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
@@ -215,13 +263,14 @@ def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
     c = np.ones(d.shape, dtype=complex)
     s_over_k = d.astype(complex)
     nonzero = k2 != 0.0
-    kk = np.sqrt(k2[nonzero])
-    z = _cmul(kk, d[nonzero])
+    kk, dn = np.sqrt(k2[nonzero]), d[nonzero]
+    z = _cmul(kk, dn)
+    c_nz, s_nz = np.cos(z), _cdiv(np.sin(z), kk)
     series = np.hypot(z.real, z.imag) < 1e-8
-    z2 = _cmul(z, z)
-    c_nz = np.where(series, 1.0 - _cdiv(z2, 2.0), np.cos(z))
-    s_nz = np.where(series, _cmul(d[nonzero], 1.0 - _cdiv(z2, 6.0)),
-                    _cdiv(np.sin(z), kk))
+    if series.any():
+        z2 = _cmul(z[series], z[series])
+        c_nz[series] = 1.0 - _cdiv(z2, 2.0)
+        s_nz[series] = _cmul(dn[series], 1.0 - _cdiv(z2, 6.0))
     c[nonzero] = c_nz
     s_over_k[nonzero] = s_nz
     if generator is None:
@@ -302,15 +351,17 @@ class NumericalMode:
         left, right, inside, idx, d = self._locate(flat)
         u = np.empty(flat.shape, dtype=complex)
         ux = np.empty(flat.shape, dtype=complex)
-        ik = 1j * self.k
-        e_p = np.exp(_cmul(ik, flat[left]))
-        r_e_m = _cmul(self.r, np.exp(_cmul(-1j * self.k, flat[left])))
-        u[left] = e_p + r_e_m
-        ux[left] = _cmul(ik, e_p - r_e_m)
-        iq = 1j * self.q
-        e_t = _cmul(self.t, np.exp(_cmul(iq, flat[right])))
-        u[right] = e_t
-        ux[right] = _cmul(iq, e_t)
+        if left.any():
+            ik = 1j * self.k
+            e_p = np.exp(_cmul(ik, flat[left]))
+            r_e_m = _cmul(self.r, np.exp(_cmul(-1j * self.k, flat[left])))
+            u[left] = e_p + r_e_m
+            ux[left] = _cmul(ik, e_p - r_e_m)
+        if right.any():
+            iq = 1j * self.q
+            e_t = _cmul(self.t, np.exp(_cmul(iq, flat[right])))
+            u[right] = e_t
+            ux[right] = _cmul(iq, e_t)
         u[inside], ux[inside] = self._carry(idx, d)
         if xa.ndim == 0:
             return complex(u[0]), complex(ux[0])
@@ -329,17 +380,19 @@ class NumericalMode:
         psi = np.empty(flat.shape + (2,), dtype=complex)
         # numpy's complex products, in the operand order of the per-point
         # reference in tests/test_regularized.py, so the bits match it
-        lam = p.hbar * p.c * self.k / (self.energy + mc2)
-        e_p = np.exp(_cmul(1j * self.k, flat[left]))
-        e_m = np.exp(_cmul(-1j * self.k, flat[left]))
-        psi[left, 0] = e_p + self.r * e_m
-        psi[left, 1] = lam * e_p + self.r * (-lam * e_m)
-        lamp = p.hbar * p.c * self.q / (
-            self.energy - self.model.plateau_right + mc2)
-        amp = self.t * np.array([1.0, lamp], dtype=complex)
-        e_t = np.exp(_cmul(1j * self.q, flat[right]))
-        psi[right, 0] = amp[0] * e_t
-        psi[right, 1] = amp[1] * e_t
+        if left.any():
+            lam = p.hbar * p.c * self.k / (self.energy + mc2)
+            e_p = np.exp(_cmul(1j * self.k, flat[left]))
+            e_m = np.exp(_cmul(-1j * self.k, flat[left]))
+            psi[left, 0] = e_p + self.r * e_m
+            psi[left, 1] = lam * e_p + self.r * (-lam * e_m)
+        if right.any():
+            lamp = p.hbar * p.c * self.q / (
+                self.energy - self.model.plateau_right + mc2)
+            amp = self.t * np.array([1.0, lamp], dtype=complex)
+            e_t = np.exp(_cmul(1j * self.q, flat[right]))
+            psi[right, 0] = amp[0] * e_t
+            psi[right, 1] = amp[1] * e_t
         psi[inside, 0], psi[inside, 1] = self._carry(idx, d)
         return psi.reshape(xa.shape + (2,))
 
@@ -348,23 +401,27 @@ def _march(model: PiecewiseModel, init_state: np.ndarray) -> np.ndarray:
     """Carry the transmitted-side state leftward across the fine segments.
 
     Returns the state at every segment's left edge.  All propagators come
-    from one batched call; only the recurrence itself is sequential.  As k^2
-    is real, each entry is real or (Dirac off-diagonal) imaginary, and the
-    recurrence rounds exactly as a numpy 2x2 matmul of the same entries.
-    Marching right-to-left follows the growing (stable) direction when the
-    right side is evanescent, so contamination by the spurious solution
-    decays relative to the signal.
+    from one batched call, in marching order; only the recurrence itself is
+    sequential.  As k^2 is real, each entry is real or (Dirac off-diagonal)
+    imaginary, and the recurrence rounds exactly as a numpy 2x2 matmul of
+    the same entries.  Marching right-to-left follows the growing (stable)
+    direction when the right side is evanescent, so contamination by the
+    spurious solution decays relative to the signal.
     """
-    edges = model.edges
-    m00, m01, m10, m11 = (m.tolist() for m in _propagators(
-        model.k2, edges[:-1] - edges[1:], model.generator))
-    n = len(model.values)
-    states = [None] * n
+    edges = model.edges[::-1]
+    gen = model.generator
+    entries = _propagators(model.k2[::-1], edges[1:] - edges[:-1],
+                           None if gen is None else gen[:, ::-1])
     a, b = complex(init_state[0]), complex(init_state[1])
-    for i in range(n - 1, -1, -1):
-        a, b = m00[i] * a + m01[i] * b, m10[i] * a + m11[i] * b
-        states[i] = (a, b)
-    return np.array(states, dtype=complex)
+    first, second = [], []
+    for m00, m01, m10, m11 in zip(*(m.tolist() for m in entries)):
+        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+        first.append(a)
+        second.append(b)
+    states = np.empty((len(first), 2), dtype=complex)
+    states[::-1, 0] = first
+    states[::-1, 1] = second
+    return states
 
 
 def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
@@ -434,19 +491,15 @@ def _smooth_density(mode: NumericalMode, x: np.ndarray) -> np.ndarray:
         psi = mode.eval_spinor(x)
         return np.vecdot(psi, psi).real
     u, _ = mode.eval_scalar(x)
-    # abs() and ** per point: numpy's complex abs and square round differently
-    rho = np.array([abs(v) ** 2 for v in u.tolist()])
+    rho = np.array([v ** 2 for v in np.hypot(u.real, u.imag).tolist()])
     if mode.theory == "s":
         return rho
     return (mode.energy - mode.model.reg.eval(x)) / mode.params.rest_energy * rho
 
 
 def _running_sum(terms: np.ndarray, start: float | complex = 0.0):
-    """Left-to-right sum of ``terms`` (np.sum adds pairwise, other bits)."""
-    total = start
-    for term in terms.tolist():
-        total += term
-    return total
+    """start + terms[0] + terms[1] + ..., added strictly left to right."""
+    return np.add.accumulate(np.concatenate(([start], terms)))[-1].item()
 
 
 def route_b_integral(mode: NumericalMode) -> float:

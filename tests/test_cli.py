@@ -221,6 +221,60 @@ def test_ehrenfest_rejects_nonpositive_times(flags, quantity, tmp_path,
     assert not (tmp_path / "ehrenfest.csv").exists()
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["converge", "--epsilons", "0.2,0.1,0.05", "--energy", "nan"],
+     "converge.energy"),
+    (["converge", "--epsilons", "0.2,0.1,0.05", "--domain", "nan"],
+     "converge.domain"),
+    (["converge", "--v0", "inf"], "converge.v0"),
+    (["converge", "--epsilons", "0.2,nan,0.05"], "converge.epsilons"),
+    (["mode", "--energy", "inf"], "mode.energy"),
+    (["mode", "--v0", "nan"], "mode.v0"),
+    (["limits", "--energy-nr", "nan"], "limits.energy_nr"),
+    (["limits", "--kind", "infinite-step", "--v0-list", "10,-inf"],
+     "limits.v0_list"),
+    (["ehrenfest", "--eps", "nan"], "ehrenfest.eps"),
+    (["ehrenfest", "--case", "free", "--v0", "inf"], "ehrenfest.v0")])
+def test_non_finite_flags_exit_2(argv, key, tmp_path, capsys):
+    code = run([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: config: {key} must be finite, got ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["mode", "converge", "limits",
+                                     "ehrenfest", "report"])
+def test_non_finite_config_values_exit_2(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"params": {"hbar": NaN}}')
+    out = tmp_path / "out"
+    code = run([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: config: params.hbar must be finite, got nan" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("theory", ["s", "kfg", "dirac"])
+def test_converge_with_an_overflowing_energy_exits_2(theory, tmp_path,
+                                                     capsys):
+    code = run(["converge", "--theory", theory, "--energy", "1e308",
+                "--epsilons", "0.2,0.1,0.05", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: config: k^2 on the plateau")
+    assert "must be finite" in err and "Traceback" not in err
+
+
+def test_report_rejects_a_negative_draw_count(tmp_path, capsys):
+    code = run(["report", "--n-random", "-1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: config: report.n_random must be >= 0, got -1" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_mode_accepts_a_non_natural_hbar(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"params": {"hbar": 2.0}}))

@@ -13,8 +13,9 @@ from stepforce.errors import (BelowThreshold, NoConvergence,
                               ProbeInsideSmoothing, UnderResolved)
 from stepforce.force import weak_product_check
 from stepforce.modes import solve_step_mode
-from stepforce.regularized import (ConvergenceSeries, _march, _propagators,
-                                   _scalar_k2, build_piecewise_model,
+from stepforce.regularized import (ConvergenceSeries, _cdiv, _march,
+                                   _propagators, _running_sum, _scalar_k2,
+                                   _smooth_density, build_piecewise_model,
                                    extrapolate, route_b_force,
                                    route_b_integral, route_b_sweep,
                                    smooth_jump_diagnostics,
@@ -47,6 +48,16 @@ def test_model_covers_the_smoothing_window():
     assert model.plateau_right == pytest.approx(0.5, abs=1e-16)
     assert np.all(np.diff(model.values) >= 0.0)
     assert model.values[0] <= 1e-12 and model.values[-1] >= 0.5 - 1e-12
+
+
+@pytest.mark.parametrize("theory,energy", [("s", 1e308), ("kfg", 1e300),
+                                           ("dirac", 1e300),
+                                           ("s", math.nan), ("kfg", math.inf)])
+def test_model_rejects_a_non_finite_plateau_k2(theory, energy):
+    reg = RegularizedPotential(v0=0.5, eps=0.05)
+    with pytest.raises(ValueError, match="k\\^2 on the plateau .* must be "
+                                         "finite"):
+        build_piecewise_model(theory, energy, reg, PARS)
 
 
 def _scalar_matrix(k2: complex, d: float) -> np.ndarray:
@@ -505,6 +516,86 @@ def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
             one = nm.eval_scalar(xj)
             assert all(type(v) is complex for v in one)
             assert (u[j], ux[j]) == one == _ref_eval_scalar(nm, xj)
+
+
+# A double whose square the C library's pow rounds one ulp away from x * x
+# (numpy's square): the batched code must square through pow, like the
+# scalar code it replaced.
+POW_SQUARE_DIFFERS = 4.68625888565849
+
+
+def test_pow_square_differs_from_the_product():
+    assert POW_SQUARE_DIFFERS ** 2 != POW_SQUARE_DIFFERS * POW_SQUARE_DIFFERS
+    assert POW_SQUARE_DIFFERS ** 2 != np.square(POW_SQUARE_DIFFERS)
+
+
+@pytest.mark.parametrize("theory,energy", [("s", 1.0), ("kfg", 2.0),
+                                           ("s", 3.0), ("kfg", 7.0)])
+def test_batched_k2_equals_the_scalar_formula(theory, energy):
+    model = build_piecewise_model(
+        theory, energy, RegularizedPotential(v0=0.5, eps=0.05), ODD_UNITS)
+    # E - phi = 4.68625888565849 exactly, then the profile's own samples
+    phi = energy - POW_SQUARE_DIFFERS
+    assert energy - phi == POW_SQUARE_DIFFERS
+    values = np.concatenate([[phi, -phi], model.values])
+    model = replace(model, values=values)
+    ref = [_scalar_k2(theory, energy, v, ODD_UNITS) for v in values.tolist()]
+    assert model.k2.tolist() == ref
+
+
+def test_density_equals_abs_squared_per_node():
+    reg = RegularizedPotential(v0=0.5, eps=0.05)
+    for theory, energy in (("s", 1.0), ("kfg", 2.0)):
+        nm = solve_smooth_mode(theory, energy, reg, PARS)
+        # a segment state whose |u| is the pow-sensitive value: at the
+        # segment's left edge the mode equals that state exactly
+        j = len(nm.model.values) // 3
+        states = nm.seg_states.copy()
+        states[j, 0] = POW_SQUARE_DIFFERS
+        nm = replace(nm, seg_states=states)
+        x = np.concatenate([[nm.model.edges[j]],
+                            np.linspace(-2.5, 2.5, 257)])
+        u, _ = nm.eval_scalar(x)
+        assert u[0] == POW_SQUARE_DIFFERS
+        weight = (energy - reg.eval(x)) / PARS.rest_energy
+        rho = _smooth_density(nm, x)
+        for j, v in enumerate(u.tolist()):
+            ref = abs(v) ** 2
+            assert rho[j] == (ref if theory == "s" else weight[j] * ref)
+
+
+def test_running_sum_equals_the_scalar_loop():
+    def loop(terms, start=0.0):
+        total = start
+        for term in terms.tolist():
+            total += term
+        return total
+
+    got = _running_sum(np.array([-0.0]))
+    assert type(got) is float
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    assert math.copysign(1.0, loop(np.array([-0.0]))) == 1.0
+    assert _running_sum(np.array([])) == 0.0
+    rng = np.random.default_rng(7)
+    terms = rng.normal(size=4001) * 10.0 ** rng.integers(-8, 8, size=4001)
+    assert _running_sum(terms) == loop(terms)
+    cterms = terms + 1j * terms[::-1]
+    got = _running_sum(cterms, 0.0j)
+    assert type(got) is complex and got == loop(cterms, 0.0j)
+
+
+def test_cdiv_equals_the_python_quotient():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=600) + 1j * rng.normal(size=600)
+    b = rng.normal(size=600) + 1j * rng.normal(size=600)
+    # the all-by-real, all-by-imaginary and mixed branches of CPython's
+    # quotient, plus purely real and purely imaginary divisors
+    for divisor in (b, b.real + 0.1j * b.real, 0.1 * b.imag + 1j * b.imag,
+                    b.real + 0j, 1j * b.imag):
+        got = _cdiv(a, divisor)
+        ref = [x / y for x, y in zip(a.tolist(), divisor.tolist())]
+        assert got.tolist() == ref
+    assert _cdiv(a, 6.0).tolist() == [x / 6.0 for x in a.tolist()]
 
 
 def test_weak_product_equals_the_per_node_reference():
