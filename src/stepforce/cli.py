@@ -14,27 +14,28 @@ configuration or usage error.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
 from . import __version__
 from .core import GridSpec, PhysicalParams, RegularizedPotential
 from .errors import ConfigError, StepForceError
-from .force import (boundary_terms, delta_conventions, infinite_step_sweep,
-                    interface_probe, kfg_density_jump, mean_force_closed,
-                    nonrel_residuals, weak_product_check)
-from .modes import random_mode, solve_step_mode
+from .force import (InfiniteStepRow, NonrelRow, boundary_terms,
+                    delta_conventions, infinite_step_sweep, interface_probe,
+                    kfg_density_jump, mean_force_closed, nonrel_residuals,
+                    weak_product_check)
+from .modes import matching_residuals, random_mode, solve_step_mode
 from .regularized import (DEFAULT_DOMAIN, DEFAULT_EPSILONS, route_b_sweep,
                           smooth_jump_diagnostics)
 from .reporting import dumps_json, fmt_float, write_csv
-from .timeevo import (PacketSpec, compare_packet_rt, ehrenfest_report,
-                      packet_rt)
+from .timeevo import PacketSpec, compare_packet_rt, ehrenfest_report
 
 __all__ = ["main", "build_parser", "run_report"]
 
@@ -86,44 +87,51 @@ _RT_CASE = {
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _deep_copy(tree):
-    if isinstance(tree, dict):
-        return {k: _deep_copy(v) for k, v in tree.items()}
-    if isinstance(tree, list):
-        return [_deep_copy(v) for v in tree]
-    return tree
-
-
 def _finite(name: str, value):
     """``value`` (a number, string or list) unless it holds a NaN or an
-    infinity: the one check config-file values and flags both pass."""
+    infinity."""
     for item in value if isinstance(value, list) else [value]:
         if isinstance(item, float) and not math.isfinite(item):
             raise ConfigError(f"{name} must be finite, got {item!r}")
     return value
 
 
-def _merge_into(base: dict, override: dict, path: str = ""):
+def _checked(name: str, default, value):
+    """``value`` as the type of ``default`` (a list: of its items' type),
+    or ConfigError naming ``name``."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {name} must be a list")
+        return [_checked(f"{name}[{i}]", default[0], item)
+                for i, item in enumerate(_finite(name, value))]
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {name} must be a string")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {name} must be a number")
+    _finite(name, value)
+    if isinstance(default, int) and value != int(value):
+        raise ConfigError(f"config key {name} must be an integer, "
+                          f"got {value!r}")
+    return type(default)(value)
+
+
+def _merge_into(base: dict, override: dict, path: str = "",
+                types: dict = DEFAULTS):
+    """Overlay ``override`` on ``base`` in place.  Each value is checked
+    against the default it replaces in ``types``: the one check that
+    config-file values and flags both pass."""
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in types:
             raise ConfigError(f"unknown config key: {here}")
-        if isinstance(base[key], dict):
+        if isinstance(types[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {here} must be a table")
-            _merge_into(base[key], value, here)
-        elif isinstance(base[key], list):
-            if not isinstance(value, list):
-                raise ConfigError(f"config key {here} must be a list")
-            base[key] = list(_finite(here, value))
-        elif isinstance(base[key], str):
-            if not isinstance(value, str):
-                raise ConfigError(f"config key {here} must be a string")
-            base[key] = value
+            _merge_into(base[key], value, here, types[key])
         else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"config key {here} must be a number")
-            base[key] = type(base[key])(_finite(here, value))
+            base[key] = _checked(here, types[key], value)
 
 
 def _read_config(path: str | None) -> dict:
@@ -142,20 +150,11 @@ def _read_config(path: str | None) -> dict:
     return user
 
 
-def _overlay(user: dict) -> dict:
-    resolved = _deep_copy(DEFAULTS)
-    _merge_into(resolved, user)
-    return resolved
-
-
 def load_config(path: str | None) -> dict:
     """Defaults overlaid with the JSON config file, strictly validated."""
-    return _overlay(_read_config(path))
-
-
-def _apply_flag(cfg: dict, section: str, key: str, value):
-    if value is not None:
-        cfg[section][key] = _finite(f"{section}.{key}", value)
+    cfg = copy.deepcopy(DEFAULTS)
+    _merge_into(cfg, _read_config(path))
+    return cfg
 
 
 def build_params(cfg: dict, v0: float) -> PhysicalParams:
@@ -173,15 +172,6 @@ def _echo_config(command: str, cfg: dict, seed: int, out_dir: str):
     }
     sys.stdout.write("resolved config:\n")
     sys.stdout.write(dumps_json(subset))
-
-
-def _parse_floats(text: str | None) -> list | None:
-    if text is None:
-        return None
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers: {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +315,22 @@ def cmd_limits(cfg: dict, seed: int, out_dir: str) -> int:
     blk = cfg["limits"]
     _echo_config("limits", cfg, seed, out_dir)
     kind = blk["kind"]
+    pars = build_params(cfg, blk["v0"])
     if kind == "nonrel":
-        pars = build_params(cfg, blk["v0"])
         table = nonrel_residuals(blk["energy_nr"], tuple(blk["speeds"]), pars)
-        rows = [(row.c, row.residual_density, row.residual_force, row.tag)
-                for row in table.rows]
-        path = os.path.join(out_dir, "limits_nonrel.csv")
-        write_csv(path, ("c", "residual_density", "residual_force", "tag"),
-                  rows)
+        name, row_type = "limits_nonrel.csv", NonrelRow
         print(f"force-residual log-log slope vs c: {fmt_float(table.slope)}")
     elif kind == "infinite-step":
-        p = cfg["params"]
         table = infinite_step_sweep(blk["energy"], tuple(blk["v0_list"]),
-                                    hbar=p["hbar"], mass=p["mass"])
-        rows = [(row.v0, row.route_a, row.wall_value, row.candidate,
-                 row.candidate_error, row.tag) for row in table.rows]
-        path = os.path.join(out_dir, "limits_infinite_step.csv")
-        write_csv(path, ("v0", "route_a", "wall_value", "candidate",
-                         "candidate_error", "tag"), rows)
+                                    pars)
+        name, row_type = "limits_infinite_step.csv", InfiniteStepRow
         print(f"candidate-error log-log slope vs v0: "
               f"{fmt_float(table.error_slope)}")
     else:
         raise ConfigError(f"unknown limits kind: {kind!r}")
+    path = os.path.join(out_dir, name)
+    write_csv(path, [f.name for f in fields(row_type)],
+              [astuple(row) for row in table.rows])
     print(f"wrote {path}")
     return 0
 
@@ -356,21 +340,32 @@ def cmd_limits(cfg: dict, seed: int, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def _ehrenfest_setup(blk: dict):
+    """Packet and potential (None for v0 = 0) of an ehrenfest block."""
     grid = GridSpec(x_min=blk["x_min"], x_max=blk["x_max"],
                     n_points=int(blk["n_points"]))
     spec = PacketSpec(x0=blk["x0"], sigma=blk["sigma"], k0=blk["k0"],
                       grid=grid)
-    if blk["case"] == "free" or blk["v0"] == 0.0:
-        reg = None
-    else:
-        reg = RegularizedPotential(v0=blk["v0"], eps=blk["eps"],
-                                   shape=blk["shape"])
-    return spec, reg
+    if blk["v0"] == 0.0:
+        return spec, None
+    return spec, RegularizedPotential(v0=blk["v0"], eps=blk["eps"],
+                                      shape=blk["shape"])
+
+
+def _audit(blk: dict, dt: float, pars: PhysicalParams):
+    """The momentum-balance audit of an ehrenfest block at time step dt."""
+    spec, reg = _ehrenfest_setup(blk)
+    return ehrenfest_report(spec, reg, dt, blk["t_final"],
+                            int(blk["save_stride"]), params=pars)
 
 
 def _ehrenfest_block(blk: dict, given: set) -> dict:
     """The case's own defaults, overlaid with every key the user gave."""
     if blk["case"] == "free":
+        # the free case has no step: its v0 is 0
+        for key in ("v0", "eps", "shape"):
+            if key in given:
+                raise ConfigError(
+                    f"ehrenfest.{key} has no effect in the free case")
         return {**_EHRENFEST_FREE, **{key: blk[key] for key in given}}
     if blk["case"] != "scattering":
         raise ConfigError(f"unknown ehrenfest case: {blk['case']!r}")
@@ -380,11 +375,7 @@ def _ehrenfest_block(blk: dict, given: set) -> dict:
 def cmd_ehrenfest(cfg: dict, seed: int, out_dir: str) -> int:
     blk = cfg["ehrenfest"]
     _echo_config("ehrenfest", cfg, seed, out_dir)
-    spec, reg = _ehrenfest_setup(blk)
-    p = cfg["params"]
-    report = ehrenfest_report(spec, reg, blk["dt"], blk["t_final"],
-                              int(blk["save_stride"]),
-                              hbar=p["hbar"], mass=p["mass"])
+    report = _audit(blk, blk["dt"], build_params(cfg, blk["v0"]))
     path = os.path.join(out_dir, "ehrenfest.csv")
     write_csv(path, ("t", "px_expect", "dpdt", "force_expect", "norm"),
               list(report.rows()))
@@ -417,21 +408,9 @@ def _sweep_residuals(theory: str, rng, n: int, pars: PhysicalParams) -> dict:
         mode = random_mode(theory, rng, pars)
         regimes[mode.regime] = regimes.get(mode.regime, 0) + 1
         mp = mode.params
-        if theory == "dirac":
-            cont = max(abs((1.0 + mode.r) - mode.t),
-                       abs(mode.lam_left * (1.0 - mode.r)
-                           - mode.lam_right * mode.t))
-            w_t = (abs(mode.t) ** 2 * mode.lam_right.real
-                   / mode.lam_left.real) if mode.q.imag == 0.0 else 0.0
-        else:
-            cont = max(abs((1.0 + mode.r) - mode.t),
-                       abs(mode.k * (1.0 - mode.r) - mode.q * mode.t)
-                       / abs(mode.k))
-            w_t = (abs(mode.t) ** 2 * (mode.q.real / mode.k.real)
-                   if mode.q.imag == 0.0 else 0.0)
-        worst["continuity"] = max(worst["continuity"], float(cont))
-        worst["flux"] = max(worst["flux"],
-                            abs(1.0 - abs(mode.r) ** 2 - w_t))
+        cont, flux = matching_residuals(mode)
+        worst["continuity"] = max(worst["continuity"], cont)
+        worst["flux"] = max(worst["flux"], flux)
         if mode.regime == "evanescent":
             worst["evanescent_reflection"] = max(
                 worst["evanescent_reflection"], abs(abs(mode.r) - 1.0))
@@ -456,8 +435,8 @@ def _sweep_residuals(theory: str, rng, n: int, pars: PhysicalParams) -> dict:
 
 def _report_route_b(cfg: dict) -> dict:
     out = {}
+    pars = build_params(cfg, 0.5)
     for theory in ("s", "kfg", "dirac"):
-        pars = build_params(cfg, 0.5)
         energy = FLAGSHIP_ENERGY[theory]
         shapes = ("logistic", "erf", "ramp") if theory == "kfg" else (
             "logistic", "erf")
@@ -491,27 +470,20 @@ def _report_route_b(cfg: dict) -> dict:
 def _report_limits(cfg: dict) -> dict:
     pars = build_params(cfg, 0.05)
     nonrel = nonrel_residuals(0.1, (10.0, 100.0, 1000.0), pars)
-    p = cfg["params"]
-    infinite = infinite_step_sweep(1.0, (10.0, 100.0, 1000.0),
-                                   hbar=p["hbar"], mass=p["mass"])
+    infinite = infinite_step_sweep(1.0, (10.0, 100.0, 1000.0), pars)
     a3 = []
     for eps in (0.004, 0.002, 0.001):
         reg = RegularizedPotential(v0=1.0e4, eps=eps, shape="logistic")
-        chk = weak_product_check(1.0, reg, hbar=p["hbar"], mass=p["mass"])
+        chk = weak_product_check(1.0, reg, pars)
         a3.append({"eps": eps, "window": chk.window,
                    "deviation": chk.deviation})
     return {
         "nonrel": {
-            "rows": [{"c": r.c, "residual_density": r.residual_density,
-                      "residual_force": r.residual_force, "tag": r.tag}
-                     for r in nonrel.rows],
+            "rows": [asdict(r) for r in nonrel.rows],
             "force_slope": nonrel.slope,
         },
         "infinite_step": {
-            "rows": [{"v0": r.v0, "route_a": r.route_a,
-                      "wall_value": r.wall_value, "candidate": r.candidate,
-                      "candidate_error": r.candidate_error, "tag": r.tag}
-                     for r in infinite.rows],
+            "rows": [asdict(r) for r in infinite.rows],
             "error_slope": infinite.error_slope,
         },
         "weak_product": {
@@ -557,35 +529,17 @@ def _summary(report) -> dict:
 
 
 def _report_ehrenfest(cfg: dict) -> dict:
-    p = cfg["params"]
-    free_blk = dict(_EHRENFEST_FREE)
-    spec_f, reg_f = _ehrenfest_setup(free_blk)
-    free = ehrenfest_report(spec_f, reg_f, free_blk["dt"],
-                            free_blk["t_final"],
-                            int(free_blk["save_stride"]),
-                            hbar=p["hbar"], mass=p["mass"])
+    pars = build_params(cfg, 0.5)
+    free = _audit(_EHRENFEST_FREE, _EHRENFEST_FREE["dt"], pars)
     blk = DEFAULTS["ehrenfest"]
-    spec_s, reg_s = _ehrenfest_setup(blk)
-    coarse = ehrenfest_report(spec_s, reg_s, blk["dt"], blk["t_final"],
-                              int(blk["save_stride"]),
-                              hbar=p["hbar"], mass=p["mass"])
+    coarse = _audit(blk, blk["dt"], pars)
     # same stride count, so the save interval halves with the step and
     # every second-order-in-time error term must drop fourfold
-    fine = ehrenfest_report(spec_s, reg_s, blk["dt"] / 2.0, blk["t_final"],
-                            int(blk["save_stride"]),
-                            hbar=p["hbar"], mass=p["mass"])
-    rt_blk = dict(_RT_CASE)
-    grid = GridSpec(x_min=rt_blk["x_min"], x_max=rt_blk["x_max"],
-                    n_points=int(rt_blk["n_points"]))
-    spec_rt = PacketSpec(x0=rt_blk["x0"], sigma=rt_blk["sigma"],
-                         k0=rt_blk["k0"], grid=grid)
-    reg_rt = RegularizedPotential(v0=rt_blk["v0"], eps=rt_blk["eps"],
-                                  shape=rt_blk["shape"])
-    rt_run = ehrenfest_report(spec_rt, reg_rt, rt_blk["dt"],
-                              rt_blk["t_final"],
-                              int(rt_blk["save_stride"]),
-                              hbar=p["hbar"], mass=p["mass"])
-    rt = compare_packet_rt(rt_run.final_state, spec_rt, reg_rt)
+    fine = _audit(blk, blk["dt"] / 2.0, pars)
+    rt_run = _audit(_RT_CASE, _RT_CASE["dt"], pars)
+    rt = compare_packet_rt(rt_run.final_state,
+                           _ehrenfest_setup(_RT_CASE)[0],
+                           rt_run.final_state.reg)
     ratio = (coarse.max_deviation / fine.max_deviation
              if fine.max_deviation > 0.0 else float("inf"))
     return {
@@ -603,13 +557,10 @@ def run_report(cfg: dict, seed: int) -> dict:
     n = int(cfg["report"]["n_random"])
     if n < 0:
         raise ConfigError(f"report.n_random must be >= 0, got {n}")
-    pars_template = build_params(cfg, 0.5)
-    flagships = {
-        theory: _mode_payload(theory, FLAGSHIP_ENERGY[theory],
-                              build_params(cfg, 0.5))
-        for theory in ("s", "kfg", "dirac")
-    }
-    sweeps = {theory: _sweep_residuals(theory, rng, n, pars_template)
+    pars = build_params(cfg, 0.5)
+    flagships = {theory: _mode_payload(theory, FLAGSHIP_ENERGY[theory], pars)
+                 for theory in ("s", "kfg", "dirac")}
+    sweeps = {theory: _sweep_residuals(theory, rng, n, pars)
               for theory in ("s", "kfg", "dirac")}
     return {
         "version": __version__,
@@ -654,129 +605,72 @@ def cmd_report(cfg: dict, seed: int, out_dir: str) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "mode": (cmd_mode, "solve one sharp-step mode, print all interface "
+                       "quantities"),
+    "converge": (cmd_converge, "force on smoothed steps over a width sweep, "
+                               "extrapolated"),
+    "limits": (cmd_limits, "nonrelativistic or hard-wall limit tables"),
+    "ehrenfest": (cmd_ehrenfest, "packet evolution with the momentum-balance "
+                                 "audit (--case free has its own defaults)"),
+    "report": (cmd_report, "full verification bundle as deterministic JSON"),
+}
+
+
+def _flag_type(default):
+    """Parser of the flag for a config key: the type of its default, or
+    for a list comma-separated items of its items' type."""
+    if not isinstance(default, list):
+        return type(default)
+    item = type(default[0])
+
+    def items(text: str) -> list:
+        return [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+    items.__name__ = f"comma-separated {item.__name__}"
+    return items
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="JSON config file")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    """One --key-with-dashes flag per key of each command's DEFAULTS table;
+    only the flags given reach the namespace."""
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--seed", type=int,
                         help="seed for randomized sweeps (default 0)")
-    common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="output directory (default .)")
+    common.add_argument("--out", help="output directory (default .)")
 
     parser = argparse.ArgumentParser(
         prog="stepforce",
         description="mean-force verification laboratory for the step "
                     "potential", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_mode = sub.add_parser("mode", parents=[common],
-                            help="solve one sharp-step mode, print all "
-                                 "interface quantities")
-    p_mode.add_argument("--theory", default=None)
-    p_mode.add_argument("--energy", type=float, default=None)
-    p_mode.add_argument("--v0", type=float, default=None)
-
-    p_conv = sub.add_parser("converge", parents=[common],
-                            help="force on smoothed steps over a width "
-                                 "sweep, extrapolated")
-    p_conv.add_argument("--theory", default=None)
-    p_conv.add_argument("--energy", type=float, default=None)
-    p_conv.add_argument("--v0", type=float, default=None)
-    p_conv.add_argument("--shapes", default=None,
-                        help="comma-separated profile names")
-    p_conv.add_argument("--epsilons", default=None,
-                        help="comma-separated widths, decreasing")
-    p_conv.add_argument("--domain", type=float, default=None)
-    p_conv.add_argument("--resolution", type=int, default=None)
-
-    p_lim = sub.add_parser("limits", parents=[common],
-                           help="nonrelativistic or hard-wall limit tables")
-    p_lim.add_argument("--kind", choices=("nonrel", "infinite-step"),
-                       default=None)
-    p_lim.add_argument("--energy-nr", type=float, default=None)
-    p_lim.add_argument("--v0", type=float, default=None)
-    p_lim.add_argument("--speeds", default=None,
-                       help="comma-separated light speeds")
-    p_lim.add_argument("--energy", type=float, default=None)
-    p_lim.add_argument("--v0-list", default=None,
-                       help="comma-separated step heights")
-
-    p_ehr = sub.add_parser("ehrenfest", parents=[common],
-                           help="packet evolution with the momentum-balance "
-                                "audit")
-    p_ehr.add_argument("--case", choices=("free", "scattering"), default=None)
-    p_ehr.add_argument("--dt", type=float, default=None)
-    p_ehr.add_argument("--t-final", type=float, default=None)
-    p_ehr.add_argument("--save-stride", type=int, default=None)
-    p_ehr.add_argument("--k0", type=float, default=None)
-    p_ehr.add_argument("--sigma", type=float, default=None)
-    p_ehr.add_argument("--x0", type=float, default=None)
-    p_ehr.add_argument("--v0", type=float, default=None)
-    p_ehr.add_argument("--eps", type=float, default=None)
-
-    p_rep = sub.add_parser("report", parents=[common],
-                           help="full verification bundle as deterministic "
-                                "JSON")
-    p_rep.add_argument("--n-random", type=int, default=None)
-
+    for command, (_, text) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, parents=[common], help=text,
+                               argument_default=argparse.SUPPRESS)
+        for key, default in DEFAULTS[command].items():
+            p_cmd.add_argument("--" + key.replace("_", "-"),
+                               type=_flag_type(default),
+                               help=f"default {default}")
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> tuple:
-    user = _read_config(getattr(args, "config", None))
-    cfg = _overlay(user)
-    seed = int(getattr(args, "seed", 0))
-    out_dir = getattr(args, "out", ".")
-    command = args.command
-    if command == "mode":
-        _apply_flag(cfg, "mode", "theory", args.theory)
-        _apply_flag(cfg, "mode", "energy", args.energy)
-        _apply_flag(cfg, "mode", "v0", args.v0)
-    elif command == "converge":
-        _apply_flag(cfg, "converge", "theory", args.theory)
-        _apply_flag(cfg, "converge", "energy", args.energy)
-        _apply_flag(cfg, "converge", "v0", args.v0)
-        if args.shapes is not None:
-            cfg["converge"]["shapes"] = [s.strip()
-                                         for s in args.shapes.split(",")
-                                         if s.strip()]
-        _apply_flag(cfg, "converge", "epsilons", _parse_floats(args.epsilons))
-        _apply_flag(cfg, "converge", "domain", args.domain)
-        _apply_flag(cfg, "converge", "resolution", args.resolution)
-    elif command == "limits":
-        _apply_flag(cfg, "limits", "kind", args.kind)
-        _apply_flag(cfg, "limits", "energy_nr", args.energy_nr)
-        _apply_flag(cfg, "limits", "v0", args.v0)
-        _apply_flag(cfg, "limits", "speeds", _parse_floats(args.speeds))
-        _apply_flag(cfg, "limits", "energy", args.energy)
-        _apply_flag(cfg, "limits", "v0_list", _parse_floats(args.v0_list))
-    elif command == "ehrenfest":
-        # the free case has its own defaults: keep what was given, by
-        # config file or by flag, whatever its value
-        given = set(user.get("ehrenfest", {}))
-        for key in ("case", "dt", "t_final", "save_stride", "k0", "sigma",
-                    "x0", "v0", "eps"):
-            value = getattr(args, key)
-            if value is not None:
-                # the library's own check names the time step or final time
-                cfg["ehrenfest"][key] = (
-                    value if key in ("dt", "t_final")
-                    else _finite(f"ehrenfest.{key}", value))
-                given.add(key)
+    """(cfg, seed, out_dir, command): defaults, then the config file, then
+    the flags given, all through one check."""
+    flags = vars(args)
+    command = flags.pop("command")
+    user = _read_config(flags.pop("config", None))
+    seed = flags.pop("seed", 0)
+    out_dir = flags.pop("out", ".")
+    cfg = copy.deepcopy(DEFAULTS)
+    _merge_into(cfg, user)
+    _merge_into(cfg, {command: flags})
+    if command == "ehrenfest":
+        given = set(user.get("ehrenfest", {})) | set(flags)
         cfg["ehrenfest"] = _ehrenfest_block(cfg["ehrenfest"], given)
-    elif command == "report":
-        if args.n_random is not None:
-            cfg["report"]["n_random"] = args.n_random
     return cfg, seed, out_dir, command
-
-
-_DISPATCH = {
-    "mode": cmd_mode,
-    "converge": cmd_converge,
-    "limits": cmd_limits,
-    "ehrenfest": cmd_ehrenfest,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -788,7 +682,7 @@ def main(argv=None) -> int:
     try:
         cfg, seed, out_dir, command = _resolve(args)
         os.makedirs(out_dir, exist_ok=True)
-        return _DISPATCH[command](cfg, seed, out_dir)
+        return _COMMANDS[command][0](cfg, seed, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

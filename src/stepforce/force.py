@@ -340,11 +340,11 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
     """
     if params is None:
         params = PhysicalParams(v0=0.05)
-    hbar, mass, v0 = params.hbar, params.mass, params.v0
+    mass, v0 = params.mass, params.v0
     rows = []
     logs = []
     for c in c_list:
-        pars = PhysicalParams(hbar=hbar, mass=mass, c=c, v0=v0)
+        pars = replace(params, c=c)
         if energy_nr >= pars.rest_energy:
             rows.append(NonrelRow(c, math.nan, math.nan, "not-nonrelativistic"))
             continue
@@ -404,17 +404,21 @@ class InfiniteStepReport:
     error_slope: float
 
 
-def infinite_step_sweep(energy: float, v0_list, hbar: float = 1.0,
-                        mass: float = 1.0) -> InfiniteStepReport:
+def infinite_step_sweep(energy: float, v0_list,
+                        params: PhysicalParams | None = None
+                        ) -> InfiniteStepReport:
     """Push the nonrelativistic step height to the hard-wall regime.
 
     For every height above the energy the closed mean force equals the
     hard-wall value -2 hbar^2 k^2 / m exactly; the naive candidate built
     from the one-sided slope, -(hbar^2/2m)|psi'(0-)|^2, misses it by a
     relative error that decays like 1/v0.  Heights at or below the energy
-    are tagged and skipped.
+    are tagged and skipped.  ``params`` supplies hbar and mass; its step
+    height is replaced by each entry of ``v0_list`` in turn.
     """
-    pars0 = PhysicalParams(hbar=hbar, mass=mass, v0=1.0)
+    if params is None:
+        params = PhysicalParams()
+    hbar, mass = params.hbar, params.mass
     k = math.sqrt(2.0 * mass * energy) / hbar
     wall = -2.0 * hbar**2 * k**2 / mass
     rows = []
@@ -424,7 +428,7 @@ def infinite_step_sweep(energy: float, v0_list, hbar: float = 1.0,
             rows.append(InfiniteStepRow(v0, math.nan, wall, math.nan,
                                         math.nan, "rejected"))
             continue
-        pars = replace(pars0, v0=float(v0))
+        pars = replace(params, v0=float(v0))
         mode = solve_step_mode("s", energy, pars)
         route_a = mean_force_closed(mode)
         candidate = -(hbar**2 / (2.0 * mass)) * abs(mode.psix0) ** 2
@@ -457,7 +461,7 @@ class WeakProductReport:
 
 
 def weak_product_check(energy: float, reg: RegularizedPotential,
-                          hbar: float = 1.0, mass: float = 1.0,
+                          params: PhysicalParams | None = None,
                           window: float | None = None,
                           domain: float = 20.0,
                           resolution: int = 8) -> WeakProductReport:
@@ -470,10 +474,13 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
     dead, only the left-edge slope survives).  The window must exceed the
     smoothing width (raise otherwise) yet stay small against the wavelength
     so the sharp-side lobe of psi does not re-enter the integral.
+    ``params`` supplies hbar and mass; the step height is that of ``reg``.
     """
     from .regularized import _running_sum, solve_smooth_mode
 
-    v0 = reg.v0
+    if params is None:
+        params = PhysicalParams()
+    hbar, mass, v0 = params.hbar, params.mass, reg.v0
     if v0 != 0.0 and v0 < 100.0 * energy:
         raise ValueError(
             f"weak-product regime needs v0/energy >= 100; got {v0 / energy:g}")
@@ -484,7 +491,7 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
         raise UnresolvedWindow(
             f"window {window} does not clear the smoothing width {reg.eps}")
 
-    pars = PhysicalParams(hbar=hbar, mass=mass, v0=v0)
+    pars = replace(params, v0=v0)
     nm = solve_smooth_mode("s", energy, reg, pars, domain=domain,
                            resolution=resolution)
 

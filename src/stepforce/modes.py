@@ -41,6 +41,7 @@ __all__ = [
     "fv_lift",
     "fv_components",
     "bc_residuals",
+    "matching_residuals",
     "fv_system_residual",
     "representation_swap_check",
     "random_mode",
@@ -88,6 +89,16 @@ class MatrixSet:
 DEFAULT_MATRICES = MatrixSet.default()
 
 
+def _k_squared(theory: str, energy: float, phi: float,
+               params: PhysicalParams) -> float:
+    """Squared wavenumber (Dirac: q^2) where the potential equals ``phi``;
+    ``theory`` is a canonical name."""
+    if theory == "s":
+        return 2.0 * params.mass * (energy - phi) / params.hbar**2
+    mc2 = params.rest_energy
+    return ((energy - phi) ** 2 - mc2**2) / (params.hbar * params.c) ** 2
+
+
 def dispersion(theory: str, energy: float, phi: float,
                params: PhysicalParams) -> complex:
     """Wavenumber on a side where the potential equals ``phi``.
@@ -97,11 +108,7 @@ def dispersion(theory: str, energy: float, phi: float,
     and exactly 0 at a regime threshold.
     """
     theory = _as_theory(theory)
-    if theory == "s":
-        d = 2.0 * params.mass * (energy - phi) / params.hbar**2
-    else:
-        mc2 = params.rest_energy
-        d = ((energy - phi) ** 2 - mc2**2) / (params.hbar * params.c) ** 2
+    d = _k_squared(theory, energy, phi, params)
     if d == 0.0:
         return 0.0 + 0.0j
     if d > 0.0:
@@ -251,6 +258,30 @@ def solve_step_mode(theory: str, energy: float,
         t = 1.0 + r
     return ScatterMode(theory=theory, energy=float(energy), k=k, q=q,
                        r=complex(r), t=complex(t), regime=regime, params=params)
+
+
+def matching_residuals(mode: ScatterMode) -> tuple[float, float]:
+    """Continuity and current-budget defects of a sharp-step mode.
+
+    Continuity: the value and the derivative (spin-1/2: the lower spinor
+    component) agree from both sides, the derivative relative to |k|.
+    Current budget: reflected plus transmitted current equals the incident
+    one, the transmitted share being zero unless q is real.  Both vanish
+    for exact modes.
+    """
+    if mode.theory == "dirac":
+        cont = max(abs((1.0 + mode.r) - mode.t),
+                   abs(mode.lam_left * (1.0 - mode.r)
+                       - mode.lam_right * mode.t))
+        w_t = (abs(mode.t) ** 2 * mode.lam_right.real
+               / mode.lam_left.real) if mode.q.imag == 0.0 else 0.0
+    else:
+        cont = max(abs((1.0 + mode.r) - mode.t),
+                   abs(mode.k * (1.0 - mode.r) - mode.q * mode.t)
+                   / abs(mode.k))
+        w_t = (abs(mode.t) ** 2 * (mode.q.real / mode.k.real)
+               if mode.q.imag == 0.0 else 0.0)
+    return float(cont), float(abs(1.0 - abs(mode.r) ** 2 - w_t))
 
 
 # ---------------------------------------------------------------------------

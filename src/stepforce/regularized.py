@@ -32,7 +32,8 @@ import numpy as np
 from .core import PhysicalParams, RegularizedPotential
 from .errors import (BelowThreshold, NoConvergence, ProbeInsideSmoothing,
                      UnderResolved)
-from .modes import DEFAULT_MATRICES, _as_theory, dispersion
+from .modes import (DEFAULT_MATRICES, _as_theory, _k_squared, _lift_pair,
+                    dispersion)
 
 __all__ = [
     "PiecewiseModel",
@@ -51,6 +52,9 @@ __all__ = [
 
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025, 0.0125)
 DEFAULT_DOMAIN = 20.0
+# far above the 640 fine segments of the largest model the report builds;
+# energies needing more would march for minutes in Python, or overflow
+_MAX_SEGMENTS = 10**6
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
@@ -88,7 +92,7 @@ class PiecewiseModel:
     def k2(self) -> np.ndarray:
         """Per-segment k^2 of the scalar theories, q^2 of the Dirac theory.
 
-        Elementwise the arithmetic of ``_scalar_k2``; the spin-0 square
+        Elementwise the arithmetic of ``modes._k_squared``; the spin-0 square
         goes through Python's pow per segment, as it does there.
         """
         p, diff = self.params, self.energy - self.values
@@ -118,19 +122,11 @@ class PiecewiseModel:
                 self.energy - self.values - mc2)
 
 
-def _scalar_k2(theory: str, energy: float, phi: float,
-               params: PhysicalParams) -> complex:
-    if theory == "s":
-        return complex(2.0 * params.mass * (energy - phi) / params.hbar**2)
-    mc2 = params.rest_energy
-    return complex(((energy - phi) ** 2 - mc2**2) / (params.hbar * params.c) ** 2)
-
-
 def _plateau_k2(theory: str, energy: float, phi: float,
                 params: PhysicalParams) -> complex:
     """k^2 (Dirac q^2) on a plateau; ValueError unless it is finite."""
     try:
-        k2 = _scalar_k2(theory, energy, phi, params)
+        k2 = complex(_k_squared(theory, energy, phi, params))
     except ArithmeticError:     # ** overflowed, or hbar * c underflowed
         k2 = complex(math.inf)
     if not cmath.isfinite(k2):
@@ -164,7 +160,12 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     width = eps / resolution
     if kmax > 0.0:
         width = min(width, 2.0 * math.pi / (20.0 * kmax))
-    n_seg = max(int(math.ceil(2.0 * xs / width)), 16)
+    needed = 2.0 * xs / width
+    if not needed <= _MAX_SEGMENTS:
+        raise ValueError(
+            f"the model needs {needed:.3g} segments at energy {energy!r}; "
+            f"the bound is {_MAX_SEGMENTS:.0e}")
+    n_seg = max(int(math.ceil(needed)), 16)
     edges = np.linspace(-xs, xs, n_seg + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     values = np.asarray(reg.eval(mids), dtype=float)
@@ -683,7 +684,7 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
         x = side * delta
         u, ux = nm.eval_scalar(x)
         phi = nm.model.plateau_right if side > 0 else nm.model.plateau_left
-        k2 = _scalar_k2("kfg", energy, phi, p)
+        k2 = complex(_k_squared("kfg", energy, phi, p))
         m00, m01, m10, m11 = _propagators(np.array([k2]), np.array([-x]))
         return np.concatenate([_cmul(m00, u) + _cmul(m01, ux),
                                _cmul(m10, u) + _cmul(m11, ux)])
@@ -691,14 +692,10 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
     (u_l, ux_l) = transported(-1)
     (u_r, ux_r) = transported(+1)
     phi_l, phi_r = nm.model.plateau_left, nm.model.plateau_right
-
-    def lift(value: complex, phi: float) -> np.ndarray:
-        w = (energy - phi) / mc2
-        return 0.5 * np.array([(1.0 + w) * value, (1.0 - w) * value],
-                              dtype=complex)
-
-    jump_value = lift(u_r, phi_r) - lift(u_l, phi_l)
-    jump_deriv = lift(ux_r, phi_r) - lift(ux_l, phi_l)
+    jump_value = (_lift_pair(u_r, energy, phi_r, p)
+                  - _lift_pair(u_l, energy, phi_l, p))
+    jump_deriv = (_lift_pair(ux_r, energy, phi_r, p)
+                  - _lift_pair(ux_l, energy, phi_l, p))
     proj = DEFAULT_MATRICES.tau3 + 1j * DEFAULT_MATRICES.tau2
     direction = np.array([-1.0, 1.0], dtype=complex)
     v0 = reg.v0

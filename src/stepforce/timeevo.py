@@ -75,14 +75,14 @@ class PacketSpec:
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """Wave function snapshot on its grid, plus the evolution ingredients."""
+    """Wave function snapshot on its grid, plus the evolution ingredients:
+    the potential and the constants (only hbar and mass enter)."""
 
     x: np.ndarray
     psi: np.ndarray
     t: float
     reg: RegularizedPotential | None = None
-    hbar: float = 1.0
-    mass: float = 1.0
+    params: PhysicalParams = PhysicalParams()
 
     @property
     def dx(self) -> float:
@@ -96,7 +96,7 @@ class EvolutionState:
 
 
 def gaussian_packet(spec: PacketSpec, reg: RegularizedPotential | None = None,
-                    hbar: float = 1.0, mass: float = 1.0) -> EvolutionState:
+                    params: PhysicalParams | None = None) -> EvolutionState:
     """Normalized Gaussian packet at t = 0 on the grid of ``spec``."""
     x = grid_build(spec.grid)
     psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2)
@@ -105,7 +105,7 @@ def gaussian_packet(spec: PacketSpec, reg: RegularizedPotential | None = None,
     psi[-1] = 0.0
     norm = math.sqrt(float(np.trapezoid(np.abs(psi) ** 2, x)))
     return EvolutionState(x=x, psi=psi / norm, t=0.0, reg=reg,
-                          hbar=hbar, mass=mass)
+                          params=params or PhysicalParams())
 
 
 def _derivative_4th(psi: np.ndarray, h: float) -> np.ndarray:
@@ -117,7 +117,7 @@ def _derivative_4th(psi: np.ndarray, h: float) -> np.ndarray:
 
 def _momentum_integral(state: EvolutionState) -> complex:
     integrand = np.conj(state.psi) * _derivative_4th(state.psi, state.dx)
-    return complex(-1j * state.hbar * np.trapezoid(integrand, state.x))
+    return complex(-1j * state.params.hbar * np.trapezoid(integrand, state.x))
 
 
 def expectation_momentum(state: EvolutionState) -> float:
@@ -153,7 +153,7 @@ def _cn_arrays(state: EvolutionState, dt: float):
     x = state.x
     h = state.dx
     n = len(x)
-    hbar, mass = state.hbar, state.mass
+    hbar, mass = state.params.hbar, state.params.mass
     bound = mass * h * h / hbar
     if dt > bound * (1.0 + 1e-12):
         raise UnderResolved(
@@ -269,7 +269,7 @@ class EhrenfestReport:
 
 def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
                      dt: float, t_final: float, save_stride: int = 50,
-                     hbar: float = 1.0, mass: float = 1.0,
+                     params: PhysicalParams | None = None,
                      wall_tol: float = 1e-6) -> EhrenfestReport:
     """Propagate the packet and audit the momentum balance along the way."""
     if save_stride < 1:
@@ -279,7 +279,7 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     if not 0.0 < t_final < math.inf:
         raise ValueError(
             f"final time must be positive and finite, got {t_final}")
-    state = gaussian_packet(spec, reg, hbar, mass)
+    state = gaussian_packet(spec, reg, params)
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     n_steps += (-n_steps) % save_stride
 
@@ -350,8 +350,8 @@ def compare_packet_rt(state: EvolutionState, spec: PacketSpec,
             f"momentum spread too broad for a single-momentum comparison: "
             f"k0*sigma = {spec.k0 * spec.sigma:g} < 10")
     r_packet, t_packet = packet_rt(state)
-    energy = (state.hbar * spec.k0) ** 2 / (2.0 * state.mass)
-    pars = PhysicalParams(hbar=state.hbar, mass=state.mass, v0=reg.v0)
+    pars = replace(state.params, v0=reg.v0)
+    energy = (pars.hbar * spec.k0) ** 2 / (2.0 * pars.mass)
     nm = solve_smooth_mode("s", energy, reg, pars)
     sharp = solve_step_mode("s", energy, pars)
     r_smooth = float(abs(nm.r) ** 2)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, config plumbing, file outputs."""
 
+import argparse
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +32,24 @@ def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     out = capsys.readouterr().out
     assert "mode" in out and "converge" in out and "report" in out
+
+
+def test_each_command_has_one_flag_per_config_key():
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli.DEFAULTS) - {"params"}
+    for command, sub in subparsers.choices.items():
+        table = cli.DEFAULTS[command]
+        dests = {action.dest for action in sub._actions}
+        assert dests - {"help", "config", "seed", "out"} == set(table)
+        # every flag parses its default's text back to the default
+        argv = [command]
+        for key, default in table.items():
+            text = (",".join(map(str, default)) if isinstance(default, list)
+                    else str(default))
+            argv += ["--" + key.replace("_", "-"), text]
+        assert vars(parser.parse_args(argv)) == {"command": command, **table}
 
 
 def test_mode_defaults_write_flagship_payload(tmp_path, capsys):
@@ -92,6 +111,36 @@ def test_bad_config_files_exit_2(tmp_path, capsys):
     assert "must contain a JSON object" in err
     assert "must be a number" in err
     assert "cannot read config file" in err
+
+
+@pytest.mark.parametrize("command,table,message", [
+    ("converge", {"converge": {"epsilons": ["a", "b", "c"]}},
+     "converge.epsilons[0] must be a number"),
+    ("limits", {"limits": {"speeds": [10, "x", 1000]}},
+     "limits.speeds[1] must be a number"),
+    ("converge", {"converge": {"resolution": 8.9}},
+     "converge.resolution must be an integer, got 8.9"),
+    ("report", {"report": {"n_random": 0.5}},
+     "report.n_random must be an integer, got 0.5")])
+def test_config_values_must_fit_their_defaults(command, table, message,
+                                               tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(table))
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_numbers_fill_integer_keys(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"converge": {"resolution": 8.0},
+                               "ehrenfest": {"n_points": 5201.0}}))
+    loaded = cli.load_config(str(cfg))
+    assert loaded["converge"]["resolution"] == 8
+    assert isinstance(loaded["converge"]["resolution"], int)
+    assert isinstance(loaded["ehrenfest"]["n_points"], int)
 
 
 def test_converge_writes_csv_and_verdict(tmp_path, capsys):
@@ -189,6 +238,35 @@ def test_ehrenfest_free_keeps_values_equal_to_scattering_defaults(
     assert blk["n_points"] == 2001  # untouched keys take the free defaults
 
 
+@pytest.mark.parametrize("flags,table,key", [
+    (["--v0", "0.3"], {}, "v0"),
+    (["--shape", "erf"], {}, "shape"),
+    ([], {"ehrenfest": {"eps": 0.2}}, "eps")])
+def test_ehrenfest_free_rejects_the_step_keys(flags, table, key, tmp_path,
+                                              capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(table))
+    out = tmp_path / "out"
+    code = run(["ehrenfest", "--case", "free", *flags, "--config", str(cfg),
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"error: config: ehrenfest.{key} has no effect in the free case"
+            in err)
+    assert not out.exists()
+
+
+def test_ehrenfest_free_accepts_non_natural_units(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"hbar": 2, "mass": 3}}))
+    assert run(["ehrenfest", "--case", "free", "--t-final", "0.2",
+                "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    first = (tmp_path / "ehrenfest.csv").read_text().splitlines()[1]
+    # <p> = hbar k0 at t = 0
+    assert float(first.split(",")[1]) == pytest.approx(2.0, rel=1e-6)
+
+
 def test_ehrenfest_box_guard_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"ehrenfest": {"x_min": -20.0,
@@ -209,8 +287,7 @@ def test_ehrenfest_rejects_unknown_case(tmp_path, capsys):
 @pytest.mark.parametrize("flags,quantity", [
     (["--dt", "0"], "time step"),
     (["--dt", "-0.001"], "time step"),
-    (["--t-final", "-1"], "final time"),
-    (["--t-final", "inf"], "final time")])
+    (["--t-final", "-1"], "final time")])
 def test_ehrenfest_rejects_nonpositive_times(flags, quantity, tmp_path,
                                              capsys):
     code = run(["ehrenfest", "--case", "free", *flags,
@@ -234,7 +311,9 @@ def test_ehrenfest_rejects_nonpositive_times(flags, quantity, tmp_path,
     (["limits", "--kind", "infinite-step", "--v0-list", "10,-inf"],
      "limits.v0_list"),
     (["ehrenfest", "--eps", "nan"], "ehrenfest.eps"),
-    (["ehrenfest", "--case", "free", "--v0", "inf"], "ehrenfest.v0")])
+    (["ehrenfest", "--case", "free", "--v0", "inf"], "ehrenfest.v0"),
+    (["ehrenfest", "--case", "free", "--t-final", "inf"],
+     "ehrenfest.t_final")])
 def test_non_finite_flags_exit_2(argv, key, tmp_path, capsys):
     code = run([*argv, "--out", str(tmp_path)])
     err = capsys.readouterr().err
@@ -265,6 +344,15 @@ def test_converge_with_an_overflowing_energy_exits_2(theory, tmp_path,
     assert code == 2
     assert err.startswith("error: config: k^2 on the plateau")
     assert "must be finite" in err and "Traceback" not in err
+
+
+def test_converge_needing_too_many_segments_exits_2(tmp_path, capsys):
+    code = run(["converge", "--theory", "s", "--energy", "1e300",
+                "--epsilons", "0.2,0.1,0.05", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: config: the model needs ")
+    assert "the bound is 1e+06" in err and "Traceback" not in err
 
 
 def test_report_rejects_a_negative_draw_count(tmp_path, capsys):

@@ -187,6 +187,18 @@ def test_mode_profile_matches_plane_wave_forms():
 
 
 @pytest.mark.parametrize("theory", THEORIES)
+def test_matching_residuals_equal_the_restated_reference(theory):
+    rng = np.random.default_rng(0)
+    regimes = set()
+    for _ in range(100):
+        mode = random_mode(theory, rng)
+        regimes.add(mode.regime)
+        assert modes.matching_residuals(mode) == interface_residuals(mode)
+    assert regimes == ({"propagating", "evanescent"} if theory == "s"
+                       else {"propagating", "evanescent", "klein"})
+
+
+@pytest.mark.parametrize("theory", THEORIES)
 def test_random_modes_satisfy_matching_and_current_budget(theory):
     rng = np.random.default_rng(1234)
     regimes = set()

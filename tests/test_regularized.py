@@ -2,19 +2,20 @@
 
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stepforce import regularized
+from stepforce import modes, regularized
 from stepforce.core import PhysicalParams, RegularizedPotential
 from stepforce.errors import (BelowThreshold, NoConvergence,
                               ProbeInsideSmoothing, UnderResolved)
 from stepforce.force import weak_product_check
 from stepforce.modes import solve_step_mode
 from stepforce.regularized import (ConvergenceSeries, _cdiv, _march,
-                                   _propagators, _running_sum, _scalar_k2,
+                                   _propagators, _running_sum,
                                    _smooth_density, build_piecewise_model,
                                    extrapolate, route_b_force,
                                    route_b_integral, route_b_sweep,
@@ -245,6 +246,20 @@ def test_convergence_series_validates_widths():
             good, values=(1.0, 0.9), defects=(0.0, 0.0)))
 
 
+@pytest.mark.parametrize("energy", [1e12, 1e300])
+def test_segment_count_is_bounded_before_allocating(energy):
+    reg = RegularizedPotential(v0=0.5, eps=0.2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"needs .* segments .* bound is 1e\+06"):
+            build_piecewise_model("s", energy, reg, PARS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_jump_diagnostics_probe_must_clear_the_smoothing():
     reg = RegularizedPotential(v0=0.5, eps=0.1)
     with pytest.raises(ProbeInsideSmoothing):
@@ -315,7 +330,8 @@ def _ref_propagator(model, i, d):
     if model.theory == "dirac":
         return _ref_dirac_propagator(phi, model.energy, model.params, d)
     return _ref_scalar_propagator(
-        _scalar_k2(model.theory, model.energy, phi, model.params), d)
+        complex(modes._k_squared(model.theory, model.energy, phi,
+                                 model.params)), d)
 
 
 def _ref_march(model, init_state):
@@ -539,7 +555,8 @@ def test_batched_k2_equals_the_scalar_formula(theory, energy):
     assert energy - phi == POW_SQUARE_DIFFERS
     values = np.concatenate([[phi, -phi], model.values])
     model = replace(model, values=values)
-    ref = [_scalar_k2(theory, energy, v, ODD_UNITS) for v in values.tolist()]
+    ref = [complex(modes._k_squared(theory, energy, v, ODD_UNITS))
+           for v in values.tolist()]
     assert model.k2.tolist() == ref
 
 
@@ -601,7 +618,7 @@ def test_cdiv_equals_the_python_quotient():
 def test_weak_product_equals_the_per_node_reference():
     hbar, mass, energy, v0 = 2.0, 3.0, 1.0, 500.0
     reg = RegularizedPotential(v0=v0, eps=0.0025)
-    got = weak_product_check(energy, reg, hbar=hbar, mass=mass)
+    got = weak_product_check(energy, reg, PhysicalParams(hbar=hbar, mass=mass))
     nm = solve_smooth_mode("s", energy, reg,
                            PhysicalParams(hbar=hbar, mass=mass, v0=v0))
     kappa = math.sqrt(2.0 * mass * (v0 - energy)) / hbar

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from stepforce.core import GridSpec, RegularizedPotential
+from stepforce.core import GridSpec, PhysicalParams, RegularizedPotential
 from stepforce.errors import BoxTooSmall, UnderResolved
 from stepforce.timeevo import (PacketSpec, compare_packet_rt,
                                ehrenfest_report, evolve, expectation_momentum,
@@ -15,6 +15,13 @@ from stepforce.timeevo import (PacketSpec, compare_packet_rt,
 
 FREE_GRID = GridSpec(x_min=-30.0, x_max=30.0, n_points=1201)
 FREE_SPEC = PacketSpec(x0=-10.0, sigma=2.0, k0=1.0, grid=FREE_GRID)
+
+
+def test_packet_momentum_carries_hbar():
+    natural = expectation_momentum(gaussian_packet(FREE_SPEC))
+    doubled = expectation_momentum(
+        gaussian_packet(FREE_SPEC, params=PhysicalParams(hbar=2.0)))
+    assert doubled == 2.0 * natural
 
 
 def test_packet_spec_guards():
