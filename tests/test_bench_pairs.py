@@ -1,0 +1,90 @@
+"""tools/bench_pairs.py on synthetic benchmark records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+MACHINE = {"nproc": 2, "cpu_model": "test cpu", "python": "3.11.7"}
+END_TO_END = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())[
+    "end_to_end"]
+
+
+def write_record(folder: Path, seed: int, p50: float, work: float,
+                 steal: int = 0, machine=MACHINE):
+    """A record whose other end-to-end metrics read 1.0."""
+    folder.mkdir(parents=True, exist_ok=True)
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]}
+               for m in END_TO_END}
+    metrics["op_p50_ref"]["value"] = p50
+    metrics["work_per_kref"]["value"] = work
+    record = {
+        "workload": "routeb", "seed": seed, "seconds": 10.0, "trace": 0,
+        "correct": True, "attempted": 100, "failed": 0,
+        "machine": dict(machine, steal_jiffies_before=steal,
+                        steal_jiffies_after=steal + 3),
+        "metrics": metrics,
+    }
+    path = folder / f"result-routeb-seed{seed}-trace0.json"
+    path.write_text(json.dumps(record))
+
+
+def test_two_paired_records_per_side(tmp_path, capsys):
+    write_record(tmp_path / "parent", 7, 4.0, 1000.0, steal=10)
+    write_record(tmp_path / "parent", 8, 3.0, 1100.0)
+    write_record(tmp_path / "change", 7, 3.5, 900.0)
+    write_record(tmp_path / "change", 8, 2.0, 1400.0, steal=99)
+    code = bench_pairs.main([
+        "--workload", "routeb", "--seeds", "7", "8",
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"),
+        "--label", "demo", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "wrote" in capsys.readouterr().out
+    out = json.loads((tmp_path / "BENCH_demo.json").read_text())
+    assert out["workload"] == "routeb"
+    assert out["seeds"] == [7, 8] and out["pairs"] == 2
+    assert out["all_correct"] is True
+    assert out["failed_ops"] == {"parent": 0, "change": 0}
+    assert out["machine"] == MACHINE
+    p50 = out["metrics"]["op_p50_ref"]
+    assert p50["parent"]["values"] == [4.0, 3.0]
+    assert p50["parent"]["median"] == 3.5
+    assert p50["change"]["median"] == 2.75
+    assert p50["parent"]["q1"] <= p50["parent"]["median"] <= p50["parent"]["q3"]
+    assert p50["change_wins"] == 2          # lower is better
+    work = out["metrics"]["work_per_kref"]
+    assert work["better"] == "higher"
+    assert work["change_wins"] == 1         # 900 < 1000 loses, 1400 wins
+    assert out["metrics"]["peak_rss_mb"]["change_wins"] == 0    # ties
+    assert set(out["metrics"]) == {m["name"] for m in END_TO_END}
+
+
+def test_unpaired_or_mixed_records_are_refused(tmp_path):
+    write_record(tmp_path / "parent", 1, 4.0, 1000.0)
+    write_record(tmp_path / "parent", 2, 4.0, 1000.0)
+    write_record(tmp_path / "change", 1, 3.0, 1000.0)
+    write_record(tmp_path / "change", 2, 3.0, 1000.0,
+                 machine=dict(MACHINE, nproc=4))
+    load = bench_pairs.load_records
+    with pytest.raises(ValueError, match="different machines"):
+        bench_pairs.compare(load(tmp_path / "parent", "routeb", [1, 2]),
+                            load(tmp_path / "change", "routeb", [1, 2]),
+                            END_TO_END)
+    with pytest.raises(ValueError, match="paired by seed"):
+        bench_pairs.compare(load(tmp_path / "parent", "routeb", [1, 2]),
+                            load(tmp_path / "change", "routeb", [2, 1]),
+                            END_TO_END)
+    code = bench_pairs.main([
+        "--workload", "routeb", "--seeds", "1", "2", "3",
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--label", "x",
+        "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert not (tmp_path / "BENCH_x.json").exists()

@@ -425,3 +425,49 @@ def test_report_matches_the_recorded_oracle(report_runs):
     oracle = (Path(__file__).resolve().parents[1] / "perfbench" / "oracle"
               / "report_seed0.json")
     assert report_runs["raw"][0] == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["--speeds", ""], "speeds"),
+    (["--kind", "infinite-step", "--v0-list", ""], "v0_list"),
+    (["--speeds", "10"], "speeds"),
+    (["--speeds", "10,10,10"], "speeds"),
+    (["--kind", "infinite-step", "--v0-list", "100,100"], "v0_list")])
+def test_limits_rejects_sweeps_without_two_distinct_values(argv, key,
+                                                           tmp_path, capsys):
+    code = run(["limits", *argv, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (f"config key limits.{key} needs at least 2 distinct values"
+            in captured.err)
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("table,key", [
+    ({"ehrenfest": {"dt": 1e-3}}, "ehrenfest.dt"),
+    ({"converge": {"energy": 3.0}}, "converge.energy"),
+    ({"params": {"hbar": 2.0}, "limits": {"speeds": [10.0, 20.0]}},
+     "limits.speeds"),
+    ({"mode": {"theory": "s"}}, "mode.theory")])
+def test_report_rejects_config_it_does_not_read(table, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(table))
+    out = tmp_path / "out"
+    code = run(["report", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: config: report does not read {key}" in err
+    assert not out.exists()
+
+
+def test_report_reads_params_and_its_own_table(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"hbar": 2.0},
+                               "report": {"n_random": 3}, "ehrenfest": {}}))
+    args = cli.build_parser().parse_args(["report", "--config", str(cfg)])
+    resolved, _, _, command = cli._resolve(args)
+    assert command == "report"
+    assert resolved["params"]["hbar"] == 2.0
+    assert resolved["report"]["n_random"] == 3
+    assert resolved["ehrenfest"] == cli.DEFAULTS["ehrenfest"]

@@ -1,0 +1,115 @@
+"""Summarize paired benchmark runs of two source trees as BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --workload routeb --seeds $(seq 71 80) \
+        --parent PARENT/perfbench/out --change perfbench/out --label routeb_x
+
+Each side's directory holds the untraced records that
+``perfbench/run.py --trace 0`` writes (``result-<workload>-seed<N>-trace0.json``).
+Run the two trees alternately, one seed each, so that the pairs share the
+host's drift.  For every end-to-end metric of BENCHMARK.json the output holds
+each side's values by seed, their median and quartiles (as
+``statistics.quantiles(values, n=4)`` gives them), the pairs the change
+wins (strictly better in the metric's direction), and the machine block.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_STEAL = ("steal_jiffies_before", "steal_jiffies_after")
+
+
+def load_records(folder: str, workload: str, seeds: list) -> list:
+    records = []
+    for seed in seeds:
+        path = os.path.join(folder, f"result-{workload}-seed{seed}-trace0.json")
+        with open(path) as fh:
+            records.append(json.load(fh))
+    return records
+
+
+def _machine(record: dict) -> dict:
+    return {k: v for k, v in record["machine"].items() if k not in _STEAL}
+
+
+def summarize(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"values": values, "median": statistics.median(values),
+            "q1": q1, "q3": q3}
+
+
+def compare(parent: list, change: list, end_to_end: list) -> dict:
+    """The comparison of two equally long, seed-paired record lists."""
+    if len(parent) < 2 or len(parent) != len(change):
+        raise ValueError("need at least two pairs of records")
+    seeds = [r["seed"] for r in parent]
+    if seeds != [r["seed"] for r in change]:
+        raise ValueError("parent and change records are not paired by seed")
+    machines = [_machine(r) for r in parent + change]
+    if any(m != machines[0] for m in machines):
+        raise ValueError("the records come from different machines")
+    metrics = {}
+    for metric in end_to_end:
+        name, lower = metric["name"], metric["better"] == "lower"
+        before = [r["metrics"][name]["value"] for r in parent]
+        after = [r["metrics"][name]["value"] for r in change]
+        wins = sum((a < b) if lower else (a > b)
+                   for b, a in zip(before, after))
+        metrics[name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": summarize(before), "change": summarize(after),
+            "change_wins": wins,
+        }
+    return {
+        "workload": parent[0]["workload"],
+        "seconds": parent[0]["seconds"],
+        "seeds": seeds,
+        "pairs": len(seeds),
+        "all_correct": all(r["correct"] for r in parent + change),
+        "failed_ops": {"parent": sum(r["failed"] for r in parent),
+                       "change": sum(r["failed"] for r in change)},
+        "machine": machines[0],
+        "metrics": metrics,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--parent", required=True,
+                        help="folder of the parent tree's result records")
+    parser.add_argument("--change", required=True,
+                        help="folder of the change's result records")
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out-dir", default=ROOT)
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+    try:
+        bench = compare(load_records(args.parent, args.workload, args.seeds),
+                        load_records(args.change, args.workload, args.seeds),
+                        end_to_end)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 2
+    path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
+    with open(path, "w") as fh:
+        json.dump(bench, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for name, m in bench["metrics"].items():
+        print(f"{name:14s} {m['parent']['median']:12.6g} -> "
+              f"{m['change']['median']:12.6g} {m['unit']:7s} "
+              f"change wins {m['change_wins']}/{bench['pairs']}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
