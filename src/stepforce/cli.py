@@ -313,11 +313,6 @@ def cmd_converge(cfg: dict, seed: int, out_dir: str) -> int:
 
 def cmd_limits(cfg: dict, seed: int, out_dir: str) -> int:
     blk = cfg["limits"]
-    # a log-log slope needs two abscissae
-    for key in ("speeds", "v0_list"):
-        if len(set(blk[key])) < 2:
-            raise ConfigError(f"config key limits.{key} needs at least 2 "
-                              f"distinct values")
     _echo_config("limits", cfg, seed, out_dir)
     kind = blk["kind"]
     pars = build_params(cfg, blk["v0"])
@@ -675,6 +670,12 @@ def _resolve(args: argparse.Namespace) -> tuple:
     if command == "ehrenfest":
         given = set(user.get("ehrenfest", {})) | set(flags)
         cfg["ehrenfest"] = _ehrenfest_block(cfg["ehrenfest"], given)
+    if command == "limits":
+        # a log-log slope needs two abscissae
+        for key in ("speeds", "v0_list"):
+            if len(set(cfg["limits"][key])) < 2:
+                raise ConfigError(f"config key limits.{key} needs at least 2 "
+                                  f"distinct values")
     if command == "report":
         # report runs every experiment on its own fixed inputs
         for section, table in user.items():

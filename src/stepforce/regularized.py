@@ -269,35 +269,24 @@ def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
     the scalar theories the state is (u, u') with u'' = -k2 u; for Dirac,
     ``generator`` holds the off-diagonal generator entries (g01, g10) and
     k2 is q^2.  In both cases M = c + s_over_k * G with c = cos(k d) and
-    s_over_k = sin(k d) / k, taken as c = 1, s_over_k = d when k2 = 0 and
-    by their series when |k d| < 1e-8, which keeps them smooth through
-    k2 ~ 0.
+    s_over_k = sin(k d) / k, taken by their series when |k d| < 1e-8, which
+    keeps them smooth through k2 ~ 0.  The series also covers k2 = 0, where
+    it gives c = 1 + 0j and s_over_k = d + 0j to the bit, and overwrites the
+    0/0 quotient taken there.
     """
-    nonzero = k2 != 0.0
-    if nonzero.all():       # always in route B: no gather and scatter
-        c, s_over_k = _cos_sinc(np.sqrt(k2), d)
-    else:
-        c = np.ones(d.shape, dtype=complex)
-        s_over_k = d.astype(complex)
-        c[nonzero], s_over_k[nonzero] = _cos_sinc(np.sqrt(k2[nonzero]),
-                                                  d[nonzero])
-    if generator is None:
-        return c, s_over_k, -k2 * s_over_k, c
-    g01, g10 = generator
-    return c, s_over_k * g01, s_over_k * g10, c
-
-
-def _cos_sinc(kk: np.ndarray, d: np.ndarray):
-    """cos(k d) and sin(k d) / k for nonzero k, by their series when
-    |k d| < 1e-8."""
+    kk = np.sqrt(k2)
     z = kk * d
-    c, s_over_k = np.cos(z), _cdiv(np.sin(z), kk)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c, s_over_k = np.cos(z), _cdiv(np.sin(z), kk)
     series = np.hypot(z.real, z.imag) < 1e-8
     if series.any():
         z2 = z[series] * z[series]
         c[series] = 1.0 - _cdiv(z2, 2.0)
         s_over_k[series] = d[series] * (1.0 - _cdiv(z2, 6.0))
-    return c, s_over_k
+    if generator is None:
+        return c, s_over_k, -k2 * s_over_k, c
+    g01, g10 = generator
+    return c, s_over_k * g01, s_over_k * g10, c
 
 
 # ---------------------------------------------------------------------------

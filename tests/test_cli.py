@@ -435,13 +435,14 @@ def test_report_matches_the_recorded_oracle(report_runs):
     (["--kind", "infinite-step", "--v0-list", "100,100"], "v0_list")])
 def test_limits_rejects_sweeps_without_two_distinct_values(argv, key,
                                                            tmp_path, capsys):
-    code = run(["limits", *argv, "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    code = run(["limits", *argv, "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
     assert (f"config key limits.{key} needs at least 2 distinct values"
             in captured.err)
     assert captured.out == ""
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("table,key", [

@@ -4,6 +4,7 @@ Each test asserts equality of the bits (signs of zero included), not of
 the values: the batched code must reproduce the scalar formulas exactly.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -70,25 +71,36 @@ def test_general_products_need_cmul():
 
 @pytest.mark.parametrize("theory,energy", [("s", 1.0), ("kfg", 2.0),
                                            ("dirac", 2.0)])
-def test_propagators_without_zero_k2_equal_the_masked_path(theory, energy):
+def test_propagators_at_zero_k2_are_the_free_propagator(theory, energy):
+    """The |k d| < 1e-8 series gives c = 1 + 0j and s_over_k = d + 0j at
+    k^2 = 0, whatever the sign of d, and nothing else moves."""
     params = PhysicalParams(v0=0.5)
     model = build_piecewise_model(
         theory, energy, RegularizedPotential(v0=0.5, eps=0.05), params)
     mc2 = params.rest_energy
     threshold = energy if theory == "s" else energy - mc2
-    # propagating, evanescent, klein, and one segment with k^2 = 0 exactly
-    values = np.array([0.0, 0.3, threshold, energy + 0.5, energy + 4.0 * mc2,
-                       0.45])
+    # k^2 = 0 exactly, then propagating, evanescent and klein segments
+    values = np.array([threshold, 0.0, 0.3, energy + 0.5,
+                       energy + 4.0 * mc2])
     model = replace(model, values=values,
                     edges=np.linspace(-1.0, 1.0, len(values) + 1))
-    k2 = model.k2
-    assert (k2 == 0.0).tolist() == [False, False, True, False, False, False]
-    d = np.array([-0.3, 0.7, -2.0, 1e-12, -0.05, 0.2])
-    gen = model.generator
-    masked = _propagators(k2, d, gen)
-    nonzero = k2 != 0.0
-    fast = _propagators(k2[nonzero], d[nonzero],
-                        None if gen is None else gen[:, nonzero])
-    for m_masked, m_fast in zip(masked, fast):
-        assert np.array_equal(bits(m_masked[nonzero]), bits(m_fast))
-
+    dists = np.array([-0.3, 0.7, -2.0, 1e-12, -1e-12, 0.0, -0.0])
+    idx = np.repeat(np.arange(len(values)), len(dists))
+    d = np.tile(dists, len(values))
+    k2, gen = model.k2[idx], model.generator
+    gen = None if gen is None else gen[:, idx]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entries = _propagators(k2, d, gen)
+    zero = k2 == 0.0
+    assert zero.tolist() == (idx == 0).tolist()
+    one, free = np.ones(zero.sum(), dtype=complex), d[zero].astype(complex)
+    if gen is None:
+        expected = (one, free, -k2[zero] * free, one)
+    else:
+        expected = (one, free * gen[0, zero], free * gen[1, zero], one)
+    nonzero = _propagators(k2[~zero], d[~zero],
+                           None if gen is None else gen[:, ~zero])
+    for got, want, rest in zip(entries, expected, nonzero):
+        assert np.array_equal(bits(got[zero]), bits(want))
+        assert np.array_equal(bits(got[~zero]), bits(rest))
