@@ -82,6 +82,10 @@ _RT_CASE = {
     "dt": 4.0e-4, "t_final": 27.0, "save_stride": 250,
 }
 
+# the keys each limits kind reads: giving any other is a config error
+_LIMITS_READS = {"nonrel": {"kind", "energy_nr", "v0", "speeds"},
+                 "infinite-step": {"kind", "energy", "v0_list"}}
+
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -320,14 +324,12 @@ def cmd_limits(cfg: dict, seed: int, out_dir: str) -> int:
         table = nonrel_residuals(blk["energy_nr"], tuple(blk["speeds"]), pars)
         name, row_type = "limits_nonrel.csv", NonrelRow
         print(f"force-residual log-log slope vs c: {fmt_float(table.slope)}")
-    elif kind == "infinite-step":
+    else:
         table = infinite_step_sweep(blk["energy"], tuple(blk["v0_list"]),
                                     pars)
         name, row_type = "limits_infinite_step.csv", InfiniteStepRow
         print(f"candidate-error log-log slope vs v0: "
               f"{fmt_float(table.error_slope)}")
-    else:
-        raise ConfigError(f"unknown limits kind: {kind!r}")
     path = os.path.join(out_dir, name)
     write_csv(path, [f.name for f in fields(row_type)],
               [astuple(row) for row in table.rows])
@@ -667,8 +669,8 @@ def _resolve(args: argparse.Namespace) -> tuple:
     cfg = copy.deepcopy(DEFAULTS)
     _merge_into(cfg, user)
     _merge_into(cfg, {command: flags})
+    given = set(user.get(command, {})) | set(flags)
     if command == "ehrenfest":
-        given = set(user.get("ehrenfest", {})) | set(flags)
         cfg["ehrenfest"] = _ehrenfest_block(cfg["ehrenfest"], given)
     if command == "limits":
         # a log-log slope needs two abscissae
@@ -676,6 +678,13 @@ def _resolve(args: argparse.Namespace) -> tuple:
             if len(set(cfg["limits"][key])) < 2:
                 raise ConfigError(f"config key limits.{key} needs at least 2 "
                                   f"distinct values")
+        kind = cfg["limits"]["kind"]
+        if kind not in _LIMITS_READS:
+            raise ConfigError(f"unknown limits kind: {kind!r}")
+        extra = sorted(given - _LIMITS_READS[kind])
+        if extra:
+            raise ConfigError(
+                f"limits.{extra[0]} has no effect for kind {kind}")
     if command == "report":
         # report runs every experiment on its own fixed inputs
         for section, table in user.items():

@@ -195,18 +195,20 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
 # * k^2 is real, so k, k d, every propagator entry and the plateau factors
 #   i k, i q lie on the real or the imaginary axis: one component of each
 #   is exactly zero (of either sign);
-# * a product with such a factor is numpy's own complex multiply: with one
+# * on the real axis (k^2 >= 0) cos(k d) and sin(k d) come from one
+#   np.exp(1j * k d): the C library's complex exp, cos and sin share one
+#   sincos (10^6 seeded doubles with |x| <= 1e6, +-0, 5e-324, DBL_MIN and
+#   the neighbours of +-1e-8 agree); on the imaginary axis they stay
+#   complex, as numpy's real cosh and sinh differ on 13-26 % of doubles;
+# * sin(k d) / k is CPython's by-real (imaginary axis: by-imaginary) complex
+#   quotient written out on real arrays, zero signs included;
+# * a product with an axis factor is numpy's own complex multiply: with one
 #   component zero the fused and the unfused formulas round alike (0 of
 #   8,000,000 products with parts over 1e-20 .. 1e20 differ, either sign of
 #   the zero); a product of two general factors (r or t times an
 #   exponential) goes through _cmul, component by component in CPython's
 #   order, because numpy's multiply fuses products (140,849 of 1,000,000
 #   general products differ);
-# * quotients are taken component by component too, because numpy's complex
-#   division multiplies by a reciprocal; per element a quotient takes the
-#   one branch CPython takes (scaled by the real or by the imaginary part);
-# * numpy's complex sin, cos, exp and sqrt agree with cmath on the real and
-#   imaginary axes, the only places their arguments lie;
 # * squares are np.float_power(x, 2.0), which calls the C library's pow per
 #   element as Python's x ** 2 does: of 3,000,006 doubles (uniform, negative,
 #   log-uniform over 1e-130 .. 1e130, +-0, 5e-324, 1e+-150) none
@@ -232,35 +234,6 @@ def _cmul(a, b) -> np.ndarray:
     return _complex(ar * br - ai * bi, ar * bi + ai * br)
 
 
-def _cdiv_by_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ratio = b.imag / b.real
-    denom = b.real + b.imag * ratio
-    return _complex((a.real + a.imag * ratio) / denom,
-                    (a.imag - a.real * ratio) / denom)
-
-
-def _cdiv_by_imag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ratio = b.real / b.imag
-    denom = b.real * ratio + b.imag
-    return _complex((a.real * ratio + a.imag) / denom,
-                    (a.imag * ratio - a.real) / denom)
-
-
-def _cdiv(a, b) -> np.ndarray:
-    """a / b rounded as CPython rounds a complex quotient (b nonzero)."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    by_real = np.abs(b.real) >= np.abs(b.imag)
-    if by_real.all():
-        return _cdiv_by_real(a, b)
-    if not by_real.any():
-        return _cdiv_by_imag(a, b)
-    a, b, by_real = np.broadcast_arrays(a, b, by_real)
-    out = np.empty(a.shape, dtype=complex)
-    for mask, branch in ((by_real, _cdiv_by_real), (~by_real, _cdiv_by_imag)):
-        out[mask] = branch(a[mask], b[mask])
-    return out
-
-
 def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
     """Entries (m00, m01, m10, m11) of exact constant-potential propagators.
 
@@ -270,19 +243,31 @@ def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
     ``generator`` holds the off-diagonal generator entries (g01, g10) and
     k2 is q^2.  In both cases M = c + s_over_k * G with c = cos(k d) and
     s_over_k = sin(k d) / k, taken by their series when |k d| < 1e-8, which
-    keeps them smooth through k2 ~ 0.  The series also covers k2 = 0, where
-    it gives c = 1 + 0j and s_over_k = d + 0j to the bit, and overwrites the
+    keeps them smooth through k2 ~ 0: there the series round to c = 1 + 0j
+    and s_over_k = d + 0j to the bit, k2 = 0 included, and overwrite the
     0/0 quotient taken there.
     """
-    kk = np.sqrt(k2)
-    z = kk * d
+    k2r = k2.real
+    kabs = np.sqrt(np.abs(k2r))
+    kd = kabs * d                                 # |k| d
+    imag = k2r < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        c, s_over_k = np.cos(z), _cdiv(np.sin(z), kk)
-    series = np.hypot(z.real, z.imag) < 1e-8
-    if series.any():
-        z2 = z[series] * z[series]
-        c[series] = 1.0 - _cdiv(z2, 2.0)
-        s_over_k[series] = d[series] * (1.0 - _cdiv(z2, 6.0))
+        # real axis, taken everywhere, zero parts signed as ccos and csin
+        e = np.exp(1j * kd)
+        cos, sin = e.real, e.imag
+        c = _complex(cos, -0.0 * sin)
+        s_over_k = _complex(sin / kabs, (0.0 * cos - 0.0 * sin) / kabs)
+        if imag.any():
+            # imaginary axis: complex cos and sin, by-imaginary quotient
+            z = np.sqrt(k2[imag]) * d[imag]
+            sin, kappa = np.sin(z), kabs[imag]
+            c[imag] = np.cos(z)
+            s_over_k[imag] = _complex(sin.imag / kappa,
+                                      (0.0 * sin.imag - sin.real) / kappa)
+    # below |k d| = 1e-8 the series' (k d)^2 terms are under half an ulp
+    series = np.abs(kd) < 1e-8
+    c[series] = 1.0
+    s_over_k[series] = d[series]
     if generator is None:
         return c, s_over_k, -k2 * s_over_k, c
     g01, g10 = generator
@@ -328,13 +313,16 @@ class NumericalMode:
         return self.model.reg.shape
 
     def _locate(self, x: np.ndarray):
-        """Masks of the left plateau, right plateau and window points, plus
-        each window point's segment and its distance from the segment's
-        left edge."""
+        """Masks of the left plateau, right plateau and window points (the
+        full slice when all points lie in the window, as route-B nodes do:
+        no gather, no scatter), plus each window point's segment and its
+        distance from the segment's left edge."""
         edges = self.model.edges
         left = x <= edges[0]
         right = ~left & (x >= edges[-1])
         inside = ~(left | right)
+        if inside.all():
+            inside = slice(None)
         idx = np.minimum(np.searchsorted(edges, x[inside], side="right") - 1,
                          len(self.model.values) - 1)
         return left, right, inside, idx, x[inside] - edges[idx]
@@ -424,8 +412,8 @@ def _march(model: PiecewiseModel, init_state: np.ndarray) -> np.ndarray:
                            None if gen is None else gen[:, ::-1])
     a, b = complex(init_state[0]), complex(init_state[1])
     first, second = [], []
-    for m00, m01, m10, m11 in zip(*(m.tolist() for m in entries)):
-        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+    for m00, m01, m10 in zip(*(m.tolist() for m in entries[:3])):  # m11 = m00
+        a, b = m00 * a + m01 * b, m10 * a + m00 * b
         first.append(a)
         second.append(b)
     states = np.empty((len(first), 2), dtype=complex)

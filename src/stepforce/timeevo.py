@@ -248,7 +248,6 @@ class EhrenfestReport:
     times: np.ndarray
     momenta: np.ndarray
     forces: np.ndarray
-    positions: np.ndarray
     norms: np.ndarray
     dpdt: np.ndarray
     max_deviation: float
@@ -283,17 +282,21 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     n_steps += (-n_steps) % save_stride
 
-    times, momenta, forces, positions, norms = [], [], [], [], []
+    times, momenta, forces, norms = [], [], [], []
     wall_max = 0.0
+    # expectation_force and norm with phi' once per run, |psi|^2 once a save
+    x = state.x
+    dphi = None if reg is None else np.asarray(reg.deriv(x), dtype=float)
 
     def record(cur: EvolutionState):
         nonlocal wall_max
         wall_max = max(wall_max, cur.wall_amplitude())
+        rho = np.abs(cur.psi) ** 2
         times.append(cur.t)
         momenta.append(expectation_momentum(cur))
-        forces.append(expectation_force(cur))
-        positions.append(expectation_position(cur))
-        norms.append(cur.norm())
+        forces.append(0.0 if dphi is None
+                      else float(-np.trapezoid(dphi * rho, x)))
+        norms.append(float(np.trapezoid(rho, x)))
 
     record(state)
     for step, psi in _cn_steps(state, dt, n_steps, wall_tol):
@@ -304,7 +307,6 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     times_a = np.asarray(times)
     momenta_a = np.asarray(momenta)
     forces_a = np.asarray(forces)
-    positions_a = np.asarray(positions)
     norms_a = np.asarray(norms)
     dpdt = np.full_like(momenta_a, np.nan)
     if len(times_a) >= 3:
@@ -317,7 +319,7 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     fmax = float(np.max(np.abs(forces_a)))
     return EhrenfestReport(
         times=times_a, momenta=momenta_a, forces=forces_a,
-        positions=positions_a, norms=norms_a, dpdt=dpdt,
+        norms=norms_a, dpdt=dpdt,
         max_deviation=max_dev,
         max_deviation_rel=(max_dev / fmax if fmax > 0.0 else max_dev),
         norm_drift=float(np.max(np.abs(norms_a - norms_a[0]))),

@@ -445,6 +445,44 @@ def test_limits_rejects_sweeps_without_two_distinct_values(argv, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,table,key,kind", [
+    (["--energy", "0"], None, "energy", "nonrel"),
+    (["--v0-list", "10,100"], None, "v0_list", "nonrel"),
+    ([], {"limits": {"energy": 2.0}}, "energy", "nonrel"),
+    (["--kind", "infinite-step", "--energy-nr", "0.2"], None, "energy_nr",
+     "infinite-step"),
+    (["--kind", "infinite-step", "--v0", "0.1"], None, "v0", "infinite-step"),
+    (["--kind", "infinite-step", "--speeds", "10,100"], None, "speeds",
+     "infinite-step"),
+    (["--kind", "infinite-step"], {"limits": {"v0": 0.1}}, "v0",
+     "infinite-step"),
+    ([], {"limits": {"kind": "infinite-step", "speeds": [1.0, 2.0]}},
+     "speeds", "infinite-step")])
+def test_limits_rejects_keys_its_kind_does_not_read(argv, table, key, kind,
+                                                    tmp_path, capsys):
+    if table is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(table))
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "out"
+    code = run(["limits", *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (f"error: config: limits.{key} has no effect for kind {kind}"
+            in captured.err)
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_limits_rejects_an_unknown_kind_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["limits", "--kind", "hardwall", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown limits kind: 'hardwall'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("table,key", [
     ({"ehrenfest": {"dt": 1e-3}}, "ehrenfest.dt"),
     ({"converge": {"energy": 3.0}}, "converge.energy"),

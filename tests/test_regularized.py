@@ -14,7 +14,7 @@ from stepforce.errors import (BelowThreshold, NoConvergence,
                               ProbeInsideSmoothing, UnderResolved)
 from stepforce.force import weak_product_check
 from stepforce.modes import solve_step_mode
-from stepforce.regularized import (ConvergenceSeries, _cdiv, _march,
+from stepforce.regularized import (ConvergenceSeries, _march,
                                    _propagators, _running_sum,
                                    _smooth_density, build_piecewise_model,
                                    extrapolate, route_b_force,
@@ -599,20 +599,6 @@ def test_running_sum_equals_the_scalar_loop():
     cterms = terms + 1j * terms[::-1]
     got = _running_sum(cterms, 0.0j)
     assert type(got) is complex and got == loop(cterms, 0.0j)
-
-
-def test_cdiv_equals_the_python_quotient():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=600) + 1j * rng.normal(size=600)
-    b = rng.normal(size=600) + 1j * rng.normal(size=600)
-    # the all-by-real, all-by-imaginary and mixed branches of CPython's
-    # quotient, plus purely real and purely imaginary divisors
-    for divisor in (b, b.real + 0.1j * b.real, 0.1 * b.imag + 1j * b.imag,
-                    b.real + 0j, 1j * b.imag):
-        got = _cdiv(a, divisor)
-        ref = [x / y for x, y in zip(a.tolist(), divisor.tolist())]
-        assert got.tolist() == ref
-    assert _cdiv(a, 6.0).tolist() == [x / 6.0 for x in a.tolist()]
 
 
 def test_weak_product_equals_the_per_node_reference():

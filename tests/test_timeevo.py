@@ -9,9 +9,10 @@ from scipy.linalg import solve_banded
 from stepforce.core import GridSpec, PhysicalParams, RegularizedPotential
 from stepforce.errors import BoxTooSmall, UnderResolved
 from stepforce.timeevo import (PacketSpec, compare_packet_rt,
-                               ehrenfest_report, evolve, expectation_momentum,
-                               expectation_position, gaussian_packet,
-                               momentum_imag_residue, packet_rt)
+                               ehrenfest_report, evolve, expectation_force,
+                               expectation_momentum, expectation_position,
+                               gaussian_packet, momentum_imag_residue,
+                               packet_rt)
 
 FREE_GRID = GridSpec(x_min=-30.0, x_max=30.0, n_points=1201)
 FREE_SPEC = PacketSpec(x0=-10.0, sigma=2.0, k0=1.0, grid=FREE_GRID)
@@ -88,6 +89,24 @@ def test_scattering_audit_balances_momentum():
     # ...by exactly the time integral of the mean force
     impulse = float(np.trapezoid(rep.forces, rep.times))
     assert impulse == pytest.approx(dp, rel=0.02)
+
+
+def test_audit_takes_phi_prime_once_and_keeps_the_observables_bits(
+        monkeypatch):
+    grid = GridSpec(x_min=-36.0, x_max=28.0, n_points=2561)
+    spec = PacketSpec(x0=-7.5, sigma=1.5, k0=1.2, grid=grid)
+    reg = RegularizedPotential(v0=0.5, eps=0.1, shape="logistic")
+    calls = []
+    deriv = RegularizedPotential.deriv
+    monkeypatch.setattr(RegularizedPotential, "deriv",
+                        lambda self, x: calls.append(x) or deriv(self, x))
+    rep = ehrenfest_report(spec, reg, dt=5e-4, t_final=0.1, save_stride=50)
+    assert len(calls) == 1 and len(rep.times) == 5
+    # the first and the last save against the public observables
+    for i, state in ((0, gaussian_packet(spec, reg)), (-1, rep.final_state)):
+        assert rep.forces[i].tobytes() == np.float64(
+            expectation_force(state)).tobytes()
+        assert rep.norms[i].tobytes() == np.float64(state.norm()).tobytes()
 
 
 def _solve_banded_reference(state, dt, n_steps):
