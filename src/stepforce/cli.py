@@ -34,7 +34,7 @@ from .force import (InfiniteStepRow, NonrelRow, boundary_terms,
 from .modes import matching_residuals, random_mode, solve_step_mode
 from .regularized import (DEFAULT_DOMAIN, DEFAULT_EPSILONS, route_b_sweep,
                           smooth_jump_diagnostics)
-from .reporting import dumps_json, fmt_float, write_csv
+from .reporting import dumps_json, fmt_bare, write_csv
 from .timeevo import PacketSpec, compare_packet_rt, ehrenfest_report
 
 __all__ = ["main", "build_parser", "run_report"]
@@ -219,14 +219,14 @@ def cmd_mode(cfg: dict, seed: int, out_dir: str) -> int:
                 "identity_residual"):
         value = payload[key]
         if isinstance(value, complex):
-            text = f"{fmt_float(value.real)} + {fmt_float(value.imag)}j"
+            text = f"{fmt_bare(value.real)} + {fmt_bare(value.imag)}j"
         elif isinstance(value, float):
-            text = fmt_float(value)
+            text = fmt_bare(value)
         else:
             text = str(value)
         print(f"{key} = {text}")
     for key, value in sorted(payload["delta_integral"].items()):
-        print(f"delta_integral.{key} = {fmt_float(value)}")
+        print(f"delta_integral.{key} = {fmt_bare(value)}")
     path = os.path.join(out_dir, "mode.json")
     with open(path, "w", newline="") as fh:
         fh.write(dumps_json(payload))
@@ -267,17 +267,17 @@ def _verdict_line(shape: str, series, verdict: dict) -> str:
     diffs = verdict["relative_differences"]
     parts = [
         f"verdict ({series.theory}, {shape}): limit "
-        f"{fmt_float(series.extrapolated)} (order {series.order:.2f})"
+        f"{fmt_bare(series.extrapolated)} (order {series.order:.2f})"
     ]
     if verdict["matched"] in cands:
         other = [n for n in cands if n != verdict["matched"]][0]
         parts.append(
             f"matches the {verdict['matched'].replace('_', '-')} candidate "
-            f"({fmt_float(cands[verdict['matched']])}, "
+            f"({fmt_bare(cands[verdict['matched']])}, "
             f"diff {diffs[verdict['matched']]:.3e});")
         parts.append(
             f"the {other.replace('_', '-')} candidate "
-            f"({fmt_float(cands[other])}) differs by {diffs[other]:.3e}")
+            f"({fmt_bare(cands[other])}) differs by {diffs[other]:.3e}")
     else:
         parts.append(f"matches {verdict['matched']} candidate")
     return " ".join(parts)
@@ -323,13 +323,13 @@ def cmd_limits(cfg: dict, seed: int, out_dir: str) -> int:
     if kind == "nonrel":
         table = nonrel_residuals(blk["energy_nr"], tuple(blk["speeds"]), pars)
         name, row_type = "limits_nonrel.csv", NonrelRow
-        print(f"force-residual log-log slope vs c: {fmt_float(table.slope)}")
+        print(f"force-residual log-log slope vs c: {fmt_bare(table.slope)}")
     else:
         table = infinite_step_sweep(blk["energy"], tuple(blk["v0_list"]),
                                     pars)
         name, row_type = "limits_infinite_step.csv", InfiniteStepRow
         print(f"candidate-error log-log slope vs v0: "
-              f"{fmt_float(table.error_slope)}")
+              f"{fmt_bare(table.error_slope)}")
     path = os.path.join(out_dir, name)
     write_csv(path, [f.name for f in fields(row_type)],
               [astuple(row) for row in table.rows])
@@ -381,11 +381,11 @@ def cmd_ehrenfest(cfg: dict, seed: int, out_dir: str) -> int:
     path = os.path.join(out_dir, "ehrenfest.csv")
     write_csv(path, ("t", "px_expect", "dpdt", "force_expect", "norm"),
               list(report.rows()))
-    print(f"max |dp/dt - force| = {fmt_float(report.max_deviation)}")
+    print(f"max |dp/dt - force| = {fmt_bare(report.max_deviation)}")
     print(f"max deviation / peak |force| = "
-          f"{fmt_float(report.max_deviation_rel)}")
-    print(f"norm drift = {fmt_float(report.norm_drift)}")
-    print(f"wall amplitude max = {fmt_float(report.wall_amplitude)}")
+          f"{fmt_bare(report.max_deviation_rel)}")
+    print(f"norm drift = {fmt_bare(report.norm_drift)}")
+    print(f"wall amplitude max = {fmt_bare(report.wall_amplitude)}")
     print(f"wrote {path}")
     return 0
 
@@ -593,11 +593,11 @@ def cmd_report(cfg: dict, seed: int, out_dir: str) -> int:
         print(f"route B ({theory}): limit matches "
               f"{verdict['matched'].replace('_', '-')}")
     print(f"nonrel force-residual slope: "
-          f"{fmt_float(bundle['limits']['nonrel']['force_slope'])}")
+          f"{fmt_bare(bundle['limits']['nonrel']['force_slope'])}")
     print(f"infinite-step candidate-error slope: "
-          f"{fmt_float(bundle['limits']['infinite_step']['error_slope'])}")
+          f"{fmt_bare(bundle['limits']['infinite_step']['error_slope'])}")
     print(f"ehrenfest dt-halving ratio: "
-          f"{fmt_float(bundle['ehrenfest']['dt_halving_ratio'])}")
+          f"{fmt_bare(bundle['ehrenfest']['dt_halving_ratio'])}")
     print(f"wrote {path}")
     print(f"wrote {timing_path} (wall clock kept out of report.json)")
     return 0

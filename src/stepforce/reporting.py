@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "fmt_float",
+    "fmt_bare",
     "to_jsonable",
     "dumps_json",
     "write_csv",
@@ -29,6 +30,11 @@ def fmt_float(value: float) -> str:
     if math.isinf(value):
         return '"inf"' if value > 0 else '"-inf"'
     return "%.17g" % value
+
+
+def fmt_bare(value: float) -> str:
+    """``fmt_float`` without JSON's quotes, for CSV cells and stdout lines."""
+    return fmt_float(value).strip('"')
 
 
 def to_jsonable(obj):
@@ -97,8 +103,7 @@ def dumps_json(obj) -> str:
 
 def _cell(value) -> str:
     if isinstance(value, float):
-        text = fmt_float(value)
-        return text.strip('"')
+        return fmt_bare(value)
     return str(value)
 
 

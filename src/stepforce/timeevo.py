@@ -193,29 +193,40 @@ def _cn_steps(state: EvolutionState, dt: float, n_steps: int,
               wall_tol: float) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (step, psi) after each of n_steps Crank-Nicolson steps.
 
-    The explicit half-step is built in one buffer reused by every step;
-    each yielded psi is a fresh array.  Raises ``BoxTooSmall`` as soon as
-    a step leaves more than ``wall_tol`` of amplitude next to a wall.
+    The steps take two (n, 1) buffers in turn: each builds the explicit
+    half-step in one and ``zgttrs`` solves there in place.  A yielded psi
+    is a view of its buffer, valid until the next-but-one step overwrites
+    it; a caller that keeps psi must copy it.  Raises ``BoxTooSmall`` as
+    soon as a step leaves more than ``wall_tol`` of amplitude next to a
+    wall.
     """
     factors, diag_b, off = _cn_arrays(state, dt)
-    rhs = np.zeros((len(state.psi), 1), dtype=complex)  # edge rows stay 0
-    inner = rhs[1:-1, 0]
-    pair = np.empty_like(inner)
-    psi = state.psi
+    # per buffer: the rhs, its column (the solved psi), the column's
+    # interior and its left and right neighbours; the edge rows stay 0,
+    # as the identity edge rows solve 0 to 0
+    buffers = [(rhs, rhs[:, 0], rhs[1:-1, 0], rhs[:-2, 0], rhs[2:, 0])
+               for rhs in np.zeros((2, len(state.psi), 1), dtype=complex)]
+    pair = np.empty(len(state.psi) - 2, dtype=complex)
+    mid, left, right = state.psi[1:-1], state.psi[:-2], state.psi[2:]
     for step in range(1, n_steps + 1):
         t = state.t + step * dt
-        np.multiply(diag_b, psi[1:-1], out=inner)
-        np.add(psi[:-2], psi[2:], out=pair)
+        rhs, psi, inner, below, above = buffers[step & 1]
+        np.multiply(diag_b, mid, out=inner)
+        np.add(left, right, out=pair)
         pair *= off
         inner -= pair
-        if not np.isfinite(rhs).all():
+        # a finite sum has finite terms; only an overflow needs the full test
+        if not (np.isfinite(inner.sum()) or np.isfinite(inner).all()):
             raise ValueError(f"wave function is not finite at t = {t:g}")
-        psi = zgttrs(*factors, rhs)[0][:, 0]
+        # rhs is Fortran-contiguous complex128, so f2py hands LAPACK the
+        # buffer itself and the solution overwrites it
+        zgttrs(*factors, rhs, overwrite_b=1)
         amp = max(abs(psi[1]), abs(psi[-2]))
         if amp > wall_tol:
             raise BoxTooSmall(
                 f"wall amplitude {amp:.3e} exceeds {wall_tol} at t = {t:g}")
         yield step, psi
+        mid, left, right = inner, below, above
 
 
 def evolve(state: EvolutionState, dt: float, n_steps: int,
@@ -232,7 +243,7 @@ def evolve(state: EvolutionState, dt: float, n_steps: int,
     psi = state.psi
     for _, psi in _cn_steps(state, dt, n_steps, wall_tol):
         pass
-    return replace(state, psi=psi, t=state.t + n_steps * dt)
+    return replace(state, psi=psi.copy(), t=state.t + n_steps * dt)
 
 
 @dataclass(frozen=True)
@@ -301,7 +312,7 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     record(state)
     for step, psi in _cn_steps(state, dt, n_steps, wall_tol):
         if step % save_stride == 0:
-            state = replace(state, psi=psi, t=step * dt)
+            state = replace(state, psi=psi.copy(), t=step * dt)
             record(state)
 
     times_a = np.asarray(times)

@@ -196,6 +196,16 @@ def test_limits_infinite_step_table(tmp_path, capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["--v0", "0"], "force-residual log-log slope vs c: nan"),
+    (["--kind", "infinite-step", "--v0-list", "0.5,0.7"],
+     "candidate-error log-log slope vs v0: nan")])
+def test_limits_prints_a_nan_slope_bare(tmp_path, capsys, argv, line):
+    # every row is degenerate or rejected, so no slope can be fitted
+    assert run(["limits", *argv, "--out", str(tmp_path)]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_limits_rejects_unknown_kind(tmp_path, capsys):
     assert run(["limits", "--kind", "hardwall", "--out", str(tmp_path)]) == 2
     capsys.readouterr()

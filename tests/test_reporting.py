@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stepforce.reporting import dumps_json, fmt_float, to_jsonable, write_csv
+from stepforce.reporting import (dumps_json, fmt_bare, fmt_float, to_jsonable,
+                                 write_csv)
 
 
 def test_float_rendering_round_trips_doubles():
@@ -18,6 +19,9 @@ def test_float_rendering_of_non_finite_values():
     assert fmt_float(float("nan")) == '"nan"'
     assert fmt_float(float("inf")) == '"inf"'
     assert fmt_float(float("-inf")) == '"-inf"'
+    assert [fmt_bare(float(v)) for v in ("nan", "inf", "-inf")] == [
+        "nan", "inf", "-inf"]
+    assert fmt_bare(0.1) == fmt_float(0.1)
 
 
 def test_json_sorts_keys_and_parses_back():

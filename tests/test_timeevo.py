@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from stepforce import timeevo
 from stepforce.core import GridSpec, PhysicalParams, RegularizedPotential
 from stepforce.errors import BoxTooSmall, UnderResolved
 from stepforce.timeevo import (PacketSpec, compare_packet_rt,
@@ -146,14 +147,81 @@ def test_factored_kernel_matches_solve_banded_exactly(reg):
     np.testing.assert_array_equal(rep.final_state.psi, out.psi)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_steps_solve_in_two_buffers_taken_in_turn():
+    grid = GridSpec(x_min=-40.0, x_max=40.0, n_points=2001)
+    state = gaussian_packet(PacketSpec(x0=-5.0, sigma=1.0, k0=2.0, grid=grid))
+    views = [psi for _, psi in timeevo._cn_steps(state, 1e-3, 4, 1e-6)]
+    # psi of step k is the buffer that step k + 2 solves in
+    assert np.shares_memory(views[0], views[2])
+    assert np.shares_memory(views[1], views[3])
+    assert not np.shares_memory(views[0], views[1])
+    assert not np.shares_memory(views[0], state.psi)
+    # the last two yields still hold the last two solutions, edges at +0
+    np.testing.assert_array_equal(views[2],
+                                  _solve_banded_reference(state, 1e-3, 3))
+    np.testing.assert_array_equal(views[3],
+                                  _solve_banded_reference(state, 1e-3, 4))
+    for psi in views:
+        assert not np.signbit(psi[[0, -1]].view(float)).any()
+        assert not psi[[0, -1]].any()
+
+
+@pytest.mark.parametrize("save_stride", [1, 2])
+def test_audit_saves_equal_evolve_to_their_times(save_stride):
+    grid = GridSpec(x_min=-40.0, x_max=40.0, n_points=2001)
+    spec = PacketSpec(x0=-5.0, sigma=1.0, k0=2.0, grid=grid)
+    reg = RegularizedPotential(v0=0.5, eps=0.2, shape="logistic")
+    dt, n_steps = 1e-3, 6
+    rep = ehrenfest_report(spec, reg, dt, t_final=n_steps * dt,
+                           save_stride=save_stride)
+    assert len(rep.times) == n_steps // save_stride + 1
+    start = gaussian_packet(spec, reg)
+    for i, t in enumerate(rep.times):
+        state = evolve(start, dt, i * save_stride)
+        assert t == state.t
+        assert rep.momenta[i].tobytes() == np.float64(
+            expectation_momentum(state)).tobytes()
+        assert rep.forces[i].tobytes() == np.float64(
+            expectation_force(state)).tobytes()
+        assert rep.norms[i].tobytes() == np.float64(state.norm()).tobytes()
+    assert rep.final_state.t == state.t
+    assert rep.final_state.psi.tobytes() == state.psi.tobytes()
+    # states that outlive the run own their psi: no view of a step buffer
+    assert rep.final_state.psi.flags.owndata and state.psi.flags.owndata
+    np.testing.assert_array_equal(
+        state.psi, _solve_banded_reference(start, dt, n_steps))
+
+
+def test_finite_rhs_with_an_overflowing_sum_is_stepped():
+    state = gaussian_packet(FREE_SPEC)
+    psi = np.zeros_like(state.psi)
+    psi[1:-1] = 1e306
+    huge = replace(state, psi=psi)
+    dt, h = 2e-3, huge.dx
+    alpha = 1j * dt / 2.0
+    rhs = ((1.0 - alpha / (h * h)) * psi[1:-1]
+           + alpha / (2.0 * h * h) * (psi[:-2] + psi[2:]))
+    with np.errstate(over="ignore"):
+        # finite terms of about 1e306 each, an infinite sum; the step's
+        # own sum overflows too, which numpy would warn about
+        assert np.isfinite(rhs).all() and not np.isfinite(rhs.sum())
+        out = evolve(huge, dt, 1, wall_tol=np.inf)
+    assert np.isfinite(out.psi).all()
+    np.testing.assert_array_equal(out.psi,
+                                  _solve_banded_reference(huge, dt, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 complex(0.0, np.inf)])
 def test_non_finite_wave_function_is_rejected(bad):
     state = gaussian_packet(FREE_SPEC)
     psi = state.psi.copy()
     psi[600] = bad
+    # the first step's rhs is not finite: the error names its time
+    message = r"^wave function is not finite at t = 0\.252$"
     with np.errstate(invalid="ignore"), \
-            pytest.raises(ValueError, match="not finite"):
-        evolve(replace(state, psi=psi), dt=2e-3, n_steps=3)
+            pytest.raises(ValueError, match=message):
+        evolve(replace(state, psi=psi, t=0.25), dt=2e-3, n_steps=3)
 
 
 def test_non_finite_matrix_is_rejected():
