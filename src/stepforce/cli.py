@@ -186,27 +186,11 @@ def _mode_payload(theory: str, energy: float, pars: PhysicalParams) -> dict:
     mode = solve_step_mode(theory, energy, pars)
     probe = interface_probe(mode)
     report = boundary_terms(mode)
-    payload = {
-        "theory": mode.theory,
-        "energy": mode.energy,
-        "v0": pars.v0,
-        "regime": mode.regime,
-        "r": mode.r,
-        "t": mode.t,
-        "reflection_probability": abs(mode.r) ** 2,
-        "rho_left": probe.rho_left,
-        "rho_right": probe.rho_right,
-        "current_left": probe.current_left,
-        "current_right": probe.current_right,
-        "density_jump": probe.density_jump,
-        "route_a": report.route_a,
-        "kinetic_term": report.kinetic_term,
-        "mass_term": report.mass_term,
-        "potential_term": report.potential_term,
-        "identity_residual": report.identity_residual,
-        "delta_integral": report.delta_integral,
-    }
-    return payload
+    return {**asdict(probe), **asdict(report),
+            "regime": mode.regime, "r": mode.r, "t": mode.t,
+            "reflection_probability": abs(mode.r) ** 2,
+            "density_jump": probe.density_jump,
+            "identity_residual": report.identity_residual}
 
 
 def cmd_mode(cfg: dict, seed: int, out_dir: str) -> int:
@@ -262,11 +246,25 @@ def _verdict(extrapolated: float, candidates: dict, tol: float = 5e-3) -> dict:
             "relative_differences": diffs}
 
 
-def _verdict_line(shape: str, series, verdict: dict) -> str:
+def _route_b_verdicts(theory: str, energy: float, shapes, pars: PhysicalParams,
+                      *grid):
+    """(series, verdict) per shape: route_b_sweep at ``pars.v0``, then
+    _verdict.  The candidates do not depend on the shape; they are
+    computed once, after the first sweep, whose checks name an unusable
+    energy before the sharp mode can overflow on it."""
+    candidates = None
+    for shape in shapes:
+        series = route_b_sweep(theory, energy, shape, pars.v0, pars, *grid)
+        if candidates is None:
+            candidates = _candidates(theory, energy, pars)
+        yield series, _verdict(series.extrapolated, candidates)
+
+
+def _verdict_line(series, verdict: dict) -> str:
     cands = verdict["candidates"]
     diffs = verdict["relative_differences"]
     parts = [
-        f"verdict ({series.theory}, {shape}): limit "
+        f"verdict ({series.theory}, {series.shape}): limit "
         f"{fmt_bare(series.extrapolated)} (order {series.order:.2f})"
     ]
     if verdict["matched"] in cands:
@@ -293,17 +291,14 @@ def cmd_converge(cfg: dict, seed: int, out_dir: str) -> int:
         raise ConfigError("converge.shapes must not be empty")
     pars = build_params(cfg, blk["v0"])
     rows = []
-    for shape in blk["shapes"]:
-        series = route_b_sweep(blk["theory"], blk["energy"], shape, blk["v0"],
-                               pars, tuple(blk["epsilons"]), blk["domain"],
-                               int(blk["resolution"]))
+    for series, verdict in _route_b_verdicts(
+            blk["theory"], blk["energy"], blk["shapes"], pars,
+            tuple(blk["epsilons"]), blk["domain"], int(blk["resolution"])):
         for eps, value, defect in zip(series.epsilons, series.values,
                                       series.defects):
             rows.append((series.theory, series.energy, series.v0,
                          series.shape, eps, value, defect))
-        verdict = _verdict(series.extrapolated,
-                           _candidates(blk["theory"], blk["energy"], pars))
-        print(_verdict_line(series.shape, series, verdict))
+        print(_verdict_line(series, verdict))
     path = os.path.join(out_dir, "converge.csv")
     write_csv(path, ("theory", "E", "V0", "shape", "epsilon", "value",
                      "defect"), rows)
@@ -435,6 +430,11 @@ def _sweep_residuals(theory: str, rng, n: int, pars: PhysicalParams) -> dict:
     return {"n_draws": n, "regime_counts": regimes, "worst": worst}
 
 
+# the ConvergenceSeries fields a report keeps per shape
+_SERIES_FIELDS = ("epsilons", "values", "defects", "extrapolated", "order",
+                  "error_estimate")
+
+
 def _report_route_b(cfg: dict) -> dict:
     out = {}
     pars = build_params(cfg, 0.5)
@@ -444,18 +444,10 @@ def _report_route_b(cfg: dict) -> dict:
             "logistic", "erf")
         series_by_shape = {}
         verdicts = {}
-        for shape in shapes:
-            series = route_b_sweep(theory, energy, shape, 0.5, pars)
-            series_by_shape[shape] = {
-                "epsilons": list(series.epsilons),
-                "values": list(series.values),
-                "defects": list(series.defects),
-                "extrapolated": series.extrapolated,
-                "order": series.order,
-                "error_estimate": series.error_estimate,
-            }
-            verdicts[shape] = _verdict(series.extrapolated,
-                                       _candidates(theory, energy, pars))
+        for series, verdict in _route_b_verdicts(theory, energy, shapes, pars):
+            series_by_shape[series.shape] = {
+                name: getattr(series, name) for name in _SERIES_FIELDS}
+            verdicts[series.shape] = verdict
         limits = [series_by_shape[s]["extrapolated"] for s in shapes]
         spread = (max(limits) - min(limits)) / max(abs(min(limits)),
                                                    abs(max(limits)), 1e-300)
@@ -519,15 +511,13 @@ def _report_jump_diagnostics(cfg: dict) -> dict:
     }
 
 
+# the EhrenfestReport fields a report keeps per packet audit
+_SUMMARY_FIELDS = ("max_deviation", "max_deviation_rel", "norm_drift",
+                   "wall_amplitude", "dt", "save_stride")
+
+
 def _summary(report) -> dict:
-    return {
-        "max_deviation": report.max_deviation,
-        "max_deviation_rel": report.max_deviation_rel,
-        "norm_drift": report.norm_drift,
-        "wall_amplitude": report.wall_amplitude,
-        "dt": report.dt,
-        "save_stride": report.save_stride,
-    }
+    return {name: getattr(report, name) for name in _SUMMARY_FIELDS}
 
 
 def _report_ehrenfest(cfg: dict) -> dict:

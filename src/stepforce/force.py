@@ -111,37 +111,40 @@ class DensityProbe:
         return self.current_right - self.current_left
 
 
+def _quad(vec: np.ndarray, m: np.ndarray) -> float:
+    """Real part of the form conj(vec) . (m vec)."""
+    return float(np.real(np.conj(vec) @ (m @ vec)))
+
+
+def _dirac_sides(mode: ScatterMode) -> tuple[np.ndarray, np.ndarray]:
+    """The spin-1/2 mode's one-sided interface spinors psi(0-), psi(0+)."""
+    return (np.array([1.0 + mode.r, mode.lam_left * (1.0 - mode.r)],
+                     dtype=complex),
+            mode.t * np.array([1.0, mode.lam_right], dtype=complex))
+
+
 def interface_probe(mode: ScatterMode) -> DensityProbe:
     """Limits of density and current from both sides of the interface."""
     p = mode.params
     if mode.theory == "dirac":
-        psi_l = np.array([1.0 + mode.r, mode.lam_left * (1.0 - mode.r)],
-                         dtype=complex)
-        psi_r = mode.t * np.array([1.0, mode.lam_right], dtype=complex)
+        psi_l, psi_r = _dirac_sides(mode)
         rho_l = float(np.real(np.vdot(psi_l, psi_l)))
         rho_r = float(np.real(np.vdot(psi_r, psi_r)))
         alpha = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        j_l = float(p.c * np.real(np.conj(psi_l) @ (alpha @ psi_l)))
-        j_r = float(p.c * np.real(np.conj(psi_r) @ (alpha @ psi_r)))
+        j_l = p.c * _quad(psi_l, alpha)
+        j_r = p.c * _quad(psi_r, alpha)
         return DensityProbe("dirac", rho_l, rho_r, j_l, j_r)
 
     u0 = mode.psi0
-    ux_l = mode.psix0
-    ux_r = 1j * mode.q * mode.t
-    if mode.theory == "s":
-        rho_l = rho_r = abs(u0) ** 2
-        cur = p.hbar / p.mass
-        j_l = cur * float(np.imag(np.conj(u0) * ux_l))
-        j_r = cur * float(np.imag(np.conj(u0) * ux_r))
-        return DensityProbe("s", rho_l, rho_r, j_l, j_r)
-
-    mc2 = p.rest_energy
-    rho_l = mode.energy / mc2 * abs(u0) ** 2
-    rho_r = (mode.energy - p.v0) / mc2 * abs(u0) ** 2
     cur = p.hbar / p.mass
-    j_l = cur * float(np.imag(np.conj(u0) * ux_l))
-    j_r = cur * float(np.imag(np.conj(u0) * ux_r))
-    return DensityProbe("kfg", rho_l, rho_r, j_l, j_r)
+    j_l = cur * float(np.imag(np.conj(u0) * mode.psix0))
+    j_r = cur * float(np.imag(np.conj(u0) * (1j * mode.q * mode.t)))
+    rho = abs(u0) ** 2
+    if mode.theory == "s":
+        return DensityProbe("s", rho, rho, j_l, j_r)
+    mc2 = p.rest_energy
+    return DensityProbe("kfg", mode.energy / mc2 * rho,
+                        (mode.energy - p.v0) / mc2 * rho, j_l, j_r)
 
 
 def kfg_density_jump(mode: ScatterMode) -> float:
@@ -183,8 +186,8 @@ def mean_force_closed(mode: ScatterMode) -> float:
     """
     p = mode.params
     v0 = p.v0
+    probe = interface_probe(mode)
     if mode.theory == "kfg":
-        probe = interface_probe(mode)
         value = -0.5 * v0 * kfg_density_jump(mode)
         restated = (v0**2 / (2.0 * p.rest_energy)) * abs(mode.psi0) ** 2
         # rounding floor of the half-jump form: half v0 times the size of
@@ -197,7 +200,6 @@ def mean_force_closed(mode: ScatterMode) -> float:
                 f"(v0^2/2mc^2)|psi(0)|^2 = {restated!r}: difference "
                 f"{abs(value - restated):.3e} exceeds 1e-12 * {scale:.3e}")
         return value
-    probe = interface_probe(mode)
     return -v0 * probe.rho_left
 
 
@@ -241,44 +243,33 @@ def boundary_terms(mode: ScatterMode) -> MeanForceReport:
         ux_l = mode.psix0
         ux_r = 1j * mode.q * mode.t
         kin = -(p.hbar**2 / (2.0 * p.mass)) * (abs(ux_r) ** 2 - abs(ux_l) ** 2)
-        mass = 0.0
         pot = v0 * abs(mode.t) ** 2
-        route_a = -v0 * abs(mode.psi0) ** 2
-        return MeanForceReport("s", mode.energy, v0, route_a, float(kin),
-                               mass, float(pot), delta)
+        return MeanForceReport("s", mode.energy, v0, mean_force_closed(mode),
+                               float(kin), 0.0, float(pot), delta)
 
     if mode.theory == "kfg":
         b = fv_lift(mode)
         one_plus_tau1 = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         tau3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-        def quad(vec, m):
-            return float(np.real(np.conj(vec) @ (m @ vec)))
-
         kin = -(p.hbar**2 / (2.0 * p.mass)) * (
-            quad(b.Psix_right, one_plus_tau1) - quad(b.Psix_left, one_plus_tau1))
+            _quad(b.Psix_right, one_plus_tau1)
+            - _quad(b.Psix_left, one_plus_tau1))
         mass = p.rest_energy * (
             float(np.real(np.vdot(b.Psi_right, b.Psi_right)))
             - float(np.real(np.vdot(b.Psi_left, b.Psi_left))))
-        rho_r = quad(b.Psi_right, tau3)
-        rho_l = quad(b.Psi_left, tau3)
+        rho_r = _quad(b.Psi_right, tau3)
+        rho_l = _quad(b.Psi_left, tau3)
         pot = v0 * rho_r
         route_a = -0.5 * v0 * (rho_r - rho_l)
         return MeanForceReport("kfg", mode.energy, v0, float(route_a),
                                float(kin), float(mass), float(pot), delta)
 
     beta = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    psi_l = np.array([1.0 + mode.r, mode.lam_left * (1.0 - mode.r)],
-                     dtype=complex)
-    psi_r = mode.t * np.array([1.0, mode.lam_right], dtype=complex)
-    kin = 0.0
-    mass = p.rest_energy * (
-        float(np.real(np.conj(psi_r) @ (beta @ psi_r)))
-        - float(np.real(np.conj(psi_l) @ (beta @ psi_l))))
+    psi_l, psi_r = _dirac_sides(mode)
+    mass = p.rest_energy * (_quad(psi_r, beta) - _quad(psi_l, beta))
     pot = v0 * float(np.real(np.vdot(psi_r, psi_r)))
-    route_a = -v0 * float(np.real(np.vdot(psi_l, psi_l)))
-    return MeanForceReport("dirac", mode.energy, v0, float(route_a), kin,
-                           float(mass), float(pot), delta)
+    return MeanForceReport("dirac", mode.energy, v0, mean_force_closed(mode),
+                           0.0, mass, pot, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +314,14 @@ class NonrelReport:
 
 
 _NONREL_PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+
+
+def _loglog_slope(logs: list) -> float:
+    """Least-squares slope through (log x, log y) pairs; nan below two."""
+    if len(logs) < 2:
+        return math.nan
+    xs, ys = np.array(logs).T
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
@@ -372,14 +371,7 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
         force_resid = abs(force_k - leading) / abs(force_k)
         rows.append(NonrelRow(c, float(dens_resid), float(force_resid), "ok"))
         logs.append((math.log(c), math.log(force_resid)))
-
-    if len(logs) >= 2:
-        xs = np.array([a for a, _ in logs])
-        ys = np.array([b for _, b in logs])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = math.nan
-    return NonrelReport(rows=tuple(rows), slope=slope)
+    return NonrelReport(rows=tuple(rows), slope=_loglog_slope(logs))
 
 
 # ---------------------------------------------------------------------------
@@ -436,13 +428,7 @@ def infinite_step_sweep(energy: float, v0_list,
         rows.append(InfiniteStepRow(float(v0), route_a, wall,
                                     float(candidate), float(err), "ok"))
         logs.append((math.log(v0), math.log(err)))
-    if len(logs) >= 2:
-        xs = np.array([a for a, _ in logs])
-        ys = np.array([b for _, b in logs])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        slope = math.nan
-    return InfiniteStepReport(rows=tuple(rows), error_slope=slope)
+    return InfiniteStepReport(rows=tuple(rows), error_slope=_loglog_slope(logs))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +462,7 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
     so the sharp-side lobe of psi does not re-enter the integral.
     ``params`` supplies hbar and mass; the step height is that of ``reg``.
     """
-    from .regularized import _running_sum, solve_smooth_mode
+    from .regularized import _gl_panels, _running_sum, solve_smooth_mode
 
     if params is None:
         params = PhysicalParams()
@@ -497,14 +483,9 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
 
     kappa = math.sqrt(2.0 * mass * (v0 - energy)) / hbar
     width = min(reg.eps, 0.25 / kappa)
-    n_panels = max(int(math.ceil(2.0 * window / width)), 16)
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(-window, window, n_panels + 1)
-    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    x = (mid + half * nodes).ravel()
+    x, weights = _gl_panels(window, width, 16, 10)
     u, _ = nm.eval_scalar(x)
-    total = _running_sum((weights * half).ravel() * reg.eval(x) * u, 0.0j)
+    total = _running_sum(weights * reg.eval(x) * u, 0.0j)
 
     sharp = solve_step_mode("s", energy, pars)
     target = -(hbar**2 / (2.0 * mass)) * sharp.psix0

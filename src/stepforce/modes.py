@@ -211,17 +211,6 @@ class ScatterMode:
             return inc + self.r * ref
         return self.t * np.array([1.0, lamp], dtype=complex) * np.exp(1j * self.q * x)
 
-    def spinor_x(self, x: float) -> np.ndarray:
-        if self.theory != "dirac":
-            raise ValueError("spinor defined only for the spin-1/2 theory")
-        lam, lamp = self.lam_left, self.lam_right
-        if x < 0.0:
-            inc = np.array([1.0, lam], dtype=complex) * np.exp(1j * self.k * x)
-            ref = np.array([1.0, -lam], dtype=complex) * np.exp(-1j * self.k * x)
-            return 1j * self.k * inc - 1j * self.k * self.r * ref
-        return (1j * self.q * self.t
-                * np.array([1.0, lamp], dtype=complex) * np.exp(1j * self.q * x))
-
 
 def solve_step_mode(theory: str, energy: float,
                     params: PhysicalParams) -> ScatterMode:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,7 +56,8 @@ DEFAULT_DOMAIN = 20.0
 # energies needing more would march for minutes in Python, or overflow
 _MAX_SEGMENTS = 10**6
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# Gauss-Legendre nodes and weights by node count (callers only read them)
+_leggauss = cache(np.polynomial.legendre.leggauss)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +450,6 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
         # split the left-edge state into incident and reflected plane waves
         a_loc = 0.5 * (u_l + ux_l / (1j * k))
         b_loc = 0.5 * (u_l - ux_l / (1j * k))
-        a_coef = a_loc * cmath.exp(1j * k * xs)       # e^{ikx} coefficient
-        b_coef = b_loc * cmath.exp(-1j * k * xs)      # e^{-ikx} coefficient
-        r = b_coef / a_coef
-        t = 1.0 / a_coef
-        states /= a_coef
-        w_t = (abs(t) ** 2 * (q.real / k.real)) if q.imag == 0.0 else 0.0
     else:
         lamp = p.hbar * p.c * q / (energy - model.plateau_right + mc2)
         lam = p.hbar * p.c * k / (energy - model.plateau_left + mc2)
@@ -464,12 +459,17 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
         psi1, psi2 = states[0]
         a_loc = 0.5 * (psi1 + psi2 / lam)
         b_loc = 0.5 * (psi1 - psi2 / lam)
-        a_coef = a_loc * cmath.exp(1j * k * xs)
-        b_coef = b_loc * cmath.exp(-1j * k * xs)
-        r = b_coef / a_coef
-        t = 1.0 / a_coef
-        states /= a_coef
-        w_t = (abs(t) ** 2 * lamp.real / lam.real) if q.imag == 0.0 else 0.0
+    a_coef = a_loc * cmath.exp(1j * k * xs)       # e^{ikx} coefficient
+    b_coef = b_loc * cmath.exp(-1j * k * xs)      # e^{-ikx} coefficient
+    r = b_coef / a_coef
+    t = 1.0 / a_coef
+    states /= a_coef
+    if q.imag != 0.0:
+        w_t = 0.0
+    elif theory == "dirac":
+        w_t = abs(t) ** 2 * lamp.real / lam.real
+    else:
+        w_t = abs(t) ** 2 * (q.real / k.real)
 
     flux_residual = abs(1.0 - abs(r) ** 2 - w_t) / (1.0 + abs(r) ** 2 + abs(w_t))
 
@@ -500,6 +500,19 @@ def _running_sum(terms: np.ndarray, start: float | complex = 0.0):
     return np.add.accumulate(np.concatenate(([start], terms)))[-1].item()
 
 
+def _gl_panels(half_width: float, width: float, min_panels: int,
+               n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of Gauss-Legendre panels over [-half_width,
+    half_width]: n_nodes a panel, panels no wider than ``width`` and at
+    least ``min_panels`` of them, ordered panel by panel, node by node."""
+    nodes, weights = _leggauss(n_nodes)
+    n_panels = max(int(math.ceil(2.0 * half_width / width)), min_panels)
+    edges = np.linspace(-half_width, half_width, n_panels + 1)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    return (mid + half * nodes).ravel(), (weights * half).ravel()
+
+
 def route_b_integral(mode: NumericalMode) -> float:
     """- integral of phi_eps'(x) rho_eps(x) dx by panelled Gauss-Legendre.
 
@@ -511,16 +524,10 @@ def route_b_integral(mode: NumericalMode) -> float:
     """
     model = mode.model
     reg = model.reg
-    xs = model.window
     kmax = max(abs(mode.k), abs(mode.q), 1e-6)
     width = min(reg.eps, 2.0 * math.pi / (8.0 * kmax))
-    n_panels = max(int(math.ceil(2.0 * xs / width)), 8)
-    edges = np.linspace(-xs, xs, n_panels + 1)
-    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    x = (mid + half * _GL_NODES).ravel()
-    weighted = (_GL_WEIGHTS * half).ravel() * reg.deriv(x)
-    return -_running_sum(weighted * _smooth_density(mode, x))
+    x, weights = _gl_panels(model.window, width, 8, 12)
+    return -_running_sum(weights * reg.deriv(x) * _smooth_density(mode, x))
 
 
 def route_b_force(theory: str, energy: float, reg: RegularizedPotential,

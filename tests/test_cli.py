@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config plumbing, file outputs."""
 
 import argparse
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -161,6 +162,42 @@ def test_converge_writes_csv_and_verdict(tmp_path, capsys):
         assert cells[3] == "erf"
         assert float(cells[4]) == eps
         assert float(cells[6]) <= 1e-12
+
+
+# sha256 pins of outputs the seed-0 report oracle does not cover: each
+# theory's mode.json at the default energy and v0, and converge.csv and its
+# verdict lines at the default config
+MODE_JSON_SHA256 = {
+    "s": "0823cccc95437cc42b3234e98f38f27446a2adf52405e061f2d4a389d3732eea",
+    "kfg": "af25a93d1e6e1694921d61d7a6168f091bec3e08c68578b374be6cdc183e7301",
+    "dirac": "3ee5c22c758adc317732b8a0d96bfef113f4cbd2c5ed2470ba808b479cb0c5e6",
+}
+CONVERGE_CSV_SHA256 = (
+    "ca9e4145ad65236b87c0835d2277979bdbf250d2c0e183bd9341dc77132eb0b7")
+CONVERGE_VERDICTS_SHA256 = (
+    "50b5cd2e355cde4968ce9441074f89b9eb4d9963e213205d09989348f5103971")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("theory", sorted(MODE_JSON_SHA256))
+def test_mode_json_is_byte_pinned(theory, tmp_path, capsys):
+    assert run(["mode", "--theory", theory, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (_sha256((tmp_path / "mode.json").read_bytes())
+            == MODE_JSON_SHA256[theory])
+
+
+def test_converge_outputs_are_byte_pinned(tmp_path, capsys):
+    assert run(["converge", "--out", str(tmp_path)]) == 0
+    verdicts = "".join(line for line in capsys.readouterr().out
+                       .splitlines(keepends=True)
+                       if line.startswith("verdict "))
+    assert (_sha256((tmp_path / "converge.csv").read_bytes())
+            == CONVERGE_CSV_SHA256)
+    assert _sha256(verdicts.encode()) == CONVERGE_VERDICTS_SHA256
 
 
 def test_converge_needs_at_least_three_widths(tmp_path, capsys):

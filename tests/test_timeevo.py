@@ -1,5 +1,6 @@
 """Packet evolution: guards, conservation laws, momentum-balance audit."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -202,9 +203,11 @@ def test_finite_rhs_with_an_overflowing_sum_is_stepped():
     rhs = ((1.0 - alpha / (h * h)) * psi[1:-1]
            + alpha / (2.0 * h * h) * (psi[:-2] + psi[2:]))
     with np.errstate(over="ignore"):
-        # finite terms of about 1e306 each, an infinite sum; the step's
-        # own sum overflows too, which numpy would warn about
+        # finite terms of about 1e306 each, an infinite sum
         assert np.isfinite(rhs).all() and not np.isfinite(rhs.sum())
+    with warnings.catch_warnings():
+        # the step itself takes no sum that could overflow and warn
+        warnings.simplefilter("error")
         out = evolve(huge, dt, 1, wall_tol=np.inf)
     assert np.isfinite(out.psi).all()
     np.testing.assert_array_equal(out.psi,
@@ -222,6 +225,20 @@ def test_non_finite_wave_function_is_rejected(bad):
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match=message):
         evolve(replace(state, psi=psi, t=0.25), dt=2e-3, n_steps=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("index", range(9))
+def test_non_finite_point_anywhere_is_rejected_at_the_first_step(index, bad):
+    # the check reads only the two points next to the walls: a bad value
+    # at any index must reach both within the step it enters
+    psi = np.zeros(9, dtype=complex)
+    psi[index] = bad
+    state = timeevo.EvolutionState(x=np.linspace(-1.0, 1.0, 9), psi=psi,
+                                   t=0.25)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"^wave function is not finite at t = 0\.26$"):
+        evolve(state, dt=0.01, n_steps=3, wall_tol=np.inf)
 
 
 def test_non_finite_matrix_is_rejected():
