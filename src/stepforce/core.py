@@ -15,6 +15,7 @@ The default is natural units hbar = mass = c = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,13 @@ class PhysicalParams:
         for name in ("hbar", "mass", "c"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        try:
+            rest = self.rest_energy
+        except OverflowError:       # c**2 overflowed
+            rest = math.inf
+        if not math.isfinite(rest):
+            raise ValueError(f"the rest energy mass * c^2 of mass "
+                             f"{self.mass!r} and c {self.c!r} must be finite")
 
     @property
     def rest_energy(self) -> float:

@@ -27,8 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PhysicalParams, RegularizedPotential
-from .errors import CrossCheckFailed, UndefinedAtOrigin, UnresolvedWindow
-from .modes import ScatterMode, fv_lift, solve_step_mode
+from .errors import (BelowThreshold, CrossCheckFailed, UndefinedAtOrigin,
+                     UnresolvedWindow)
+from .modes import ScatterMode, _plateau_k2, fv_lift, solve_step_mode
 
 __all__ = [
     "DensityProbe",
@@ -316,6 +317,15 @@ class NonrelReport:
 _NONREL_PROBES = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
 
 
+def _log_pair(quantity: str, var: str, x: float, y: float) -> tuple:
+    """(log x, log y) of one sweep row; ValueError naming y if it is 0."""
+    if y == 0.0:
+        raise ValueError(f"the {quantity} at {var} = {x!r} rounds to 0, so "
+                         f"it has no logarithm; the sweep goes past double "
+                         f"precision")
+    return math.log(x), math.log(y)
+
+
 def _loglog_slope(logs: list) -> float:
     """Least-squares slope through (log x, log y) pairs; nan below two."""
     if len(logs) < 2:
@@ -344,6 +354,10 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
     logs = []
     for c in c_list:
         pars = replace(params, c=c)
+        # a row tagged below still names a spin-0 energy, which must give a
+        # finite k^2 like every computed one
+        for phi in (0.0, v0):
+            _plateau_k2("kfg", pars.rest_energy + energy_nr, phi, pars)
         if energy_nr >= pars.rest_energy:
             rows.append(NonrelRow(c, math.nan, math.nan, "not-nonrelativistic"))
             continue
@@ -370,7 +384,7 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
         leading = (v0**2 / (2.0 * mass * c**2)) * rho_s0
         force_resid = abs(force_k - leading) / abs(force_k)
         rows.append(NonrelRow(c, float(dens_resid), float(force_resid), "ok"))
-        logs.append((math.log(c), math.log(force_resid)))
+        logs.append(_log_pair("force residual", "c", c, force_resid))
     return NonrelReport(rows=tuple(rows), slope=_loglog_slope(logs))
 
 
@@ -411,6 +425,9 @@ def infinite_step_sweep(energy: float, v0_list,
     if params is None:
         params = PhysicalParams()
     hbar, mass = params.hbar, params.mass
+    if energy <= 0.0:
+        raise BelowThreshold(f"incidence needs E > 0, got E = {energy}")
+    _plateau_k2("s", energy, 0.0, params)
     k = math.sqrt(2.0 * mass * energy) / hbar
     wall = -2.0 * hbar**2 * k**2 / mass
     rows = []
@@ -427,7 +444,7 @@ def infinite_step_sweep(energy: float, v0_list,
         err = abs(candidate - wall) / abs(wall)
         rows.append(InfiniteStepRow(float(v0), route_a, wall,
                                     float(candidate), float(err), "ok"))
-        logs.append((math.log(v0), math.log(err)))
+        logs.append(_log_pair("candidate error", "v0", v0, err))
     return InfiniteStepReport(rows=tuple(rows), error_slope=_loglog_slope(logs))
 
 

@@ -21,6 +21,7 @@ group velocity points in +x, which makes it negative), and the measure-zero
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,6 +100,20 @@ def _k_squared(theory: str, energy: float, phi: float,
     return ((energy - phi) ** 2 - mc2**2) / (params.hbar * params.c) ** 2
 
 
+def _plateau_k2(theory: str, energy: float, phi: float,
+                params: PhysicalParams) -> float:
+    """``_k_squared``; ValueError unless it is finite.  The one energy
+    check of the sharp and the smooth solvers."""
+    try:
+        k2 = _k_squared(theory, energy, phi, params)
+    except ArithmeticError:     # ** overflowed, or hbar * c underflowed
+        k2 = math.inf
+    if not math.isfinite(k2):
+        raise ValueError(f"k^2 on the plateau phi = {phi!r} at energy "
+                         f"{energy!r} is {k2!r}; it must be finite")
+    return k2
+
+
 def dispersion(theory: str, energy: float, phi: float,
                params: PhysicalParams) -> complex:
     """Wavenumber on a side where the potential equals ``phi``.
@@ -108,7 +123,7 @@ def dispersion(theory: str, energy: float, phi: float,
     and exactly 0 at a regime threshold.
     """
     theory = _as_theory(theory)
-    d = _k_squared(theory, energy, phi, params)
+    d = _plateau_k2(theory, energy, phi, params)
     if d == 0.0:
         return 0.0 + 0.0j
     if d > 0.0:

@@ -33,7 +33,7 @@ from .core import PhysicalParams, RegularizedPotential
 from .errors import (BelowThreshold, NoConvergence, ProbeInsideSmoothing,
                      UnderResolved)
 from .modes import (DEFAULT_MATRICES, _as_theory, _k_squared, _lift_pair,
-                    dispersion)
+                    _plateau_k2, dispersion)
 
 __all__ = [
     "PiecewiseModel",
@@ -121,19 +121,6 @@ class PiecewiseModel:
         mc2 = self.params.rest_energy
         return (self.energy - self.values + mc2,
                 self.energy - self.values - mc2)
-
-
-def _plateau_k2(theory: str, energy: float, phi: float,
-                params: PhysicalParams) -> complex:
-    """k^2 (Dirac q^2) on a plateau; ValueError unless it is finite."""
-    try:
-        k2 = complex(_k_squared(theory, energy, phi, params))
-    except ArithmeticError:     # ** overflowed, or hbar * c underflowed
-        k2 = complex(math.inf)
-    if not cmath.isfinite(k2):
-        raise ValueError(f"k^2 on the plateau phi = {phi!r} at energy "
-                         f"{energy!r} is {k2.real!r}; it must be finite")
-    return k2
 
 
 def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,

@@ -17,21 +17,28 @@ END_TO_END = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())[
 
 
 def write_record(folder: Path, seed: int, p50: float, work: float,
-                 steal: int = 0, machine=MACHINE):
-    """A record whose other end-to-end metrics read 1.0."""
+                 steal: int = 0, machine=MACHINE, workload="routeb",
+                 wall=(2.0, 9.0)):
+    """A record whose other end-to-end metrics read 1.0; ``wall`` holds
+    its reference-kernel median and its workload's wall time of one op."""
     folder.mkdir(parents=True, exist_ok=True)
     metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]}
                for m in END_TO_END}
     metrics["op_p50_ref"]["value"] = p50
     metrics["work_per_kref"]["value"] = work
+    op_name, op_unit = {"routeb": ("sweep_p50_ms", "ms"),
+                        "report": ("report_s", "s")}[workload]
     record = {
-        "workload": "routeb", "seed": seed, "seconds": 10.0, "trace": 0,
+        "workload": workload, "seed": seed, "seconds": 10.0, "trace": 0,
         "correct": True, "attempted": 100, "failed": 0,
         "machine": dict(machine, steal_jiffies_before=steal,
                         steal_jiffies_after=steal + 3),
         "metrics": metrics,
+        "figures": {"ref_kernel_ms": {"value": wall[0], "unit": "ms"},
+                    op_name: {"value": wall[1], "unit": op_unit},
+                    "fail_frac": {"value": 0.0, "unit": "ratio"}},
     }
-    path = folder / f"result-routeb-seed{seed}-trace0.json"
+    path = folder / f"result-{workload}-seed{seed}-trace0.json"
     path.write_text(json.dumps(record))
 
 
@@ -64,6 +71,52 @@ def test_two_paired_records_per_side(tmp_path, capsys):
     assert work["change_wins"] == 1         # 900 < 1000 loses, 1400 wins
     assert out["metrics"]["peak_rss_mb"]["change_wins"] == 0    # ties
     assert set(out["metrics"]) == {m["name"] for m in END_TO_END}
+    assert set(out["figures"]) == {"ref_kernel_ms", "sweep_p50_ms"}
+    assert out["figures"]["sweep_p50_ms"]["unit"] == "ms"
+    assert out["figures"]["sweep_p50_ms"]["change"]["values"] == [9.0, 9.0]
+
+
+def test_wall_figures_of_the_report_workload(tmp_path, capsys):
+    for seed, before, after in ((3, (2.3, 42.5), (2.9, 27.1)),
+                                (4, (2.4, 43.3), (3.0, 26.3))):
+        write_record(tmp_path / "parent", seed, 18000.0, 0.05,
+                     workload="report", wall=before)
+        write_record(tmp_path / "change", seed, 9000.0, 0.1,
+                     workload="report", wall=after)
+    code = bench_pairs.main([
+        "--workload", "report", "--seeds", "3", "4",
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"),
+        "--label", "lanes", "--out-dir", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "report_s" in out and "(wall clock)" in out
+    figures = json.loads((tmp_path / "BENCH_lanes.json").read_text())[
+        "figures"]
+    assert set(figures) == {"ref_kernel_ms", "report_s"}
+    assert figures["report_s"]["unit"] == "s"
+    assert figures["report_s"]["parent"]["values"] == [42.5, 43.3]
+    assert figures["report_s"]["change"]["median"] == pytest.approx(26.7)
+    assert figures["ref_kernel_ms"]["parent"]["median"] == pytest.approx(2.35)
+    assert figures["ref_kernel_ms"]["change"]["median"] == pytest.approx(2.95)
+
+
+def test_records_without_the_wall_figure_are_refused(tmp_path, capsys):
+    for side in ("parent", "change"):
+        for seed in (1, 2):
+            write_record(tmp_path / side, seed, 4.0, 1000.0)
+    path = tmp_path / "change" / "result-routeb-seed2-trace0.json"
+    record = json.loads(path.read_text())
+    del record["figures"]["sweep_p50_ms"]
+    path.write_text(json.dumps(record))
+    code = bench_pairs.main([
+        "--workload", "routeb", "--seeds", "1", "2",
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--label", "x",
+        "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "sweep_p50_ms" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_x.json").exists()
 
 
 def test_unpaired_or_mixed_records_are_refused(tmp_path):

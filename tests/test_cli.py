@@ -1,14 +1,20 @@
 """Command-line interface: exit codes, config plumbing, file outputs."""
 
 import argparse
+import functools
 import hashlib
 import json
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from stepforce import cli, force
+from stepforce.errors import BoxTooSmall
 
 KFG_R = 0.21543808788147607
 S_R = 0.17157287525380990
@@ -557,3 +563,196 @@ def test_report_reads_params_and_its_own_table(tmp_path):
     assert resolved["params"]["hbar"] == 2.0
     assert resolved["report"]["n_random"] == 3
     assert resolved["ehrenfest"] == cli.DEFAULTS["ehrenfest"]
+
+
+# ---------------------------------------------------------------------------
+# energies too large for the solvers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,message", [
+    (["mode", "--theory", "kfg", "--energy", "1e300"],
+     "k^2 on the plateau phi = 0.0 at energy 1e+300 is inf"),
+    (["mode", "--theory", "dirac", "--energy", "1e300"],
+     "k^2 on the plateau phi = 0.0 at energy 1e+300 is inf"),
+    (["mode", "--theory", "s", "--energy", "1.7e308"],
+     "k^2 on the plateau phi = 0.0 at energy 1.7e+308 is inf"),
+    (["limits", "--kind", "nonrel", "--energy-nr", "1e300"],
+     "k^2 on the plateau phi = 0.0 at energy 1e+300 is inf"),
+    (["limits", "--kind", "infinite-step", "--energy", "1.7e308"],
+     "k^2 on the plateau phi = 0.0 at energy 1.7e+308 is inf"),
+    (["limits", "--kind", "infinite-step", "--energy", "1e300",
+      "--v0-list", "1e306,1e307,1e308"],
+     "k^2 on the plateau phi = 1e+308 at energy 1e+300 is -inf"),
+    (["limits", "--kind", "infinite-step", "--v0-list", "1e300,1e301"],
+     "the candidate error at v0 = 1e+300 rounds to 0, so it has no "
+     "logarithm"),
+    (["limits", "--kind", "nonrel", "--speeds", "1e200,1e201"],
+     "the rest energy mass * c^2 of mass 1.0 and c 1e+200 must be finite")])
+def test_unrepresentable_energies_exit_2_writing_nothing(argv, message,
+                                                         tmp_path, capsys):
+    code = run([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: config: {message}")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hard_wall_sweep_at_a_huge_energy_needs_heights_above_it(tmp_path,
+                                                                 capsys):
+    # E = 1e300 is a usable energy: heights above it give the 1/v0 decay
+    assert run(["limits", "--kind", "infinite-step", "--energy", "1e300",
+                "--v0-list", "1e301,1e302,1e303",
+                "--out", str(tmp_path)]) == 0
+    slope = capsys.readouterr().out.split("slope vs v0: ")[1].split("\n")[0]
+    assert float(slope) == pytest.approx(-1.0, abs=1e-9)
+    # the default heights lie below it, so every row is rejected, as for
+    # any energy above every height
+    assert run(["limits", "--kind", "infinite-step", "--energy", "1e300",
+                "--out", str(tmp_path)]) == 0
+    assert "slope vs v0: nan" in capsys.readouterr().out
+    rows = (tmp_path / "limits_infinite_step.csv").read_text().splitlines()
+    assert all(row.endswith(",rejected") for row in rows[1:])
+
+
+def test_hard_wall_sweep_below_threshold_exits_1(tmp_path, capsys):
+    code = run(["limits", "--kind", "infinite-step", "--energy", "-1",
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: below-threshold: incidence needs E > 0, "
+                          "got E = -1.0")
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the report's packet audits on two lanes
+# ---------------------------------------------------------------------------
+
+_STAGES = ("free", "scattering", "scattering_half_dt", "packet_rt")
+
+
+def _stub_audits(monkeypatch, act):
+    """Replace the four packet audits by fast stubs that call act(stage)
+    and return a report whose max_deviation is the stage's 1-based index.
+    Returns the dict stage -> thread ident it ran on."""
+    threads = {}
+
+    def audit(blk, dt, pars):
+        if blk is cli._EHRENFEST_FREE:
+            stage = "free"
+        elif blk is cli._RT_CASE:
+            stage = "packet_rt"
+        else:
+            stage = ("scattering" if dt == blk["dt"]
+                     else "scattering_half_dt")
+        threads[stage] = threading.get_ident()
+        act(stage)
+        return SimpleNamespace(
+            max_deviation=float(_STAGES.index(stage) + 1),
+            max_deviation_rel=0.0, norm_drift=0.0, wall_amplitude=0.0,
+            dt=dt, save_stride=blk["save_stride"],
+            final_state=SimpleNamespace(reg=None))
+
+    monkeypatch.setattr(cli, "_audit", audit)
+    monkeypatch.setattr(cli, "compare_packet_rt",
+                        lambda state, spec, reg: {"stub": True})
+    return threads
+
+
+def _meet_in_pairs():
+    """act() that holds the two costliest audits until both run: it
+    breaks (BrokenBarrierError) unless they run at once, on two lanes."""
+    barrier = threading.Barrier(2, timeout=10.0)
+
+    def act(stage):
+        if stage in ("packet_rt", "scattering_half_dt"):
+            barrier.wait()
+
+    return act
+
+
+def test_packet_audits_run_on_two_threads(monkeypatch):
+    threads = _stub_audits(monkeypatch, _meet_in_pairs())
+    before = threading.active_count()
+    cli._report_ehrenfest(cli.load_config(None))
+    assert set(threads) == set(_STAGES)
+    assert len(set(threads.values())) == 2
+    assert threading.get_ident() in threads.values()
+    assert threading.active_count() == before
+
+
+def test_packet_audit_results_keep_stage_order(monkeypatch):
+    # the first stage is the cheapest, so it starts last; it also ends last
+    threads = _stub_audits(monkeypatch, lambda stage: time.sleep(
+        0.2 if stage == "free" else 0.0))
+    out = cli._report_ehrenfest(cli.load_config(None))
+    assert set(threads) == set(_STAGES)
+    assert list(out) == ["free", "scattering", "scattering_half_dt",
+                         "dt_halving_ratio", "packet_rt"]
+    for index, stage in enumerate(_STAGES[:3]):
+        assert out[stage]["max_deviation"] == index + 1
+    assert out["dt_halving_ratio"] == 2.0 / 3.0
+    half_dt = cli.DEFAULTS["ehrenfest"]["dt"] / 2.0
+    assert out["scattering_half_dt"]["dt"] == half_dt
+    assert out["packet_rt"] == {"stub": True}
+
+
+def test_first_failed_audit_in_stage_order_surfaces(monkeypatch):
+    finished = []
+
+    def act(stage):
+        # packet R/T starts first and fails first; scattering fails later
+        if stage == "packet_rt":
+            finished.append(stage)
+            raise BoxTooSmall("stage 4")
+        if stage == "scattering":
+            time.sleep(0.1)
+            finished.append(stage)
+            raise ValueError("stage 2")
+        finished.append(stage)
+
+    threads = _stub_audits(monkeypatch, act)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="stage 2"):
+        cli._report_ehrenfest(cli.load_config(None))
+    assert set(threads) == set(finished) == set(_STAGES)
+    assert finished.index("packet_rt") < finished.index("scattering")
+    assert threading.active_count() == before
+
+
+def test_report_with_a_worker_lane_box_error_exits_1(monkeypatch, tmp_path,
+                                                     capsys):
+    meet = _meet_in_pairs()
+
+    def act(stage):
+        meet(stage)
+        if threading.current_thread() is not threading.main_thread():
+            raise BoxTooSmall(f"stub wall amplitude in {stage}")
+
+    _stub_audits(monkeypatch, act)
+    before = threading.active_count()
+    code = run(["report", "--n-random", "2", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: box-too-small: stub wall amplitude in ")
+    assert not (tmp_path / "report.json").exists()
+    assert threading.active_count() == before
+
+
+def test_two_lanes_run_each_job_once_under_fast_thread_switching():
+    ran = []
+
+    def job(i):
+        ran.append(i)       # one atomic append per run, so no run is lost
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = cli._two_lanes([functools.partial(job, i) for i in range(400)],
+                             [i % 7 for i in range(400)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [i * i for i in range(400)]
+    assert sorted(ran) == list(range(400))

@@ -25,6 +25,13 @@ def test_nonpositive_constants_rejected(bad):
         PhysicalParams(**bad)
 
 
+@pytest.mark.parametrize("mass,c", [(1.0, 1e200), (1e300, 1e10)])
+def test_an_overflowing_rest_energy_is_rejected(mass, c):
+    with pytest.raises(ValueError, match="rest energy mass \\* c\\^2 .* must "
+                                         "be finite"):
+        PhysicalParams(mass=mass, c=c)
+
+
 def test_sharp_step_takes_one_sided_values_only():
     step = StepPotential(v0=0.5)
     assert step.eval(-1e-12) == 0.0

@@ -14,6 +14,8 @@ literals:
         q = -2 sqrt(2), r = -11/5 - 4 sqrt(6)/5
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,19 @@ def test_dispersion_branches_and_thresholds():
     assert classify_regime("kfg", 2.0, 3.0, pars) == "threshold"
     assert classify_regime("kfg", 2.0, 5.0, pars) == "klein"
     assert classify_regime("dirac", 2.0, 2.5, pars) == "evanescent"
+
+
+@pytest.mark.parametrize("theory,energy,phi,k2", [
+    ("s", 1.7e308, 0.0, "inf"), ("kfg", 1e300, 0.0, "inf"),
+    ("dirac", 1e300, 0.0, "inf"), ("s", 1e300, 1e308, "-inf")])
+def test_sharp_modes_share_the_plateau_k2_check(theory, energy, phi, k2):
+    # the check of the smooth-step model, with the same message
+    message = re.escape(f"k^2 on the plateau phi = {phi!r} at energy "
+                        f"{energy!r} is {k2}; it must be finite")
+    with pytest.raises(ValueError, match=message):
+        dispersion(theory, energy, phi, PARS)
+    with pytest.raises(ValueError, match=message):
+        solve_step_mode(theory, energy, PhysicalParams(v0=phi))
 
 
 def test_below_threshold_incidence_is_refused():

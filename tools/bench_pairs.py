@@ -10,6 +10,10 @@ host's drift.  For every end-to-end metric of BENCHMARK.json the output holds
 each side's values by seed, their median and quartiles (as
 ``statistics.quantiles(values, n=4)`` gives them), the pairs the change
 wins (strictly better in the metric's direction), and the machine block.
+The same summaries of two wall-clock figures follow under ``figures``: the
+reference kernel's median (``ref_kernel_ms``) and the workload's own time
+of one op (``WALL_FIGURES``), so a gain in reference units can be checked
+against the wall clock.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _STEAL = ("steal_jiffies_before", "steal_jiffies_after")
+# each workload's wall-clock time of one op, as perfbench/run.py names it
+WALL_FIGURES = {"report": "report_s", "routeb": "sweep_p50_ms",
+                "sharp": "mode_p50_us"}
 
 
 def load_records(folder: str, workload: str, seeds: list) -> list:
@@ -66,6 +73,13 @@ def compare(parent: list, change: list, end_to_end: list) -> dict:
             "parent": summarize(before), "change": summarize(after),
             "change_wins": wins,
         }
+    figures = {}
+    for name in ("ref_kernel_ms", WALL_FIGURES[parent[0]["workload"]]):
+        figures[name] = {
+            "unit": parent[0]["figures"][name]["unit"],
+            "parent": summarize([r["figures"][name]["value"] for r in parent]),
+            "change": summarize([r["figures"][name]["value"] for r in change]),
+        }
     return {
         "workload": parent[0]["workload"],
         "seconds": parent[0]["seconds"],
@@ -76,6 +90,7 @@ def compare(parent: list, change: list, end_to_end: list) -> dict:
                        "change": sum(r["failed"] for r in change)},
         "machine": machines[0],
         "metrics": metrics,
+        "figures": figures,
     }
 
 
@@ -107,6 +122,9 @@ def main(argv=None) -> int:
         print(f"{name:14s} {m['parent']['median']:12.6g} -> "
               f"{m['change']['median']:12.6g} {m['unit']:7s} "
               f"change wins {m['change_wins']}/{bench['pairs']}")
+    for name, f in bench["figures"].items():
+        print(f"{name:14s} {f['parent']['median']:12.6g} -> "
+              f"{f['change']['median']:12.6g} {f['unit']:7s} (wall clock)")
     print(f"wrote {path}")
     return 0
 
