@@ -7,8 +7,7 @@ numerical limits (smooth-potential, nonrelativistic, hard-wall,
 time-dependent) that probe every boundary condition behind them.
 """
 
-from .core import (GridSpec, PhysicalParams, RegularizedPotential,
-                   StepPotential, grid_build)
+from .core import GridSpec, PhysicalParams, RegularizedPotential, grid_build
 from .errors import (BelowThreshold, BoxTooSmall, ConfigError,
                      CrossCheckFailed, InvalidWidth, NoConvergence,
                      ProbeInsideSmoothing, StepForceError, UndefinedAtOrigin,
@@ -16,11 +15,10 @@ from .errors import (BelowThreshold, BoxTooSmall, ConfigError,
 from .force import (boundary_terms, delta_conventions, density,
                     infinite_step_sweep, interface_probe, kfg_density_jump,
                     mean_force_closed, nonrel_residuals)
-from .modes import (MatrixSet, ScatterMode, bc_residuals, classify_regime,
-                    dispersion, fv_lift, random_mode, solve_step_mode)
-from .regularized import (ConvergenceSeries, extrapolate, route_b_force,
-                          route_b_sweep, smooth_jump_diagnostics,
-                          solve_smooth_mode)
+from .modes import (ScatterMode, bc_residuals, classify_regime, dispersion,
+                    fv_lift, random_mode, solve_step_mode)
+from .regularized import (ConvergenceSeries, extrapolate, route_b_sweep,
+                          smooth_jump_diagnostics, solve_smooth_mode)
 from .timeevo import (EvolutionState, PacketSpec, ehrenfest_report, evolve,
                       gaussian_packet)
 
@@ -28,18 +26,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "PhysicalParams", "StepPotential", "RegularizedPotential", "GridSpec",
-    "grid_build",
+    "PhysicalParams", "RegularizedPotential", "GridSpec", "grid_build",
     "StepForceError", "ConfigError", "UndefinedAtOrigin", "InvalidWidth",
     "BelowThreshold", "UnderResolved", "NoConvergence", "UnresolvedWindow",
     "ProbeInsideSmoothing", "BoxTooSmall", "CrossCheckFailed",
-    "MatrixSet", "ScatterMode", "dispersion", "classify_regime",
+    "ScatterMode", "dispersion", "classify_regime",
     "solve_step_mode", "fv_lift", "bc_residuals", "random_mode",
     "density", "interface_probe", "kfg_density_jump", "mean_force_closed",
     "boundary_terms", "delta_conventions", "nonrel_residuals",
     "infinite_step_sweep",
-    "ConvergenceSeries", "solve_smooth_mode", "route_b_force",
-    "route_b_sweep", "extrapolate", "smooth_jump_diagnostics",
+    "ConvergenceSeries", "solve_smooth_mode", "route_b_sweep", "extrapolate",
+    "smooth_jump_diagnostics",
     "PacketSpec", "EvolutionState", "gaussian_packet", "evolve",
     "ehrenfest_report",
 ]

@@ -1,4 +1,4 @@
-"""Physical constants, step and smoothed-step potentials, and grids.
+"""Physical constants, smoothed-step potentials, and grids.
 
 The sharp step
 
@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, expit
 
-from .errors import InvalidWidth, UndefinedAtOrigin
+from .errors import InvalidWidth
 
 __all__ = [
     "PhysicalParams",
-    "StepPotential",
     "RegularizedPotential",
     "GridSpec",
     "grid_build",
@@ -72,27 +71,6 @@ class PhysicalParams:
     @property
     def rest_energy(self) -> float:
         return self.mass * self.c**2
-
-
-@dataclass(frozen=True)
-class StepPotential:
-    """Sharp step of height v0 at x = 0, undefined exactly at the origin."""
-
-    v0: float
-
-    def eval(self, x: float) -> float:
-        if x == 0.0:
-            raise UndefinedAtOrigin(
-                "step potential has no value at x = 0; use one-sided limits"
-            )
-        return self.v0 if x > 0.0 else 0.0
-
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        if np.any(x == 0.0):
-            raise UndefinedAtOrigin(
-                "step potential has no value at x = 0; use one-sided limits"
-            )
-        return np.where(x > 0.0, self.v0, 0.0)
 
 
 @dataclass(frozen=True)

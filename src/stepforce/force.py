@@ -29,7 +29,8 @@ import numpy as np
 from .core import PhysicalParams, RegularizedPotential
 from .errors import (BelowThreshold, CrossCheckFailed, UndefinedAtOrigin,
                      UnresolvedWindow)
-from .modes import ScatterMode, _plateau_k2, fv_lift, solve_step_mode
+from .modes import (_TAU1, _TAU3, ScatterMode, _plateau_k2, fv_lift,
+                    solve_step_mode)
 
 __all__ = [
     "DensityProbe",
@@ -40,7 +41,6 @@ __all__ = [
     "InfiniteStepReport",
     "WeakProductReport",
     "density",
-    "kfg_density_from_components",
     "interface_probe",
     "kfg_density_jump",
     "mean_force_closed",
@@ -56,16 +56,14 @@ __all__ = [
 # densities
 # ---------------------------------------------------------------------------
 
-def density(mode: ScatterMode, x: float, t: float = 0.0) -> float:
+def density(mode: ScatterMode, x: float) -> float:
     """Position density of the stationary mode at x (x = 0 is two-valued).
 
     Spin-0 carries the charge-type density (E - phi)/mc^2 |u|^2, which is
     positive in the propagating regimes considered here and jumps with phi;
     the other theories have |psi|^2-type densities continuous across the
-    interface.  Stationary densities carry no time dependence; ``t`` is
-    accepted so callers probing a trajectory need no special case.
+    interface.
     """
-    del t
     if x == 0.0:
         raise UndefinedAtOrigin(
             "density is two-valued at the interface; probe 0- or 0+ "
@@ -77,20 +75,6 @@ def density(mode: ScatterMode, x: float, t: float = 0.0) -> float:
         return (mode.energy - phi) / mode.params.rest_energy * abs(mode.u(x)) ** 2
     psi = mode.spinor(x)
     return float(np.real(np.vdot(psi, psi)))
-
-
-def kfg_density_from_components(mode: ScatterMode, x: float) -> float:
-    """Spin-0 density evaluated through the lifted two-component form.
-
-    Independent route: build the two components at x and contract with the
-    metric diag(1, -1).  Must agree with :func:`density` everywhere off the
-    interface.
-    """
-    if mode.theory != "kfg":
-        raise ValueError("two-component density is specific to the spin-0 theory")
-    from .modes import fv_components
-    comp, _ = fv_components(mode, x)
-    return float(np.real(np.vdot(comp[0], comp[0]) - np.vdot(comp[1], comp[1])))
 
 
 @dataclass(frozen=True)
@@ -106,10 +90,6 @@ class DensityProbe:
     @property
     def density_jump(self) -> float:
         return self.rho_right - self.rho_left
-
-    @property
-    def current_jump(self) -> float:
-        return self.current_right - self.current_left
 
 
 def _quad(vec: np.ndarray, m: np.ndarray) -> float:
@@ -131,9 +111,8 @@ def interface_probe(mode: ScatterMode) -> DensityProbe:
         psi_l, psi_r = _dirac_sides(mode)
         rho_l = float(np.real(np.vdot(psi_l, psi_l)))
         rho_r = float(np.real(np.vdot(psi_r, psi_r)))
-        alpha = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        j_l = p.c * _quad(psi_l, alpha)
-        j_r = p.c * _quad(psi_r, alpha)
+        j_l = p.c * _quad(psi_l, _TAU1)     # the Dirac alpha
+        j_r = p.c * _quad(psi_r, _TAU1)
         return DensityProbe("dirac", rho_l, rho_r, j_l, j_r)
 
     u0 = mode.psi0
@@ -250,24 +229,22 @@ def boundary_terms(mode: ScatterMode) -> MeanForceReport:
 
     if mode.theory == "kfg":
         b = fv_lift(mode)
-        one_plus_tau1 = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-        tau3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+        one_plus_tau1 = np.eye(2) + _TAU1
         kin = -(p.hbar**2 / (2.0 * p.mass)) * (
             _quad(b.Psix_right, one_plus_tau1)
             - _quad(b.Psix_left, one_plus_tau1))
         mass = p.rest_energy * (
             float(np.real(np.vdot(b.Psi_right, b.Psi_right)))
             - float(np.real(np.vdot(b.Psi_left, b.Psi_left))))
-        rho_r = _quad(b.Psi_right, tau3)
-        rho_l = _quad(b.Psi_left, tau3)
+        rho_r = _quad(b.Psi_right, _TAU3)
+        rho_l = _quad(b.Psi_left, _TAU3)
         pot = v0 * rho_r
         route_a = -0.5 * v0 * (rho_r - rho_l)
         return MeanForceReport("kfg", mode.energy, v0, float(route_a),
                                float(kin), float(mass), float(pot), delta)
 
-    beta = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     psi_l, psi_r = _dirac_sides(mode)
-    mass = p.rest_energy * (_quad(psi_r, beta) - _quad(psi_l, beta))
+    mass = p.rest_energy * (_quad(psi_r, _TAU3) - _quad(psi_l, _TAU3))
     pot = v0 * float(np.real(np.vdot(psi_r, psi_r)))
     return MeanForceReport("dirac", mode.energy, v0, mean_force_closed(mode),
                            0.0, mass, pot, delta)
@@ -345,7 +322,8 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
     probes plus both interface sides; the force residual compares the
     spin-0 mean force against its leading nonrelativistic form
     (v0^2 / 2mc^2) |psi_s(0)|^2.  Both must fall off like 1/c^2: the report
-    fits the force-residual slope in log-log.
+    fits the force-residual slope in log-log.  A positive ``energy_nr``
+    that mc^2 + energy_nr rounds away raises ValueError.
     """
     if params is None:
         params = PhysicalParams(v0=0.05)
@@ -354,16 +332,21 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
     logs = []
     for c in c_list:
         pars = replace(params, c=c)
+        mc2 = pars.rest_energy
         # a row tagged below still names a spin-0 energy, which must give a
         # finite k^2 like every computed one
         for phi in (0.0, v0):
-            _plateau_k2("kfg", pars.rest_energy + energy_nr, phi, pars)
-        if energy_nr >= pars.rest_energy:
+            _plateau_k2("kfg", mc2 + energy_nr, phi, pars)
+        if energy_nr > 0.0 and mc2 + energy_nr == mc2:
+            raise ValueError(
+                f"the spin-0 energy mc^2 + E_nr rounds to mc^2 = {mc2!r} at "
+                f"E_nr = {energy_nr!r} and c = {c!r}; E_nr is below the "
+                f"precision of the sum")
+        if energy_nr >= mc2:
             rows.append(NonrelRow(c, math.nan, math.nan, "not-nonrelativistic"))
             continue
-        mode_k = solve_step_mode("kfg", pars.rest_energy + energy_nr, pars)
+        mode_k = solve_step_mode("kfg", mc2 + energy_nr, pars)
         mode_s = solve_step_mode("s", energy_nr, pars)
-        mc2 = pars.rest_energy
 
         dens_resid = 0.0
         for x in _NONREL_PROBES:

@@ -27,30 +27,32 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PhysicalParams
-from .errors import BelowThreshold, CrossCheckFailed, UndefinedAtOrigin
+from .errors import BelowThreshold, CrossCheckFailed
 
 __all__ = [
     "THEORIES",
-    "MatrixSet",
     "ScatterMode",
     "FVBoundary",
     "BCResiduals",
-    "RepSwapReport",
     "dispersion",
     "classify_regime",
     "solve_step_mode",
     "fv_lift",
-    "fv_components",
     "bc_residuals",
     "matching_residuals",
-    "fv_system_residual",
-    "representation_swap_check",
     "random_mode",
 ]
 
 THEORIES = ("s", "kfg", "dirac")
 
-_I2 = np.eye(2, dtype=complex)
+# Pauli-type matrices of the two-component spin-0 form; the Dirac pair is
+# alpha = tau1, beta = tau3.
+_TAU1 = np.array([[0, 1], [1, 0]], dtype=complex)
+_TAU2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_TAU3 = np.array([[1, 0], [0, -1]], dtype=complex)
+# annihilates the spin-0 jump direction [-1, +1]
+_PROJECTOR = _TAU3 + 1j * _TAU2
+_JUMP_DIRECTION = np.array([-1.0, 1.0], dtype=complex)
 
 
 def _as_theory(theory: str) -> str:
@@ -60,34 +62,6 @@ def _as_theory(theory: str) -> str:
     if t not in aliases:
         raise ValueError(f"unknown theory {theory!r}; expected one of {THEORIES}")
     return aliases[t]
-
-
-@dataclass(frozen=True)
-class MatrixSet:
-    """The 2x2 matrices the two relativistic theories are written with.
-
-    tau1, tau2, tau3 are the Pauli-type matrices of the two-component
-    spin-0 form; alpha and beta are the Dirac pair, alpha^2 = beta^2 = 1
-    and alpha beta + beta alpha = 0.
-    """
-
-    tau1: np.ndarray
-    tau2: np.ndarray
-    tau3: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    @classmethod
-    def default(cls) -> "MatrixSet":
-        tau1 = np.array([[0, 1], [1, 0]], dtype=complex)
-        tau2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-        tau3 = np.array([[1, 0], [0, -1]], dtype=complex)
-        # default Dirac representation: alpha = tau1, beta = tau3
-        return cls(tau1=tau1, tau2=tau2, tau3=tau3,
-                   alpha=tau1.copy(), beta=tau3.copy())
-
-
-DEFAULT_MATRICES = MatrixSet.default()
 
 
 def _k_squared(theory: str, energy: float, phi: float,
@@ -135,21 +109,21 @@ def dispersion(theory: str, energy: float, phi: float,
     return 1j * np.sqrt(-d)
 
 
-def classify_regime(theory: str, energy: float, phi: float,
-                    params: PhysicalParams) -> str:
-    theory = _as_theory(theory)
-    if theory == "s":
-        d = energy - phi
-    else:
-        mc2 = params.rest_energy
-        d = (energy - phi) ** 2 - mc2**2
-    if d == 0.0:
+def _regime(q: complex) -> str:
+    """Regime of a side, read off the wavenumber ``dispersion`` gives it."""
+    if q == 0.0:
         return "threshold"
-    if d < 0.0:
+    if q.imag != 0.0:
         return "evanescent"
-    if theory != "s" and (energy - phi) < 0.0:
+    if q.real < 0.0:
         return "klein"
     return "propagating"
+
+
+def classify_regime(theory: str, energy: float, phi: float,
+                    params: PhysicalParams) -> str:
+    """Regime where the potential equals ``phi``; see :func:`dispersion`."""
+    return _regime(dispersion(theory, energy, phi, params))
 
 
 @dataclass(frozen=True)
@@ -245,7 +219,6 @@ def solve_step_mode(theory: str, energy: float,
 
     k = dispersion(theory, energy, 0.0, params)
     q = dispersion(theory, energy, params.v0, params)
-    regime = classify_regime(theory, energy, params.v0, params)
 
     if theory in ("s", "kfg"):
         if abs(k + q) < 1e-12 * abs(k):
@@ -261,7 +234,8 @@ def solve_step_mode(theory: str, energy: float,
         r = (lam - lamp) / (lam + lamp)
         t = 1.0 + r
     return ScatterMode(theory=theory, energy=float(energy), k=k, q=q,
-                       r=complex(r), t=complex(t), regime=regime, params=params)
+                       r=complex(r), t=complex(t), regime=_regime(q),
+                       params=params)
 
 
 def matching_residuals(mode: ScatterMode) -> tuple[float, float]:
@@ -341,16 +315,9 @@ def fv_lift(mode: ScatterMode) -> FVBoundary:
     )
 
 
-def fv_components(mode: ScatterMode, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """Lifted two-component pair (Psi, Psi_x) away from the interface."""
-    if mode.theory != "kfg":
-        raise ValueError("the two-component lift applies to the spin-0 theory only")
-    if x == 0.0:
-        raise UndefinedAtOrigin("lifted components jump at x = 0; take one-sided data")
-    phi = mode.params.v0 if x > 0.0 else 0.0
-    Psi = _lift_pair(mode.u(x), mode.energy, phi, mode.params)
-    Psix = _lift_pair(mode.ux(x), mode.energy, phi, mode.params)
-    return Psi, Psix
+def _expected_jump(v0: float, mc2: float, value) -> np.ndarray:
+    """The lifted spin-0 components' interface jump (v0/2mc^2)[-1, +1] value."""
+    return v0 / (2.0 * mc2) * _JUMP_DIRECTION * value
 
 
 @dataclass(frozen=True)
@@ -374,156 +341,13 @@ def bc_residuals(b: FVBoundary, params: PhysicalParams) -> BCResiduals:
     with psi_x), while the (tau3 + i tau2)-projected combination must be
     continuous.  All four residuals vanish for exact modes.
     """
-    v0 = params.v0
-    mc2 = params.rest_energy
-    direction = np.array([-1.0, 1.0], dtype=complex)
-    proj = DEFAULT_MATRICES.tau3 + 1j * DEFAULT_MATRICES.tau2
-
-    expected_v = v0 / (2.0 * mc2) * direction * b.psi0
-    expected_d = v0 / (2.0 * mc2) * direction * b.psix0
+    expected_v = _expected_jump(params.v0, params.rest_energy, b.psi0)
+    expected_d = _expected_jump(params.v0, params.rest_energy, b.psix0)
     return BCResiduals(
         value_jump=float(np.max(np.abs(b.jump_value - expected_v))),
         deriv_jump=float(np.max(np.abs(b.jump_deriv - expected_d))),
-        value_projected=float(np.max(np.abs(proj @ b.jump_value))),
-        deriv_projected=float(np.max(np.abs(proj @ b.jump_deriv))),
-    )
-
-
-def _fv_equation_defects(energy: float, phi: float, u: complex, uxx: complex,
-                         params: PhysicalParams) -> tuple[complex, complex]:
-    """Defects of the two coupled first-order-in-time equations.
-
-    The stationary mode turns the time derivative into multiplication by E.
-    ``u`` and ``uxx`` are the scalar wave function and its second spatial
-    derivative at the probe point; the components are rebuilt by the lift.
-    """
-    mc2 = params.rest_energy
-    half = params.hbar**2 / (2.0 * params.mass)
-    w = (energy - phi) / mc2
-    comp_plus = 0.5 * (1.0 + w) * u
-    comp_minus = 0.5 * (1.0 - w) * u
-    d_plus = energy * comp_plus - (-half * uxx + phi * comp_plus + mc2 * comp_plus)
-    d_minus = energy * comp_minus - (half * uxx + phi * comp_minus - mc2 * comp_minus)
-    return d_plus, d_minus
-
-
-def fv_system_residual(mode: ScatterMode, x: float) -> float:
-    """Larger defect magnitude of the coupled two-component equations at x."""
-    if mode.theory != "kfg":
-        raise ValueError("the coupled-system residual applies to the spin-0 theory")
-    if x == 0.0:
-        raise UndefinedAtOrigin("equations hold on either side of the interface only")
-    phi = mode.params.v0 if x > 0.0 else 0.0
-    wavenumber = mode.k if x < 0.0 else mode.q
-    u = mode.u(x)
-    uxx = -(wavenumber**2) * u
-    d_plus, d_minus = _fv_equation_defects(mode.energy, phi, u, uxx, mode.params)
-    return float(max(abs(d_plus), abs(d_minus)))
-
-
-# ---------------------------------------------------------------------------
-# spin-1/2 representation independence
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RepSwapReport:
-    """Observables of the same spin-1/2 mode in two matrix representations.
-
-    Amplitudes are compared in the unit-spinor convention (incident,
-    reflected and transmitted spinors normalized to unit 2-norm), which is
-    the only convention that transfers between representations; the
-    interface density is reported per unit incident density.
-    """
-
-    reflection_default: float
-    reflection_alt: float
-    transmission_default: float
-    transmission_alt: float
-    interface_density_default: float
-    interface_density_alt: float
-
-    def max_abs_diff(self) -> float:
-        return max(abs(self.reflection_default - self.reflection_alt),
-                   abs(self.transmission_default - self.transmission_alt),
-                   abs(self.interface_density_default - self.interface_density_alt))
-
-
-def _check_dirac_algebra(alpha: np.ndarray, beta: np.ndarray):
-    for name, m in (("alpha", alpha), ("beta", beta)):
-        if m.shape != (2, 2):
-            raise ValueError(f"{name} must be 2x2")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError(f"{name} must be Hermitian")
-        if np.max(np.abs(m @ m - _I2)) > 1e-12:
-            raise ValueError(f"{name}^2 must be the identity")
-    if np.max(np.abs(alpha @ beta + beta @ alpha)) > 1e-12:
-        raise ValueError("alpha and beta must anticommute")
-
-
-def _unit_eigenspinor(hmat: np.ndarray, target: float) -> np.ndarray:
-    """Unit-norm eigenvector of ``hmat`` whose eigenvalue is nearest ``target``."""
-    vals, vecs = np.linalg.eig(hmat)
-    idx = int(np.argmin(np.abs(vals - target)))
-    v = vecs[:, idx]
-    # fix the arbitrary phase: first component of visible size real positive
-    pivot = v[0] if abs(v[0]) > 1e-8 else v[1]
-    v = v * (abs(pivot) / pivot)
-    return v / np.linalg.norm(v)
-
-
-def _solve_generic_dirac(energy: float, params: PhysicalParams,
-                         alpha: np.ndarray, beta: np.ndarray):
-    """Solve the step mode using only the algebra of (alpha, beta)."""
-    hc = params.hbar * params.c
-    mc2 = params.rest_energy
-    v0 = params.v0
-    k = dispersion("dirac", energy, 0.0, params)
-    q = dispersion("dirac", energy, v0, params)
-
-    def hmat(wavenumber: complex, phi: float) -> np.ndarray:
-        return hc * wavenumber * alpha + mc2 * beta + phi * _I2
-
-    w_inc = _unit_eigenspinor(hmat(k, 0.0), energy)
-    w_ref = _unit_eigenspinor(hmat(-k, 0.0), energy)
-    w_trn = _unit_eigenspinor(hmat(q, v0), energy)
-
-    coeffs = np.linalg.solve(np.column_stack([w_ref, -w_trn]), -w_inc)
-    r, t = complex(coeffs[0]), complex(coeffs[1])
-    rho0 = float(np.linalg.norm(w_inc + r * w_ref) ** 2)
-    return abs(r) ** 2, abs(t) ** 2, rho0
-
-
-def representation_swap_check(energy: float, params: PhysicalParams,
-                              alt: MatrixSet) -> RepSwapReport:
-    """Same physics in the default and an alternate Dirac representation.
-
-    The default numbers come from the closed-form matching, converted to the
-    unit-spinor convention; the alternate numbers are computed from scratch
-    by eigen-decomposition in the alternate representation.  Anything
-    representation-dependent would show up as a mismatch.
-    """
-    _check_dirac_algebra(np.asarray(alt.alpha, dtype=complex),
-                         np.asarray(alt.beta, dtype=complex))
-    mode = solve_step_mode("dirac", energy, params)
-    lam, lamp = mode.lam_left, mode.lam_right
-    norm_in = 1.0 + abs(lam) ** 2
-    refl_default = abs(mode.r) ** 2
-    # transmission from right-side data, interface density from left-side
-    # data, so the two representations are compared through independent paths
-    trans_default = abs(mode.t) ** 2 * (1.0 + abs(lamp) ** 2) / norm_in
-    rho_default = (abs(1.0 + mode.r) ** 2
-                   + abs(lam) ** 2 * abs(1.0 - mode.r) ** 2) / norm_in
-
-    refl_alt, trans_alt, rho_alt = _solve_generic_dirac(
-        energy, params, np.asarray(alt.alpha, dtype=complex),
-        np.asarray(alt.beta, dtype=complex))
-    return RepSwapReport(
-        reflection_default=refl_default,
-        reflection_alt=refl_alt,
-        transmission_default=trans_default,
-        transmission_alt=trans_alt,
-        interface_density_default=rho_default,
-        interface_density_alt=rho_alt,
+        value_projected=float(np.max(np.abs(_PROJECTOR @ b.jump_value))),
+        deriv_projected=float(np.max(np.abs(_PROJECTOR @ b.jump_deriv))),
     )
 
 

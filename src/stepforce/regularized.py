@@ -32,8 +32,8 @@ import numpy as np
 from .core import PhysicalParams, RegularizedPotential
 from .errors import (BelowThreshold, NoConvergence, ProbeInsideSmoothing,
                      UnderResolved)
-from .modes import (DEFAULT_MATRICES, _as_theory, _k_squared, _lift_pair,
-                    _plateau_k2, dispersion)
+from .modes import (_PROJECTOR, _as_theory, _expected_jump, _k_squared,
+                    _lift_pair, _plateau_k2, dispersion)
 
 __all__ = [
     "PiecewiseModel",
@@ -44,7 +44,7 @@ __all__ = [
     "DEFAULT_DOMAIN",
     "build_piecewise_model",
     "solve_smooth_mode",
-    "route_b_force",
+    "route_b_integral",
     "route_b_sweep",
     "extrapolate",
     "smooth_jump_diagnostics",
@@ -517,14 +517,6 @@ def route_b_integral(mode: NumericalMode) -> float:
     return -_running_sum(weights * reg.deriv(x) * _smooth_density(mode, x))
 
 
-def route_b_force(theory: str, energy: float, reg: RegularizedPotential,
-                  params: PhysicalParams, domain: float = DEFAULT_DOMAIN,
-                  resolution: int = 8) -> float:
-    """Force on the smoothed step: solve the mode, then quadrature."""
-    nm = solve_smooth_mode(theory, energy, reg, params, domain, resolution)
-    return route_b_integral(nm)
-
-
 # ---------------------------------------------------------------------------
 # extrapolation of the eps sweep
 # ---------------------------------------------------------------------------
@@ -686,13 +678,10 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
                   - _lift_pair(u_l, energy, phi_l, p))
     jump_deriv = (_lift_pair(ux_r, energy, phi_r, p)
                   - _lift_pair(ux_l, energy, phi_l, p))
-    proj = DEFAULT_MATRICES.tau3 + 1j * DEFAULT_MATRICES.tau2
-    direction = np.array([-1.0, 1.0], dtype=complex)
-    v0 = reg.v0
-    expected_value = v0 / (2.0 * mc2) * direction * 0.5 * (u_l + u_r)
-    expected_deriv = v0 / (2.0 * mc2) * direction * 0.5 * (ux_l + ux_r)
     return JumpDiagnostics(
         eps=reg.eps, probe_offset=probe_offset,
         jump_value=jump_value, jump_deriv=jump_deriv,
-        projected_value=proj @ jump_value, projected_deriv=proj @ jump_deriv,
-        expected_value=expected_value, expected_deriv=expected_deriv)
+        projected_value=_PROJECTOR @ jump_value,
+        projected_deriv=_PROJECTOR @ jump_deriv,
+        expected_value=_expected_jump(reg.v0, mc2, 0.5 * (u_l + u_r)),
+        expected_deriv=_expected_jump(reg.v0, mc2, 0.5 * (ux_l + ux_r)))

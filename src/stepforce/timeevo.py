@@ -36,7 +36,6 @@ __all__ = [
     "gaussian_packet",
     "evolve",
     "expectation_momentum",
-    "momentum_imag_residue",
     "expectation_position",
     "expectation_force",
     "ehrenfest_report",
@@ -49,8 +48,9 @@ __all__ = [
 class PacketSpec:
     """Initial Gaussian wave packet and the box it lives in.
 
-    The packet must start clear of the interface (|x0| >= 5 sigma) and the
-    box must hold its initial tails with room; travel room is enforced
+    The packet must start clear of the interface (|x0| >= 5 sigma), the
+    box must hold its initial tails with room, and the grid spacing must
+    resolve the packet (dx <= sigma/4); travel room is enforced
     dynamically by the wall guard during evolution.
     """
 
@@ -71,6 +71,10 @@ class PacketSpec:
             raise BoxTooSmall(
                 f"grid [{self.grid.x_min}, {self.grid.x_max}] too tight for "
                 f"a packet at {self.x0} of width {self.sigma}")
+        if self.grid.dx > self.sigma / 4.0:
+            raise UnderResolved(
+                f"grid spacing {self.grid.dx} does not resolve the packet "
+                f"width {self.sigma}; need dx <= sigma/4 = {self.sigma / 4.0}")
 
 
 @dataclass(frozen=True)
@@ -122,12 +126,6 @@ def _momentum_integral(state: EvolutionState) -> complex:
 
 def expectation_momentum(state: EvolutionState) -> float:
     return float(_momentum_integral(state).real)
-
-
-def momentum_imag_residue(state: EvolutionState) -> float:
-    """Imaginary leakage of the momentum average (hermiticity check)."""
-    p = _momentum_integral(state)
-    return abs(p.imag) / max(abs(p.real), 1.0)
 
 
 def expectation_position(state: EvolutionState) -> float:

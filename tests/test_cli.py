@@ -587,7 +587,11 @@ def test_report_reads_params_and_its_own_table(tmp_path):
      "the candidate error at v0 = 1e+300 rounds to 0, so it has no "
      "logarithm"),
     (["limits", "--kind", "nonrel", "--speeds", "1e200,1e201"],
-     "the rest energy mass * c^2 of mass 1.0 and c 1e+200 must be finite")])
+     "the rest energy mass * c^2 of mass 1.0 and c 1e+200 must be finite"),
+    # at c = 1e10, mc^2 + 0.1 rounds to mc^2 = 1e20: the cause is the sum
+    (["limits", "--kind", "nonrel", "--speeds", "1e10,1e20"],
+     "the spin-0 energy mc^2 + E_nr rounds to mc^2 = 1e+20 at E_nr = 0.1 "
+     "and c = 10000000000.0; E_nr is below the precision of the sum")])
 def test_unrepresentable_energies_exit_2_writing_nothing(argv, message,
                                                          tmp_path, capsys):
     code = run([*argv, "--out", str(tmp_path)])
@@ -622,6 +626,29 @@ def test_hard_wall_sweep_below_threshold_exits_1(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: below-threshold: incidence needs E > 0, "
                           "got E = -1.0")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nonrel_energy_at_zero_stays_below_threshold(tmp_path, capsys):
+    code = run(["limits", "--kind", "nonrel", "--energy-nr", "0",
+                "--speeds", "1e10,1e20", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: below-threshold: incidence needs E > mc^2")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_points,dx", [(3, "40.0"), (41, "2.0")])
+def test_a_grid_coarser_than_the_packet_exits_1(n_points, dx, tmp_path,
+                                               capsys):
+    # the free case's box is [-40, 40] and its packet width sigma = 2
+    code = run(["ehrenfest", "--case", "free", "--n-points", str(n_points),
+                "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(
+        f"error: under-resolved: grid spacing {dx} does not resolve the "
+        f"packet width 2.0; need dx <= sigma/4 = 0.5")
     assert list(tmp_path.iterdir()) == []
 
 

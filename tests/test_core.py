@@ -1,11 +1,11 @@
-"""Parameters, sharp and smoothed step potentials, and grids."""
+"""Parameters, smoothed step potentials, and grids."""
 
 import numpy as np
 import pytest
 
 from stepforce.core import (REG_SHAPES, GridSpec, PhysicalParams,
-                            RegularizedPotential, StepPotential, grid_build)
-from stepforce.errors import InvalidWidth, UndefinedAtOrigin
+                            RegularizedPotential, grid_build)
+from stepforce.errors import InvalidWidth
 
 
 def test_default_params_are_natural_units():
@@ -30,18 +30,6 @@ def test_an_overflowing_rest_energy_is_rejected(mass, c):
     with pytest.raises(ValueError, match="rest energy mass \\* c\\^2 .* must "
                                          "be finite"):
         PhysicalParams(mass=mass, c=c)
-
-
-def test_sharp_step_takes_one_sided_values_only():
-    step = StepPotential(v0=0.5)
-    assert step.eval(-1e-12) == 0.0
-    assert step.eval(1e-12) == 0.5
-    with pytest.raises(UndefinedAtOrigin):
-        step.eval(0.0)
-    with pytest.raises(UndefinedAtOrigin):
-        step.eval_array(np.array([-1.0, 0.0, 1.0]))
-    out = step.eval_array(np.array([-2.0, 3.0]))
-    assert np.array_equal(out, np.array([0.0, 0.5]))
 
 
 @pytest.mark.parametrize("shape", REG_SHAPES)

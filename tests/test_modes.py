@@ -23,11 +23,12 @@ from stepforce import modes
 from stepforce.core import PhysicalParams
 from stepforce.errors import (BelowThreshold, CrossCheckFailed,
                               UndefinedAtOrigin)
-from stepforce.modes import (DEFAULT_MATRICES, THEORIES, MatrixSet,
-                             bc_residuals, classify_regime, dispersion,
-                             fv_components, fv_lift, fv_system_residual,
-                             random_mode, representation_swap_check,
+from stepforce.modes import (THEORIES, bc_residuals, classify_regime,
+                             dispersion, fv_lift, random_mode,
                              solve_step_mode)
+
+from reference_checks import (DEFAULT_MATRICES, MatrixSet, fv_components,
+                              fv_system_residual, representation_swap_check)
 
 S_R = 0.17157287525380990
 S_T = 1.1715728752538099
@@ -166,7 +167,22 @@ def test_sharp_modes_share_the_plateau_k2_check(theory, energy, phi, k2):
     with pytest.raises(ValueError, match=message):
         dispersion(theory, energy, phi, PARS)
     with pytest.raises(ValueError, match=message):
+        classify_regime(theory, energy, phi, PARS)
+    with pytest.raises(ValueError, match=message):
         solve_step_mode(theory, energy, PhysicalParams(v0=phi))
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_classify_regime_equals_the_mode_regime(theory):
+    rng = np.random.default_rng(2718)
+    regimes = set()
+    for _ in range(300):
+        mode = random_mode(theory, rng)
+        regimes.add(mode.regime)
+        assert classify_regime(theory, mode.energy, mode.params.v0,
+                               mode.params) == mode.regime
+    assert regimes == ({"propagating", "evanescent"} if theory == "s"
+                       else {"propagating", "evanescent", "klein"})
 
 
 def test_below_threshold_incidence_is_refused():
@@ -264,6 +280,9 @@ def test_lift_jump_direction_is_annihilated_by_projector():
     proj = DEFAULT_MATRICES.tau3 + 1j * DEFAULT_MATRICES.tau2
     direction = np.array([-1.0, 1.0], dtype=complex)
     assert np.max(np.abs(proj @ direction)) == 0.0
+    # the projector and direction the package checks the jumps with
+    assert np.array_equal(modes._PROJECTOR, proj)
+    assert np.array_equal(modes._JUMP_DIRECTION, direction)
 
 
 def test_lifted_components_away_from_interface():

@@ -17,8 +17,7 @@ from stepforce.modes import solve_step_mode
 from stepforce.regularized import (ConvergenceSeries, _march,
                                    _propagators, _running_sum,
                                    _smooth_density, build_piecewise_model,
-                                   extrapolate, route_b_force,
-                                   route_b_integral, route_b_sweep,
+                                   extrapolate, route_b_integral, route_b_sweep,
                                    smooth_jump_diagnostics,
                                    solve_smooth_mode)
 
@@ -199,7 +198,7 @@ def test_route_b_single_width_force():
     errors = []
     for eps in (0.1, 0.05):
         reg = RegularizedPotential(v0=0.5, eps=eps, shape="erf")
-        value = route_b_force("s", 1.0, reg, PARS)
+        value = route_b_integral(solve_smooth_mode("s", 1.0, reg, PARS))
         errors.append(abs(value - S_FORCE) / abs(S_FORCE))
     assert errors[0] <= 1e-2
     assert errors[1] < 0.5 * errors[0]

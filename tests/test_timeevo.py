@@ -13,8 +13,9 @@ from stepforce.errors import BoxTooSmall, UnderResolved
 from stepforce.timeevo import (PacketSpec, compare_packet_rt,
                                ehrenfest_report, evolve, expectation_force,
                                expectation_momentum, expectation_position,
-                               gaussian_packet, momentum_imag_residue,
-                               packet_rt)
+                               gaussian_packet, packet_rt)
+
+from reference_checks import momentum_imag_residue
 
 FREE_GRID = GridSpec(x_min=-30.0, x_max=30.0, n_points=1201)
 FREE_SPEC = PacketSpec(x0=-10.0, sigma=2.0, k0=1.0, grid=FREE_GRID)
@@ -38,6 +39,15 @@ def test_packet_spec_guards():
     with pytest.raises(BoxTooSmall):
         PacketSpec(x0=-10.0, sigma=2.0, k0=1.0,
                    grid=GridSpec(x_min=-30.0, x_max=15.0, n_points=901))
+    # on [-30, 30], 121 points give dx = 0.5 = sigma/4, the coarsest grid
+    # accepted for sigma = 2; 120 points are just too coarse
+    PacketSpec(x0=-10.0, sigma=2.0, k0=1.0,
+               grid=GridSpec(x_min=-30.0, x_max=30.0, n_points=121))
+    with pytest.raises(UnderResolved,
+                       match=r"grid spacing 0\.504\d* does not resolve the "
+                             r"packet width 2\.0; need dx <= sigma/4 = 0\.5"):
+        PacketSpec(x0=-10.0, sigma=2.0, k0=1.0,
+                   grid=GridSpec(x_min=-30.0, x_max=30.0, n_points=120))
 
 
 def test_gaussian_packet_moments():
