@@ -1,10 +1,12 @@
 """Command-line front end: run experiments, write CSV/JSON reports.
 
-Every command echoes its resolved configuration (defaults, then config
-file, then command-line flags) before printing results, and all file
-output is deterministic: rerunning `report` with the same seed must
-produce byte-identical JSON.  Wall-clock timings therefore never enter
-report.json; they go to a sidecar text file.
+Each command returns its stdout lines and its files' texts, and `main`
+emits them: a successful run writes its files, then echoes its resolved
+configuration (defaults, then config file, then command-line flags) and
+prints its results; a failed run prints only its stderr message and
+creates nothing.  All file output is deterministic: rerunning `report`
+with the same seed must produce byte-identical JSON.  Wall-clock timings
+therefore never enter report.json; they go to a sidecar text file.
 
 Exit codes: 0 success; 1 physics-domain failure (thresholds, unresolved
 numerics, box contamination) or a failed internal cross-check; 2
@@ -36,7 +38,7 @@ from .force import (InfiniteStepRow, NonrelRow, boundary_terms,
 from .modes import matching_residuals, random_mode, solve_step_mode
 from .regularized import (DEFAULT_DOMAIN, DEFAULT_EPSILONS, route_b_sweep,
                           smooth_jump_diagnostics)
-from .reporting import dumps_json, fmt_bare, write_csv
+from .reporting import csv_text, dumps_json, fmt_bare
 from .timeevo import PacketSpec, compare_packet_rt, ehrenfest_report
 
 __all__ = ["main", "build_parser", "run_report"]
@@ -168,7 +170,7 @@ def build_params(cfg: dict, v0: float) -> PhysicalParams:
     return PhysicalParams(hbar=p["hbar"], mass=p["mass"], c=p["c"], v0=v0)
 
 
-def _echo_config(command: str, cfg: dict, seed: int, out_dir: str):
+def _echo_config(command: str, cfg: dict, seed: int, out_dir: str) -> str:
     subset = {
         "command": command,
         "out": out_dir,
@@ -176,8 +178,7 @@ def _echo_config(command: str, cfg: dict, seed: int, out_dir: str):
         "seed": seed,
         command: cfg[command],
     }
-    sys.stdout.write("resolved config:\n")
-    sys.stdout.write(dumps_json(subset))
+    return "resolved config:\n" + dumps_json(subset)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +196,11 @@ def _mode_payload(theory: str, energy: float, pars: PhysicalParams) -> dict:
             "identity_residual": report.identity_residual}
 
 
-def cmd_mode(cfg: dict, seed: int, out_dir: str) -> int:
+def cmd_mode(cfg: dict, seed: int) -> tuple:
     blk = cfg["mode"]
-    _echo_config("mode", cfg, seed, out_dir)
     pars = build_params(cfg, blk["v0"])
     payload = _mode_payload(blk["theory"], blk["energy"], pars)
+    lines = []
     for key in ("regime", "r", "t", "rho_left", "rho_right", "density_jump",
                 "route_a", "kinetic_term", "mass_term", "potential_term",
                 "identity_residual"):
@@ -210,14 +211,10 @@ def cmd_mode(cfg: dict, seed: int, out_dir: str) -> int:
             text = fmt_bare(value)
         else:
             text = str(value)
-        print(f"{key} = {text}")
+        lines.append(f"{key} = {text}")
     for key, value in sorted(payload["delta_integral"].items()):
-        print(f"delta_integral.{key} = {fmt_bare(value)}")
-    path = os.path.join(out_dir, "mode.json")
-    with open(path, "w", newline="") as fh:
-        fh.write(dumps_json(payload))
-    print(f"wrote {path}")
-    return 0
+        lines.append(f"delta_integral.{key} = {fmt_bare(value)}")
+    return lines, {"mode.json": dumps_json(payload)}
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +280,15 @@ def _verdict_line(series, verdict: dict) -> str:
     return " ".join(parts)
 
 
-def cmd_converge(cfg: dict, seed: int, out_dir: str) -> int:
+def cmd_converge(cfg: dict, seed: int) -> tuple:
     blk = cfg["converge"]
-    _echo_config("converge", cfg, seed, out_dir)
     if len(blk["epsilons"]) < 3:
         raise ConfigError("converge.epsilons needs at least 3 decreasing "
                           "widths to extrapolate")
     if not blk["shapes"]:
         raise ConfigError("converge.shapes must not be empty")
     pars = build_params(cfg, blk["v0"])
-    rows = []
+    lines, rows = [], []
     for series, verdict in _route_b_verdicts(
             blk["theory"], blk["energy"], blk["shapes"], pars,
             tuple(blk["epsilons"]), blk["domain"], int(blk["resolution"])):
@@ -300,38 +296,30 @@ def cmd_converge(cfg: dict, seed: int, out_dir: str) -> int:
                                       series.defects):
             rows.append((series.theory, series.energy, series.v0,
                          series.shape, eps, value, defect))
-        print(_verdict_line(series, verdict))
-    path = os.path.join(out_dir, "converge.csv")
-    write_csv(path, ("theory", "E", "V0", "shape", "epsilon", "value",
-                     "defect"), rows)
-    print(f"wrote {path}")
-    return 0
+        lines.append(_verdict_line(series, verdict))
+    return lines, {"converge.csv": csv_text(
+        ("theory", "E", "V0", "shape", "epsilon", "value", "defect"), rows)}
 
 
 # ---------------------------------------------------------------------------
 # limits command
 # ---------------------------------------------------------------------------
 
-def cmd_limits(cfg: dict, seed: int, out_dir: str) -> int:
+def cmd_limits(cfg: dict, seed: int) -> tuple:
     blk = cfg["limits"]
-    _echo_config("limits", cfg, seed, out_dir)
-    kind = blk["kind"]
     pars = build_params(cfg, blk["v0"])
-    if kind == "nonrel":
+    if blk["kind"] == "nonrel":
         table = nonrel_residuals(blk["energy_nr"], tuple(blk["speeds"]), pars)
         name, row_type = "limits_nonrel.csv", NonrelRow
-        print(f"force-residual log-log slope vs c: {fmt_bare(table.slope)}")
+        line = f"force-residual log-log slope vs c: {fmt_bare(table.slope)}"
     else:
         table = infinite_step_sweep(blk["energy"], tuple(blk["v0_list"]),
                                     pars)
         name, row_type = "limits_infinite_step.csv", InfiniteStepRow
-        print(f"candidate-error log-log slope vs v0: "
-              f"{fmt_bare(table.error_slope)}")
-    path = os.path.join(out_dir, name)
-    write_csv(path, [f.name for f in fields(row_type)],
-              [astuple(row) for row in table.rows])
-    print(f"wrote {path}")
-    return 0
+        line = (f"candidate-error log-log slope vs v0: "
+                f"{fmt_bare(table.error_slope)}")
+    return [line], {name: csv_text([f.name for f in fields(row_type)],
+                                   [astuple(row) for row in table.rows])}
 
 
 # ---------------------------------------------------------------------------
@@ -371,20 +359,16 @@ def _ehrenfest_block(blk: dict, given: set) -> dict:
     return blk
 
 
-def cmd_ehrenfest(cfg: dict, seed: int, out_dir: str) -> int:
+def cmd_ehrenfest(cfg: dict, seed: int) -> tuple:
     blk = cfg["ehrenfest"]
-    _echo_config("ehrenfest", cfg, seed, out_dir)
     report = _audit(blk, blk["dt"], build_params(cfg, blk["v0"]))
-    path = os.path.join(out_dir, "ehrenfest.csv")
-    write_csv(path, ("t", "px_expect", "dpdt", "force_expect", "norm"),
-              list(report.rows()))
-    print(f"max |dp/dt - force| = {fmt_bare(report.max_deviation)}")
-    print(f"max deviation / peak |force| = "
-          f"{fmt_bare(report.max_deviation_rel)}")
-    print(f"norm drift = {fmt_bare(report.norm_drift)}")
-    print(f"wall amplitude max = {fmt_bare(report.wall_amplitude)}")
-    print(f"wrote {path}")
-    return 0
+    lines = [f"max |dp/dt - force| = {fmt_bare(report.max_deviation)}",
+             f"max deviation / peak |force| = "
+             f"{fmt_bare(report.max_deviation_rel)}",
+             f"norm drift = {fmt_bare(report.norm_drift)}",
+             f"wall amplitude max = {fmt_bare(report.wall_amplitude)}"]
+    return lines, {"ehrenfest.csv": csv_text(
+        ("t", "px_expect", "dpdt", "force_expect", "norm"), report.rows())}
 
 
 # ---------------------------------------------------------------------------
@@ -605,30 +589,24 @@ def run_report(cfg: dict, seed: int) -> dict:
     }
 
 
-def cmd_report(cfg: dict, seed: int, out_dir: str) -> int:
-    _echo_config("report", cfg, seed, out_dir)
+def cmd_report(cfg: dict, seed: int) -> tuple:
     started = time.perf_counter()
     bundle = run_report(cfg, seed)
     elapsed = time.perf_counter() - started
-    path = os.path.join(out_dir, "report.json")
-    with open(path, "w", newline="") as fh:
-        fh.write(dumps_json(bundle))
-    timing_path = os.path.join(out_dir, "report_timing.txt")
-    with open(timing_path, "w", newline="") as fh:
-        fh.write(f"wall_clock_seconds {elapsed:.3f}\n")
+    lines = []
     for theory in ("s", "kfg", "dirac"):
         verdict = bundle["route_b"][theory]["verdicts"]["logistic"]
-        print(f"route B ({theory}): limit matches "
-              f"{verdict['matched'].replace('_', '-')}")
-    print(f"nonrel force-residual slope: "
-          f"{fmt_bare(bundle['limits']['nonrel']['force_slope'])}")
-    print(f"infinite-step candidate-error slope: "
-          f"{fmt_bare(bundle['limits']['infinite_step']['error_slope'])}")
-    print(f"ehrenfest dt-halving ratio: "
-          f"{fmt_bare(bundle['ehrenfest']['dt_halving_ratio'])}")
-    print(f"wrote {path}")
-    print(f"wrote {timing_path} (wall clock kept out of report.json)")
-    return 0
+        lines.append(f"route B ({theory}): limit matches "
+                     f"{verdict['matched'].replace('_', '-')}")
+    lines += [f"nonrel force-residual slope: "
+              f"{fmt_bare(bundle['limits']['nonrel']['force_slope'])}",
+              f"infinite-step candidate-error slope: "
+              f"{fmt_bare(bundle['limits']['infinite_step']['error_slope'])}",
+              f"ehrenfest dt-halving ratio: "
+              f"{fmt_bare(bundle['ehrenfest']['dt_halving_ratio'])}"]
+    # the wall clock goes to its own file: report.json stays deterministic
+    return lines, {"report.json": dumps_json(bundle),
+                   "report_timing.txt": f"wall_clock_seconds {elapsed:.3f}\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +671,8 @@ def _resolve(args: argparse.Namespace) -> tuple:
     command = flags.pop("command")
     user = _read_config(flags.pop("config", None))
     seed = flags.pop("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     out_dir = flags.pop("out", ".")
     cfg = copy.deepcopy(DEFAULTS)
     _merge_into(cfg, user)
@@ -730,8 +710,16 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         cfg, seed, out_dir, command = _resolve(args)
+        lines, files = _COMMANDS[command][0](cfg, seed)
+        # the one place that writes: only once the command has returned
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[command][0](cfg, seed, out_dir)
+        for name, text in files.items():
+            with open(os.path.join(out_dir, name), "w", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: config: cannot write {exc.filename or out_dir!r}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -742,6 +730,11 @@ def main(argv=None) -> int:
     except StepForceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(_echo_config(command, cfg, seed, out_dir))
+    for line in lines + [f"wrote {os.path.join(out_dir, name)}"
+                         for name in files]:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

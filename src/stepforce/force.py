@@ -29,8 +29,8 @@ import numpy as np
 from .core import PhysicalParams, RegularizedPotential
 from .errors import (BelowThreshold, CrossCheckFailed, UndefinedAtOrigin,
                      UnresolvedWindow)
-from .modes import (_TAU1, _TAU3, ScatterMode, _plateau_k2, fv_lift,
-                    solve_step_mode)
+from .modes import (_TAU1, _TAU3, ScatterMode, _check_incidence, _plateau_k2,
+                    fv_lift, solve_step_mode)
 
 __all__ = [
     "DensityProbe",
@@ -325,6 +325,10 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
     fits the force-residual slope in log-log.  A positive ``energy_nr``
     that mc^2 + energy_nr rounds away raises ValueError.
     """
+    if energy_nr <= 0.0:
+        # checked apart from E = mc^2 + E_nr, which can round E_nr away
+        raise BelowThreshold(f"incidence needs E > mc^2, that is E_nr > 0, "
+                             f"got E_nr = {energy_nr}")
     if params is None:
         params = PhysicalParams(v0=0.05)
     mass, v0 = params.mass, params.v0
@@ -408,8 +412,7 @@ def infinite_step_sweep(energy: float, v0_list,
     if params is None:
         params = PhysicalParams()
     hbar, mass = params.hbar, params.mass
-    if energy <= 0.0:
-        raise BelowThreshold(f"incidence needs E > 0, got E = {energy}")
+    _check_incidence("s", energy, params)
     _plateau_k2("s", energy, 0.0, params)
     k = math.sqrt(2.0 * mass * energy) / hbar
     wall = -2.0 * hbar**2 * k**2 / mass

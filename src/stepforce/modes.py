@@ -88,6 +88,21 @@ def _plateau_k2(theory: str, energy: float, phi: float,
     return k2
 
 
+def _check_incidence(theory: str, energy: float, params: PhysicalParams,
+                     phi_left: float = 0.0):
+    """BelowThreshold naming E and the threshold unless a wave comes in on
+    the left plateau ``phi_left``: E > phi_left, relativistically
+    E > mc^2 + phi_left.  The one incidence check of every solver."""
+    mc2 = 0.0 if theory == "s" else params.rest_energy
+    if energy <= mc2 + phi_left:
+        terms = {} if theory == "s" else {"mc^2": mc2}
+        if phi_left != 0.0:
+            terms["phi_left"] = phi_left
+        bound = (f"{' + '.join(terms)} = {' + '.join(map(str, terms.values()))}"
+                 if terms else "0")
+        raise BelowThreshold(f"incidence needs E > {bound}, got E = {energy}")
+
+
 def dispersion(theory: str, energy: float, phi: float,
                params: PhysicalParams) -> complex:
     """Wavenumber on a side where the potential equals ``phi``.
@@ -209,13 +224,7 @@ def solve_step_mode(theory: str, energy: float,
     (E <= 0 nonrelativistically, E <= mc^2 relativistically).
     """
     theory = _as_theory(theory)
-    if theory == "s":
-        if energy <= 0.0:
-            raise BelowThreshold(f"incidence needs E > 0, got E = {energy}")
-    else:
-        if energy <= params.rest_energy:
-            raise BelowThreshold(
-                f"incidence needs E > mc^2 = {params.rest_energy}, got E = {energy}")
+    _check_incidence(theory, energy, params)
 
     k = dispersion(theory, energy, 0.0, params)
     q = dispersion(theory, energy, params.v0, params)

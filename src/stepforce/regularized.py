@@ -30,10 +30,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import PhysicalParams, RegularizedPotential
-from .errors import (BelowThreshold, NoConvergence, ProbeInsideSmoothing,
-                     UnderResolved)
-from .modes import (_PROJECTOR, _as_theory, _expected_jump, _k_squared,
-                    _lift_pair, _plateau_k2, dispersion)
+from .errors import NoConvergence, ProbeInsideSmoothing, UnderResolved
+from .modes import (_PROJECTOR, _as_theory, _check_incidence, _expected_jump,
+                    _k_squared, _lift_pair, _plateau_k2, dispersion)
 
 __all__ = [
     "PiecewiseModel",
@@ -418,12 +417,7 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
     model = build_piecewise_model(theory, energy, reg, params, domain, resolution)
     p = params
     mc2 = p.rest_energy
-
-    if theory == "s":
-        if energy <= model.plateau_left:
-            raise BelowThreshold("incident side cannot propagate")
-    elif energy <= mc2 + model.plateau_left:
-        raise BelowThreshold("incident side cannot propagate")
+    _check_incidence(theory, energy, p, model.plateau_left)
 
     k = dispersion(theory, energy, model.plateau_left, p)
     q = dispersion(theory, energy, model.plateau_right, p)

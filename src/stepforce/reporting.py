@@ -19,7 +19,7 @@ __all__ = [
     "fmt_bare",
     "to_jsonable",
     "dumps_json",
-    "write_csv",
+    "csv_text",
 ]
 
 
@@ -107,10 +107,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """Write rows with fixed formatting; floats get 17 significant digits."""
+def csv_text(header, rows) -> str:
+    """CSV text with fixed formatting; floats get 17 significant digits."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

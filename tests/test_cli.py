@@ -206,6 +206,38 @@ def test_converge_outputs_are_byte_pinned(tmp_path, capsys):
     assert _sha256(verdicts.encode()) == CONVERGE_VERDICTS_SHA256
 
 
+# sha256 pins of a run's whole stdout, with the --out path masked as <out>,
+# and of the CSV it writes (None: mode writes the pinned mode.json)
+STDOUT_SHA256 = {
+    ("mode",): (
+        "f250669423d06f38f4f238044069e67da7585903687056b70010e0abd2ec630a",
+        None, None),
+    ("limits", "--kind", "nonrel"): (
+        "4c8dcd7e5367097c6bcb2332fae2d71844968db4f71ef218e30c515df9d71c88",
+        "limits_nonrel.csv",
+        "c847aab79ce0d9387b9e839c507e11fed3ffb9c013d79d2e3afb905190410f08"),
+    ("limits", "--kind", "infinite-step"): (
+        "5525aee8f811bb59de1899545e3aa0e672d8c49e8f005cb029f7c279255c5668",
+        "limits_infinite_step.csv",
+        "08b5e588e6033cb629f9acb04be39addfc4d6fabe132aa5ab381e7c1cc3296cf"),
+    ("ehrenfest", "--case", "free"): (
+        "2c1dfb7daab6c4f585172661bcb7b79e038c16441b416ed9785cd91534fb98d7",
+        "ehrenfest.csv",
+        "ab88e9d6493192d1613ead1fbf33748261f14b31e616b2d77f410f8471c3887e"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_SHA256))
+def test_stdout_and_tables_are_byte_pinned(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 0
+    stdout_sha, name, csv_sha = STDOUT_SHA256[argv]
+    text = capsys.readouterr().out.replace(str(out), "<out>")
+    assert _sha256(text.encode()) == stdout_sha
+    if name is not None:
+        assert _sha256((out / name).read_bytes()) == csv_sha
+
+
 def test_converge_needs_at_least_three_widths(tmp_path, capsys):
     assert run(["converge", "--epsilons", "0.2,0.1",
                 "--out", str(tmp_path)]) == 2
@@ -638,6 +670,17 @@ def test_nonrel_energy_at_zero_stays_below_threshold(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["mode", "converge", "limits",
+                                     "ehrenfest", "report"])
+def test_a_negative_seed_exits_2_naming_it(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run([command, "--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_points,dx", [(3, "40.0"), (41, "2.0")])
 def test_a_grid_coarser_than_the_packet_exits_1(n_points, dx, tmp_path,
                                                capsys):
@@ -783,3 +826,85 @@ def test_two_lanes_run_each_job_once_under_fast_thread_switching():
         sys.setswitchinterval(interval)
     assert out == [i * i for i in range(400)]
     assert sorted(ran) == list(range(400))
+
+
+# ---------------------------------------------------------------------------
+# the output contract: a failed run prints nothing and creates nothing
+# ---------------------------------------------------------------------------
+
+def _worker_lane_box_error(monkeypatch):
+    meet = _meet_in_pairs()
+
+    def act(stage):
+        meet(stage)
+        if threading.current_thread() is not threading.main_thread():
+            raise BoxTooSmall(f"stub wall amplitude in {stage}")
+
+    _stub_audits(monkeypatch, act)
+
+
+# failing runs, at least one per command and exit code: (argv, exit code,
+# start of the stderr message, stub to install first)
+_FAILED_RUNS = [
+    (["mode", "--energy", "0.5"], 1,
+     "below-threshold: incidence needs E > mc^2", None),
+    (["mode", "--theory", "kfg", "--energy", "1e300"], 2,
+     "config: k^2 on the plateau", None),
+    # the smooth solver's threshold holds the logistic step's left plateau
+    (["converge", "--theory", "kfg", "--energy", "0.5"], 1,
+     "below-threshold: incidence needs E > mc^2 + phi_left = 1.0 + "
+     "1.9877248679543234e-31, got E = 0.5\n", None),
+    (["converge", "--theory", "s", "--energy", "-1"], 1,
+     "below-threshold: incidence needs E > phi_left = "
+     "1.9877248679543234e-31, got E = -1.0\n", None),
+    (["converge", "--epsilons", "0.2,0.1"], 2,
+     "config: converge.epsilons needs at least 3", None),
+    (["converge", "--theory", "s", "--energy", "1e12"], 2,
+     "config: the model needs ", None),
+    (["limits", "--kind", "infinite-step", "--energy", "-1"], 1,
+     "below-threshold: incidence needs E > 0, got E = -1.0", None),
+    # mc^2 + E_nr rounds to mc^2 = 1e20 here: only E_nr shows the cause
+    (["limits", "--kind", "nonrel", "--energy-nr", "-1",
+      "--speeds", "1e10,1e20"], 1,
+     "below-threshold: incidence needs E > mc^2, that is E_nr > 0, got "
+     "E_nr = -1.0\n", None),
+    (["limits", "--kind", "nonrel", "--speeds", "1e10,1e20"], 2,
+     "config: the spin-0 energy mc^2 + E_nr rounds to mc^2", None),
+    (["ehrenfest", "--case", "free", "--n-points", "41"], 1,
+     "under-resolved: grid spacing 2.0", None),
+    (["ehrenfest", "--t-final", "-1"], 2,
+     "config: final time must be positive", None),
+    (["report", "--n-random", "2"], 1,
+     "box-too-small: stub wall amplitude in ", _worker_lane_box_error),
+    (["report", "--n-random", "-1"], 2,
+     "config: report.n_random must be >= 0, got -1", None)]
+
+
+@pytest.mark.parametrize("argv,code,message,stub", [
+    pytest.param(*case, id=" ".join(case[0])) for case in _FAILED_RUNS])
+def test_a_failed_run_prints_nothing_and_creates_nothing(
+        argv, code, message, stub, monkeypatch, tmp_path, capsys):
+    if stub is not None:
+        stub(monkeypatch)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_an_out_path_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert run(["mode", "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: config: cannot write {str(taken)!r}: "
+                            f"File exists\n")
+    assert taken.read_text() == "kept\n"
+    # an empty path names no directory to create
+    assert run(["mode", "--out", ""]) == 2
+    assert capsys.readouterr() == (
+        "", "error: config: cannot write '': No such file or directory\n")

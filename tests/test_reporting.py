@@ -5,8 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stepforce.reporting import (dumps_json, fmt_bare, fmt_float, to_jsonable,
-                                 write_csv)
+from stepforce.reporting import (csv_text, dumps_json, fmt_bare, fmt_float,
+                                 to_jsonable)
 
 
 def test_float_rendering_round_trips_doubles():
@@ -70,12 +70,9 @@ def test_to_jsonable_handles_nested_containers():
     assert out == {"t": [1, 2], "m": [[1.0, 0.0], [0.0, 1.0]]}
 
 
-def test_csv_layout_and_float_formatting(tmp_path):
-    path = tmp_path / "table.csv"
-    write_csv(path, ("a", "b", "c"),
-              [(1.0, float("nan"), "x"), (0.5, 2, "y")])
-    raw = path.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode("utf-8").splitlines()
-    assert lines == ["a,b,c", "1,nan,x", "0.5,2,y"]
-    assert raw.endswith(b"\n")
+def test_csv_layout_and_float_formatting():
+    text = csv_text(("a", "b", "c"),
+                    [(1.0, float("nan"), "x"), (0.5, 2, "y")])
+    assert "\r" not in text
+    assert text.splitlines() == ["a,b,c", "1,nan,x", "0.5,2,y"]
+    assert text.endswith("\n")
