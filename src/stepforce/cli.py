@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -338,11 +339,13 @@ def _ehrenfest_setup(blk: dict):
                                       shape=blk["shape"])
 
 
-def _audit(blk: dict, dt: float, pars: PhysicalParams):
-    """The momentum-balance audit of an ehrenfest block at time step dt."""
+def _audit(blk: dict, dt: float, pars: PhysicalParams, checkpoint=None):
+    """The momentum-balance audit of an ehrenfest block at time step dt;
+    ``checkpoint`` goes to ehrenfest_report."""
     spec, reg = _ehrenfest_setup(blk)
     return ehrenfest_report(spec, reg, dt, blk["t_final"],
-                            int(blk["save_stride"]), params=pars)
+                            int(blk["save_stride"]), params=pars,
+                            checkpoint=checkpoint)
 
 
 def _ehrenfest_block(blk: dict, given: set) -> dict:
@@ -506,32 +509,77 @@ def _summary(report) -> dict:
     return {name: getattr(report, name) for name in _SUMMARY_FIELDS}
 
 
+# the hysteresis of a handover, as a share of all the jobs' work: a handover
+# wakes a thread, about a millisecond on a busy two-core host, so trading
+# permits at every checkpoint would cost more than the lanes gain
+_HANDOVER_MARGIN = 0.01
+
+
 def _two_lanes(jobs: list, costs: list) -> list:
-    """Each job's result, in job order, from two lanes: the calling thread
-    and one worker thread take jobs costliest first from one queue.
+    """Each job's result, in job order, with at most two jobs computing at
+    once.
+
+    Each job runs on its own thread, the costliest on the calling thread,
+    and is called as ``job(checkpoint)``; it calls ``checkpoint(left)``
+    with the work it has left (in the units of ``costs``) wherever it may
+    pause.  Two permits to compute pass between the jobs.  The two
+    costliest start.  At a checkpoint a job hands its permit over only if
+    a waiting job has more work left than it has by more than
+    _HANDOVER_MARGIN of all the work, so that the two lanes end together
+    without trading permits at every checkpoint.  A freed permit, at a
+    handover or at a job's end, goes to the waiting job with the most work
+    left; a job starts computing only once it first holds one.
 
     Every job runs to its end; then the exception of the first failed job
     in job order is raised, so a failure reads as in a serial run.  The
     jobs share nothing but their result slots."""
     results, errors = [None] * len(jobs), [None] * len(jobs)
-    queue = iter(sorted(range(len(jobs)), key=lambda i: -costs[i]))
-    lock = threading.Lock()
+    left = list(costs)
+    margin = _HANDOVER_MARGIN * sum(costs)
+    order = sorted(range(len(jobs)), key=lambda i: -costs[i])
+    running, waiting = set(order[:2]), set(order[2:])
+    turn = threading.Condition()
 
-    def lane():
-        while True:
-            with lock:
-                i = next(queue, None)
-            if i is None:
-                return
-            try:
-                results[i] = jobs[i]()
-            except Exception as exc:
-                errors[i] = exc
+    def pass_on(i):
+        # with turn held: job i's permit to the waiting job with most left
+        running.discard(i)
+        if waiting:
+            j = max(waiting, key=left.__getitem__)
+            waiting.remove(j)
+            running.add(j)
+            turn.notify_all()
 
-    worker = threading.Thread(target=lane, daemon=True)
-    worker.start()
-    lane()
-    worker.join()
+    def hold(i):
+        # with turn held: wait until job i holds a permit
+        while i not in running:
+            turn.wait()
+
+    def checkpoint(i, rest):
+        with turn:
+            left[i] = rest
+            if waiting and max(left[j] for j in waiting) > rest + margin:
+                pass_on(i)
+                waiting.add(i)
+                hold(i)
+
+    def lane(i):
+        with turn:
+            hold(i)
+        try:
+            results[i] = jobs[i](functools.partial(checkpoint, i))
+        except Exception as exc:
+            errors[i] = exc
+        finally:
+            with turn:
+                pass_on(i)
+
+    workers = [threading.Thread(target=lane, args=(i,), daemon=True)
+               for i in order[1:]]
+    for worker in workers:
+        worker.start()
+    lane(order[0])
+    for worker in workers:
+        worker.join()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -546,8 +594,8 @@ def _report_ehrenfest(cfg: dict) -> dict:
     # must drop fourfold
     audits = ((_EHRENFEST_FREE, _EHRENFEST_FREE["dt"]), (blk, blk["dt"]),
               (blk, blk["dt"] / 2.0), (_RT_CASE, _RT_CASE["dt"]))
-    # grid points times time steps: 10, 260, 520 and 641 million, so the
-    # lanes get {packet R/T, free} and {half dt, scattering}
+    # grid points times time steps: 10, 260, 520 and 641 million; packet
+    # R/T and half dt start, and the permits even the lanes out from there
     free, coarse, fine, rt_run = _two_lanes(
         [functools.partial(_audit, audit, dt, pars) for audit, dt in audits],
         [audit["n_points"] * audit["t_final"] / dt for audit, dt in audits])
@@ -639,9 +687,16 @@ def _flag_type(default):
     return items
 
 
+# a flag value that begins with a minus sign: a number or a list of numbers
+_SIGNED_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One --key-with-dashes flag per key of each command's DEFAULTS table;
-    only the flags given reach the namespace."""
+    only the flags given reach the namespace.  A flag takes a value that
+    begins with a minus sign (``--v0-list -5,20``, ``--energy -1e3``) as
+    its separate argument, as in its ``--flag=value`` form; an option name
+    after a flag is still an error."""
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="JSON config file")
@@ -657,6 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, text) in _COMMANDS.items():
         p_cmd = sub.add_parser(command, parents=[common], help=text,
                                argument_default=argparse.SUPPRESS)
+        # argparse reads such a value as an argument only when it matches
+        # this pattern, by default a plain decimal
+        p_cmd._negative_number_matcher = _SIGNED_VALUE
         for key, default in DEFAULTS[command].items():
             p_cmd.add_argument("--" + key.replace("_", "-"),
                                type=_flag_type(default),

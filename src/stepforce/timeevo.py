@@ -19,7 +19,7 @@ compared against stationary probabilities at the carrier momentum.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -281,8 +281,14 @@ class EhrenfestReport:
 def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
                      dt: float, t_final: float, save_stride: int = 50,
                      params: PhysicalParams | None = None,
-                     wall_tol: float = 1e-6) -> EhrenfestReport:
-    """Propagate the packet and audit the momentum balance along the way."""
+                     wall_tol: float = 1e-6,
+                     checkpoint: Callable[[int], None] | None = None,
+                     ) -> EhrenfestReport:
+    """Propagate the packet and audit the momentum balance along the way.
+
+    ``checkpoint``, if given, is called after each save but the last with
+    the work still to go, grid points times steps left: a point where a
+    scheduler may pause the audit.  It does not change the result."""
     if save_stride < 1:
         raise ValueError("save_stride must be at least 1")
     if not 0.0 < dt < math.inf:
@@ -315,6 +321,8 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
         if step % save_stride == 0:
             state = replace(state, psi=psi.copy(), t=step * dt)
             record(state)
+            if checkpoint is not None and step < n_steps:
+                checkpoint(len(x) * (n_steps - step))
 
     times_a = np.asarray(times)
     momenta_a = np.asarray(momenta)

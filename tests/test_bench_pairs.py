@@ -101,6 +101,33 @@ def test_wall_figures_of_the_report_workload(tmp_path, capsys):
     assert figures["ref_kernel_ms"]["change"]["median"] == pytest.approx(2.95)
 
 
+def test_each_pair_shows_its_wall_and_kernel_ratios(tmp_path, capsys):
+    # a gain in reference units from a slower kernel: the op's wall time
+    # moves little while the kernel slows
+    for seed, before, after in ((3, (2.0, 40.0), (2.5, 38.0)),
+                                (4, (2.4, 41.0), (2.4, 41.0))):
+        write_record(tmp_path / "parent", seed, 18000.0, 0.05,
+                     workload="report", wall=before)
+        write_record(tmp_path / "change", seed, 15000.0, 0.06,
+                     workload="report", wall=after)
+    assert bench_pairs.main([
+        "--workload", "report", "--seeds", "3", "4",
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"),
+        "--label", "pairs", "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("seed 3: change/parent report_s 0.9500, ref_kernel_ms 1.2500"
+            in lines)
+    assert ("seed 4: change/parent report_s 1.0000, ref_kernel_ms 1.0000"
+            in lines)
+    ratios = json.loads((tmp_path / "BENCH_pairs.json").read_text())[
+        "pair_ratios"]
+    assert [r["seed"] for r in ratios] == [3, 4]
+    assert ratios[0]["report_s"] == pytest.approx(0.95)
+    assert ratios[0]["ref_kernel_ms"] == pytest.approx(1.25)
+    assert ratios[1] == {"seed": 4, "report_s": 1.0, "ref_kernel_ms": 1.0}
+
+
 def test_records_without_the_wall_figure_are_refused(tmp_path, capsys):
     for side in ("parent", "change"):
         for seed in (1, 2):

@@ -7,13 +7,14 @@ import json
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from stepforce import cli, force
+from stepforce import cli, force, timeevo
 from stepforce.errors import BoxTooSmall
 
 KFG_R = 0.21543808788147607
@@ -284,6 +285,38 @@ def test_limits_prints_a_nan_slope_bare(tmp_path, capsys, argv, line):
 def test_limits_rejects_unknown_kind(tmp_path, capsys):
     assert run(["limits", "--kind", "hardwall", "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,flag,value,code", [
+    (["limits", "--kind", "infinite-step"], "--v0-list", "-5,20", 0),
+    (["limits", "--kind", "nonrel"], "--speeds", "-10,10", 2),
+    (["limits", "--kind", "infinite-step"], "--energy", "-1e3", 1),
+    (["converge"], "--energy", "-1e-3", 1),
+    (["ehrenfest", "--case", "free"], "--x0", "-1.2e1", 0)])
+def test_a_flag_value_beginning_with_a_minus_sign_reads_as_its_eq_form(
+        argv, flag, value, code, tmp_path, capsys):
+    runs = []
+    for form, args in (("split", [flag, value]),
+                       ("joined", [f"{flag}={value}"])):
+        out = tmp_path / form
+        got = run([*argv, *args, "--out", str(out)])
+        captured = capsys.readouterr()
+        files = (sorted((p.name, p.read_bytes()) for p in out.iterdir())
+                 if out.exists() else None)
+        runs.append((got, captured.out.replace(str(out), "OUT"),
+                     captured.err, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    assert "expected one argument" not in runs[0][2]
+
+
+@pytest.mark.parametrize("value", ["--theory", "-h", "-x"])
+def test_an_option_name_after_a_flag_is_still_an_error(value, tmp_path,
+                                                       capsys):
+    assert run(["mode", "--energy", value, "--out", str(tmp_path)]) == 2
+    assert ("argument --energy: expected one argument"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ehrenfest_free_run_writes_table(tmp_path, capsys):
@@ -696,19 +729,92 @@ def test_a_grid_coarser_than_the_packet_exits_1(n_points, dx, tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# the report's packet audits on two lanes
+# the report's packet audits: two permits handed over at checkpoints
 # ---------------------------------------------------------------------------
 
 _STAGES = ("free", "scattering", "scattering_half_dt", "packet_rt")
 
 
-def _stub_audits(monkeypatch, act):
-    """Replace the four packet audits by fast stubs that call act(stage)
-    and return a report whose max_deviation is the stage's 1-based index.
-    Returns the dict stage -> thread ident it ran on."""
-    threads = {}
+def _handed_over(events) -> bool:
+    """Whether, in a log of (job, "start" | "end") events, a job started
+    while two others had started and not ended: with two permits, one of
+    those two must have paused at a checkpoint."""
+    live = set()
+    for job, event in events:
+        if event == "start":
+            if len(live) >= 2:
+                return True
+            live.add(job)
+        else:
+            live.discard(job)
+    return False
 
-    def audit(blk, dt, pars):
+
+def _bounded(fn, timeout: float = 60.0):
+    """fn() on a thread of its own, joined with a timeout, so that a lost
+    wake-up fails the test instead of hanging the suite; returns fn's
+    result or raises its exception."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((True, fn()))
+        except Exception as exc:
+            outcome.append((False, exc))
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive()
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+class _Log:
+    """Start and end events of jobs and the most jobs computing at once:
+    a job counts as computing from its start to its end, except while it
+    is inside a checkpoint call."""
+
+    def __init__(self):
+        self.events = []
+        self.computing = self.peak = 0
+        self._lock = threading.Lock()
+
+    def computes(self, change: int):
+        with self._lock:
+            self.computing += change
+            self.peak = max(self.peak, self.computing)
+
+    def run(self, job, work, checkpoint, parts: int, pause: float = 0.0,
+            act=lambda: None):
+        """Log job's start, call act(), do ``parts`` equal parts of
+        ``work`` with a checkpoint (given the work left) between each two,
+        and log its end, also when act() or a checkpoint raises."""
+        self.events.append((job, "start"))
+        self.computes(1)
+        try:
+            act()
+            for part in range(parts - 1, 0, -1):
+                time.sleep(pause)
+                self.computes(-1)
+                checkpoint(work * part / parts)
+                self.computes(1)
+        finally:
+            self.computes(-1)
+            self.events.append((job, "end"))
+
+
+def _stub_audits(monkeypatch, act):
+    """Replace the four packet audits by stubs that call act(stage), then
+    work through their real cost (grid points times steps) in 20 parts
+    with a checkpoint between each two.  Each returns a report whose
+    max_deviation is the stage's 1-based index.  Returns (threads, log):
+    the dict stage -> thread ident it ran on, and the _Log."""
+    threads, log = {}, _Log()
+
+    def audit(blk, dt, pars, checkpoint):
         if blk is cli._EHRENFEST_FREE:
             stage = "free"
         elif blk is cli._RT_CASE:
@@ -717,7 +823,8 @@ def _stub_audits(monkeypatch, act):
             stage = ("scattering" if dt == blk["dt"]
                      else "scattering_half_dt")
         threads[stage] = threading.get_ident()
-        act(stage)
+        log.run(stage, blk["n_points"] * blk["t_final"] / dt, checkpoint,
+                parts=20, pause=0.001, act=lambda: act(stage))
         return SimpleNamespace(
             max_deviation=float(_STAGES.index(stage) + 1),
             max_deviation_rel=0.0, norm_drift=0.0, wall_amplitude=0.0,
@@ -727,12 +834,12 @@ def _stub_audits(monkeypatch, act):
     monkeypatch.setattr(cli, "_audit", audit)
     monkeypatch.setattr(cli, "compare_packet_rt",
                         lambda state, spec, reg: {"stub": True})
-    return threads
+    return threads, log
 
 
 def _meet_in_pairs():
     """act() that holds the two costliest audits until both run: it
-    breaks (BrokenBarrierError) unless they run at once, on two lanes."""
+    breaks (BrokenBarrierError) unless they start together."""
     barrier = threading.Barrier(2, timeout=10.0)
 
     def act(stage):
@@ -742,21 +849,40 @@ def _meet_in_pairs():
     return act
 
 
-def test_packet_audits_run_on_two_threads(monkeypatch):
-    threads = _stub_audits(monkeypatch, _meet_in_pairs())
-    before = threading.active_count()
-    cli._report_ehrenfest(cli.load_config(None))
-    assert set(threads) == set(_STAGES)
-    assert len(set(threads.values())) == 2
-    assert threading.get_ident() in threads.values()
+def test_packet_audits_compute_two_at_a_time(monkeypatch):
+    threads, log = _stub_audits(monkeypatch, _meet_in_pairs())
+    before, caller = threading.active_count(), []
+
+    def report():
+        caller.append(threading.get_ident())
+        return cli._report_ehrenfest(cli.load_config(None))
+
+    _bounded(report)
     assert threading.active_count() == before
+    # one thread per audit, the costliest on the calling thread
+    assert set(threads) == set(_STAGES)
+    assert len(set(threads.values())) == 4
+    assert threads["packet_rt"] == caller[0]
+    assert log.events[:2] in ([("packet_rt", "start"),
+                               ("scattering_half_dt", "start")],
+                              [("scattering_half_dt", "start"),
+                               ("packet_rt", "start")])
+    assert log.peak == 2
+    # half dt or packet R/T passes 260 - 14.3 million left before it ends,
+    # so scattering, the waiting audit with most left, takes a permit from
+    # one of them, which resumes later; free starts only at an end
+    assert _handed_over(log.events)
+    assert [stage for stage, event in log.events
+            if event == "start"][2:] == ["scattering", "free"]
+    assert sorted(log.events) == sorted(
+        (stage, event) for stage in _STAGES for event in ("start", "end"))
 
 
 def test_packet_audit_results_keep_stage_order(monkeypatch):
     # the first stage is the cheapest, so it starts last; it also ends last
-    threads = _stub_audits(monkeypatch, lambda stage: time.sleep(
+    threads, _ = _stub_audits(monkeypatch, lambda stage: time.sleep(
         0.2 if stage == "free" else 0.0))
-    out = cli._report_ehrenfest(cli.load_config(None))
+    out = _bounded(lambda: cli._report_ehrenfest(cli.load_config(None)))
     assert set(threads) == set(_STAGES)
     assert list(out) == ["free", "scattering", "scattering_half_dt",
                          "dt_halving_ratio", "packet_rt"]
@@ -782,12 +908,16 @@ def test_first_failed_audit_in_stage_order_surfaces(monkeypatch):
             raise ValueError("stage 2")
         finished.append(stage)
 
-    threads = _stub_audits(monkeypatch, act)
+    threads, log = _stub_audits(monkeypatch, act)
     before = threading.active_count()
     with pytest.raises(ValueError, match="stage 2"):
-        cli._report_ehrenfest(cli.load_config(None))
+        _bounded(lambda: cli._report_ehrenfest(cli.load_config(None)))
     assert set(threads) == set(finished) == set(_STAGES)
     assert finished.index("packet_rt") < finished.index("scattering")
+    # a failed audit frees its permit: the others still run to their end
+    assert sorted(log.events) == sorted(
+        (stage, event) for stage in _STAGES for event in ("start", "end"))
+    assert log.peak <= 2
     assert threading.active_count() == before
 
 
@@ -811,21 +941,101 @@ def test_report_with_a_worker_lane_box_error_exits_1(monkeypatch, tmp_path,
 
 
 def test_two_lanes_run_each_job_once_under_fast_thread_switching():
-    ran = []
+    log, ran = _Log(), []
 
-    def job(i):
+    def job(i, checkpoint):
+        log.run(i, 200 * (i + 1), checkpoint, parts=201)
         ran.append(i)       # one atomic append per run, so no run is lost
         return i * i
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    before = threading.active_count()
     try:
-        out = cli._two_lanes([functools.partial(job, i) for i in range(400)],
-                             [i % 7 for i in range(400)])
+        out = _bounded(lambda: cli._two_lanes(
+            [functools.partial(job, i) for i in range(6)],
+            [200 * (i + 1) for i in range(6)]))
     finally:
         sys.setswitchinterval(interval)
-    assert out == [i * i for i in range(400)]
-    assert sorted(ran) == list(range(400))
+    assert threading.active_count() == before
+    assert out == [i * i for i in range(6)]
+    assert sorted(ran) == list(range(6))
+    assert sorted(log.events) == sorted(
+        (i, event) for i in range(6) for event in ("start", "end"))
+    assert log.peak == 2
+    assert _handed_over(log.events)
+
+
+def test_a_permit_moves_only_past_the_margin():
+    # costs 100, 100 and 99: the margin is 1 % of 299, so the third job
+    # starts only once a running job reports less than 99 - 2.99 left
+    events = []
+
+    def job(i, checkpoint):
+        events.append((i, "start"))
+        for rest in np.arange(99.5, 0.0, -0.5):
+            time.sleep(0.0005)
+            events.append((i, rest))
+            checkpoint(rest)
+        events.append((i, "end"))
+        return i
+
+    assert _bounded(lambda: cli._two_lanes(
+        [functools.partial(job, i) for i in range(3)],
+        [100.0, 100.0, 99.0])) == [0, 1, 2]
+    assert _handed_over([e for e in events if isinstance(e[1], str)])
+    start = events.index((2, "start"))
+    assert min(rest for _, rest in events[:start]
+               if not isinstance(rest, str)) <= 96.0
+
+
+def test_audits_keep_their_bits_through_handovers():
+    pars = cli.build_params(cli.load_config(None), 0.5)
+    # the scattering case on the free case's n = 2001 grid: eps >= 4 h
+    scatter = {**cli.DEFAULTS["ehrenfest"], "x_min": -40.0, "x_max": 40.0,
+               "n_points": 2001, "eps": 0.2, "t_final": 0.4,
+               "save_stride": 20}
+    free = {**cli._EHRENFEST_FREE, "t_final": 0.5}
+    audits = ((free, free["dt"]), (scatter, scatter["dt"]),
+              (scatter, scatter["dt"] / 2.0))
+    log = _Log()
+
+    def job(i, checkpoint):
+        def logged(rest):
+            log.computes(-1)
+            checkpoint(rest)
+            log.computes(1)
+
+        log.events.append((i, "start"))
+        log.computes(1)
+        try:
+            return cli._audit(*audits[i], pars, logged)
+        finally:
+            log.computes(-1)
+            log.events.append((i, "end"))
+
+    # 1.0, 2.0 and 4.0 million point-steps: scattering or half dt passes
+    # the free audit's 1.0 million less the 70 thousand margin before it
+    # ends, and hands its permit to the free audit
+    lanes = _bounded(lambda: cli._two_lanes(
+        [functools.partial(job, i) for i in range(3)],
+        [blk["n_points"] * blk["t_final"] / dt for blk, dt in audits]))
+    assert _handed_over(log.events)
+    assert log.peak == 2
+    for (blk, dt), got in zip(audits, lanes):
+        serial = timeevo.ehrenfest_report(
+            *cli._ehrenfest_setup(blk), dt, blk["t_final"],
+            blk["save_stride"], params=pars)
+        for field in fields(serial):
+            want, have = getattr(serial, field.name), getattr(got,
+                                                              field.name)
+            if field.name == "final_state":
+                want, have = want.psi, have.psi
+            if isinstance(want, np.ndarray):
+                assert want.dtype == have.dtype
+                assert want.tobytes() == have.tobytes(), field.name
+            else:
+                assert float(want).hex() == float(have).hex(), field.name
 
 
 # ---------------------------------------------------------------------------

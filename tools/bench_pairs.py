@@ -13,7 +13,10 @@ wins (strictly better in the metric's direction), and the machine block.
 The same summaries of two wall-clock figures follow under ``figures``: the
 reference kernel's median (``ref_kernel_ms``) and the workload's own time
 of one op (``WALL_FIGURES``), so a gain in reference units can be checked
-against the wall clock.
+against the wall clock.  ``pair_ratios`` holds, for each pair, the
+change/parent ratio of the wall figure next to that of ``ref_kernel_ms``:
+a gain in reference units that comes from a slower kernel, not from a
+faster op, shows as a kernel ratio above 1 next to a wall ratio near 1.
 """
 
 from __future__ import annotations
@@ -74,12 +77,17 @@ def compare(parent: list, change: list, end_to_end: list) -> dict:
             "change_wins": wins,
         }
     figures = {}
-    for name in ("ref_kernel_ms", WALL_FIGURES[parent[0]["workload"]]):
+    names = (WALL_FIGURES[parent[0]["workload"]], "ref_kernel_ms")
+    for name in names:
         figures[name] = {
             "unit": parent[0]["figures"][name]["unit"],
             "parent": summarize([r["figures"][name]["value"] for r in parent]),
             "change": summarize([r["figures"][name]["value"] for r in change]),
         }
+    ratios = [{"seed": seed, **{name: (c["figures"][name]["value"]
+                                       / p["figures"][name]["value"])
+                                for name in names}}
+              for seed, p, c in zip(seeds, parent, change)]
     return {
         "workload": parent[0]["workload"],
         "seconds": parent[0]["seconds"],
@@ -91,6 +99,7 @@ def compare(parent: list, change: list, end_to_end: list) -> dict:
         "machine": machines[0],
         "metrics": metrics,
         "figures": figures,
+        "pair_ratios": ratios,
     }
 
 
@@ -125,6 +134,9 @@ def main(argv=None) -> int:
     for name, f in bench["figures"].items():
         print(f"{name:14s} {f['parent']['median']:12.6g} -> "
               f"{f['change']['median']:12.6g} {f['unit']:7s} (wall clock)")
+    for pair in bench["pair_ratios"]:
+        print(f"seed {pair['seed']}: change/parent " + ", ".join(
+            f"{name} {pair[name]:.4f}" for name in bench["figures"]))
     print(f"wrote {path}")
     return 0
 
