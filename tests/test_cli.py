@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, config plumbing, file outputs."""
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -787,23 +788,24 @@ class _Log:
             self.computing += change
             self.peak = max(self.peak, self.computing)
 
-    def run(self, job, work, checkpoint, parts: int, pause: float = 0.0,
-            act=lambda: None):
-        """Log job's start, call act(), do ``parts`` equal parts of
-        ``work`` with a checkpoint (given the work left) between each two,
-        and log its end, also when act() or a checkpoint raises."""
-        self.events.append((job, "start"))
+    @contextlib.contextmanager
+    def job(self, name):
+        """Log the job's start and its end, also when it raises."""
+        self.events.append((name, "start"))
         self.computes(1)
         try:
-            act()
-            for part in range(parts - 1, 0, -1):
-                time.sleep(pause)
-                self.computes(-1)
-                checkpoint(work * part / parts)
-                self.computes(1)
+            yield
         finally:
             self.computes(-1)
-            self.events.append((job, "end"))
+            self.events.append((name, "end"))
+
+    def paused(self, checkpoint):
+        """checkpoint, with its caller not computing while it runs."""
+        def call(rest):
+            self.computes(-1)
+            checkpoint(rest)
+            self.computes(1)
+        return call
 
 
 def _stub_audits(monkeypatch, act):
@@ -823,8 +825,13 @@ def _stub_audits(monkeypatch, act):
             stage = ("scattering" if dt == blk["dt"]
                      else "scattering_half_dt")
         threads[stage] = threading.get_ident()
-        log.run(stage, blk["n_points"] * blk["t_final"] / dt, checkpoint,
-                parts=20, pause=0.001, act=lambda: act(stage))
+        cost, pause = blk["n_points"] * blk["t_final"] / dt, log.paused(
+            checkpoint)
+        with log.job(stage):
+            act(stage)
+            for part in range(19, 0, -1):
+                time.sleep(0.001)
+                pause(cost * part / 20)
         return SimpleNamespace(
             max_deviation=float(_STAGES.index(stage) + 1),
             max_deviation_rel=0.0, norm_drift=0.0, wall_amplitude=0.0,
@@ -944,7 +951,10 @@ def test_two_lanes_run_each_job_once_under_fast_thread_switching():
     log, ran = _Log(), []
 
     def job(i, checkpoint):
-        log.run(i, 200 * (i + 1), checkpoint, parts=201)
+        pause = log.paused(checkpoint)
+        with log.job(i):
+            for part in range(200, 0, -1):
+                pause((i + 1) * part)
         ran.append(i)       # one atomic append per run, so no run is lost
         return i * i
 
@@ -1001,18 +1011,8 @@ def test_audits_keep_their_bits_through_handovers():
     log = _Log()
 
     def job(i, checkpoint):
-        def logged(rest):
-            log.computes(-1)
-            checkpoint(rest)
-            log.computes(1)
-
-        log.events.append((i, "start"))
-        log.computes(1)
-        try:
-            return cli._audit(*audits[i], pars, logged)
-        finally:
-            log.computes(-1)
-            log.events.append((i, "end"))
+        with log.job(i):
+            return cli._audit(*audits[i], pars, log.paused(checkpoint))
 
     # 1.0, 2.0 and 4.0 million point-steps: scattering or half dt passes
     # the free audit's 1.0 million less the 70 thousand margin before it
