@@ -58,8 +58,9 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("hbar", "mass", "c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         try:
             rest = self.rest_energy
         except OverflowError:       # c**2 overflowed

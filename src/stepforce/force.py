@@ -29,8 +29,8 @@ import numpy as np
 from .core import PhysicalParams, RegularizedPotential
 from .errors import (BelowThreshold, CrossCheckFailed, UndefinedAtOrigin,
                      UnresolvedWindow)
-from .modes import (_TAU1, _TAU3, ScatterMode, _check_incidence, _plateau_k2,
-                    fv_lift, solve_step_mode)
+from .modes import (_TAU1, _TAU3, ScatterMode, _charge_weight,
+                    _check_incidence, _plateau_k2, fv_lift, solve_step_mode)
 
 __all__ = [
     "DensityProbe",
@@ -72,7 +72,7 @@ def density(mode: ScatterMode, x: float) -> float:
         return abs(mode.u(x)) ** 2
     if mode.theory == "kfg":
         phi = mode.params.v0 if x > 0 else 0.0
-        return (mode.energy - phi) / mode.params.rest_energy * abs(mode.u(x)) ** 2
+        return _charge_weight(mode.energy, phi, mode.params) * abs(mode.u(x)) ** 2
     psi = mode.spinor(x)
     return float(np.real(np.vdot(psi, psi)))
 
@@ -122,9 +122,8 @@ def interface_probe(mode: ScatterMode) -> DensityProbe:
     rho = abs(u0) ** 2
     if mode.theory == "s":
         return DensityProbe("s", rho, rho, j_l, j_r)
-    mc2 = p.rest_energy
-    return DensityProbe("kfg", mode.energy / mc2 * rho,
-                        (mode.energy - p.v0) / mc2 * rho, j_l, j_r)
+    return DensityProbe("kfg", _charge_weight(mode.energy, 0.0, p) * rho,
+                        _charge_weight(mode.energy, p.v0, p) * rho, j_l, j_r)
 
 
 def kfg_density_jump(mode: ScatterMode) -> float:

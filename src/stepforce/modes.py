@@ -88,6 +88,26 @@ def _plateau_k2(theory: str, energy: float, phi: float,
     return k2
 
 
+def _spinor_ratio(k, energy: float, phi, params: PhysicalParams):
+    """Spin-1/2 component ratio hbar c k / ((E - phi) + mc^2) on plateau phi."""
+    return params.hbar * params.c * k / (energy - phi + params.rest_energy)
+
+
+def _charge_weight(energy: float, phi, params: PhysicalParams):
+    """Spin-0 charge weight (E - phi)/mc^2 of |u|^2; ``phi`` a float or array."""
+    return (energy - phi) / params.rest_energy
+
+
+def _transmitted_weight(t: complex, k: complex, q: complex, lams=None) -> float:
+    """Transmitted current share, 0 unless q is real: |t|^2 Re lam_R / Re lam_L
+    for spin-1/2 (``lams`` = (lam_L, lam_R)), else |t|^2 (Re q / Re k)."""
+    if q.imag != 0.0:
+        return 0.0
+    if lams is not None:
+        return abs(t) ** 2 * lams[1].real / lams[0].real
+    return abs(t) ** 2 * (q.real / k.real)
+
+
 def _check_incidence(theory: str, energy: float, params: PhysicalParams,
                      phi_left: float = 0.0):
     """BelowThreshold naming E and the threshold unless a wave comes in on
@@ -196,13 +216,11 @@ class ScatterMode:
     # -- spin-1/2 --------------------------------------------------------
     @property
     def lam_left(self) -> complex:
-        return self.params.hbar * self.params.c * self.k / (
-            self.energy + self.params.rest_energy)
+        return _spinor_ratio(self.k, self.energy, 0.0, self.params)
 
     @property
     def lam_right(self) -> complex:
-        return self.params.hbar * self.params.c * self.q / (
-            self.energy - self.params.v0 + self.params.rest_energy)
+        return _spinor_ratio(self.q, self.energy, self.params.v0, self.params)
 
     def spinor(self, x: float) -> np.ndarray:
         """Two-component spinor of the spin-1/2 mode; continuous at 0."""
@@ -237,9 +255,8 @@ def solve_step_mode(theory: str, energy: float,
         r = (k - q) / (k + q)
         t = 2.0 * k / (k + q)
     else:
-        mc2 = params.rest_energy
-        lam = params.hbar * params.c * k / (energy + mc2)
-        lamp = params.hbar * params.c * q / (energy - params.v0 + mc2)
+        lam = _spinor_ratio(k, energy, 0.0, params)
+        lamp = _spinor_ratio(q, energy, params.v0, params)
         r = (lam - lamp) / (lam + lamp)
         t = 1.0 + r
     return ScatterMode(theory=theory, energy=float(energy), k=k, q=q,
@@ -256,18 +273,15 @@ def matching_residuals(mode: ScatterMode) -> tuple[float, float]:
     one, the transmitted share being zero unless q is real.  Both vanish
     for exact modes.
     """
-    if mode.theory == "dirac":
+    lams = (mode.lam_left, mode.lam_right) if mode.theory == "dirac" else None
+    if lams is not None:
         cont = max(abs((1.0 + mode.r) - mode.t),
-                   abs(mode.lam_left * (1.0 - mode.r)
-                       - mode.lam_right * mode.t))
-        w_t = (abs(mode.t) ** 2 * mode.lam_right.real
-               / mode.lam_left.real) if mode.q.imag == 0.0 else 0.0
+                   abs(lams[0] * (1.0 - mode.r) - lams[1] * mode.t))
     else:
         cont = max(abs((1.0 + mode.r) - mode.t),
                    abs(mode.k * (1.0 - mode.r) - mode.q * mode.t)
                    / abs(mode.k))
-        w_t = (abs(mode.t) ** 2 * (mode.q.real / mode.k.real)
-               if mode.q.imag == 0.0 else 0.0)
+    w_t = _transmitted_weight(mode.t, mode.k, mode.q, lams)
     return float(cont), float(abs(1.0 - abs(mode.r) ** 2 - w_t))
 
 
@@ -304,7 +318,7 @@ class FVBoundary:
 def _lift_pair(value: complex, energy: float, phi: float,
                params: PhysicalParams) -> np.ndarray:
     """Stationary lift [psi +, psi -] -> components weighted by (E - phi)/mc^2."""
-    w = (energy - phi) / params.rest_energy
+    w = _charge_weight(energy, phi, params)
     return 0.5 * np.array([(1.0 + w) * value, (1.0 - w) * value], dtype=complex)
 
 

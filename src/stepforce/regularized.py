@@ -31,8 +31,9 @@ import numpy as np
 
 from .core import PhysicalParams, RegularizedPotential
 from .errors import NoConvergence, ProbeInsideSmoothing, UnderResolved
-from .modes import (_PROJECTOR, _as_theory, _check_incidence, _expected_jump,
-                    _k_squared, _lift_pair, _plateau_k2, dispersion)
+from .modes import (_PROJECTOR, _as_theory, _charge_weight, _check_incidence,
+                    _expected_jump, _k_squared, _lift_pair, _plateau_k2,
+                    _spinor_ratio, _transmitted_weight, dispersion)
 
 __all__ = [
     "PiecewiseModel",
@@ -291,14 +292,6 @@ class NumericalMode:
     def params(self) -> PhysicalParams:
         return self.model.params
 
-    @property
-    def eps(self) -> float:
-        return self.model.reg.eps
-
-    @property
-    def shape(self) -> str:
-        return self.model.reg.shape
-
     def _locate(self, x: np.ndarray):
         """Masks of the left plateau, right plateau and window points (the
         full slice when all points lie in the window, as route-B nodes do:
@@ -360,20 +353,19 @@ class NumericalMode:
         xa = np.asarray(x, dtype=float)
         flat = xa.ravel()
         left, right, inside, idx, d = self._locate(flat)
-        p = self.params
-        mc2 = p.rest_energy
         psi = np.empty(flat.shape + (2,), dtype=complex)
         # numpy's complex products, in the operand order of the per-point
         # reference in tests/test_regularized.py, so the bits match it
         if left.any():
-            lam = p.hbar * p.c * self.k / (self.energy + mc2)
+            lam = _spinor_ratio(self.k, self.energy, self.model.plateau_left,
+                                self.params)
             e_p = np.exp(1j * self.k * flat[left])
             e_m = np.exp(-1j * self.k * flat[left])
             psi[left, 0] = e_p + self.r * e_m
             psi[left, 1] = lam * e_p + self.r * (-lam * e_m)
         if right.any():
-            lamp = p.hbar * p.c * self.q / (
-                self.energy - self.model.plateau_right + mc2)
+            lamp = _spinor_ratio(self.q, self.energy, self.model.plateau_right,
+                                 self.params)
             amp = self.t * np.array([1.0, lamp], dtype=complex)
             e_t = np.exp(1j * self.q * flat[right])
             psi[right, 0] = amp[0] * e_t
@@ -415,12 +407,10 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
     """Solve the left-incidence scattering problem for the smoothed step."""
     theory = _as_theory(theory)
     model = build_piecewise_model(theory, energy, reg, params, domain, resolution)
-    p = params
-    mc2 = p.rest_energy
-    _check_incidence(theory, energy, p, model.plateau_left)
+    _check_incidence(theory, energy, params, model.plateau_left)
 
-    k = dispersion(theory, energy, model.plateau_left, p)
-    q = dispersion(theory, energy, model.plateau_right, p)
+    k = dispersion(theory, energy, model.plateau_left, params)
+    q = dispersion(theory, energy, model.plateau_right, params)
     xs = model.window
 
     if theory in ("s", "kfg"):
@@ -431,9 +421,11 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
         # split the left-edge state into incident and reflected plane waves
         a_loc = 0.5 * (u_l + ux_l / (1j * k))
         b_loc = 0.5 * (u_l - ux_l / (1j * k))
+        lams = None
     else:
-        lamp = p.hbar * p.c * q / (energy - model.plateau_right + mc2)
-        lam = p.hbar * p.c * k / (energy - model.plateau_left + mc2)
+        lamp = _spinor_ratio(q, energy, model.plateau_right, params)
+        lam = _spinor_ratio(k, energy, model.plateau_left, params)
+        lams = (lam, lamp)
         init = (np.array([1.0, lamp], dtype=complex)
                 * cmath.exp(1j * q * xs))
         states = _march(model, init)
@@ -445,13 +437,7 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
     r = b_coef / a_coef
     t = 1.0 / a_coef
     states /= a_coef
-    if q.imag != 0.0:
-        w_t = 0.0
-    elif theory == "dirac":
-        w_t = abs(t) ** 2 * lamp.real / lam.real
-    else:
-        w_t = abs(t) ** 2 * (q.real / k.real)
-
+    w_t = _transmitted_weight(t, k, q, lams)
     flux_residual = abs(1.0 - abs(r) ** 2 - w_t) / (1.0 + abs(r) ** 2 + abs(w_t))
 
     return NumericalMode(
@@ -473,7 +459,7 @@ def _smooth_density(mode: NumericalMode, x: np.ndarray) -> np.ndarray:
     rho = np.float_power(np.hypot(u.real, u.imag), 2.0)
     if mode.theory == "s":
         return rho
-    return (mode.energy - mode.model.reg.eval(x)) / mode.params.rest_energy * rho
+    return _charge_weight(mode.energy, mode.model.reg.eval(x), mode.params) * rho
 
 
 def _running_sum(terms: np.ndarray, start: float | complex = 0.0):

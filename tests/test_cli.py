@@ -417,6 +417,23 @@ def test_ehrenfest_rejects_nonpositive_times(flags, quantity, tmp_path,
     assert not (tmp_path / "ehrenfest.csv").exists()
 
 
+@pytest.mark.parametrize("argv,table,message", [
+    (["limits", "--kind", "nonrel", "--speeds", "-10,10"], None,
+     "c must be positive, got -10.0"),
+    (["mode"], {"params": {"c": -1}}, "c must be positive, got -1.0"),
+    (["limits"], {"params": {"mass": 0}}, "mass must be positive, got 0.0")])
+def test_non_positive_constants_exit_2_naming_the_value(argv, table, message,
+                                                        tmp_path, capsys):
+    if table is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(table))
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: config: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,key", [
     (["converge", "--epsilons", "0.2,0.1,0.05", "--energy", "nan"],
      "converge.energy"),

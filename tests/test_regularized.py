@@ -368,7 +368,8 @@ def _ref_eval_spinor(mode, x):
     p = mode.params
     mc2 = p.rest_energy
     if x <= edges[0]:
-        lam = p.hbar * p.c * mode.k / (mode.energy + mc2)
+        lam = p.hbar * p.c * mode.k / (
+            mode.energy - mode.model.plateau_left + mc2)
         inc = np.array([1.0, lam], dtype=complex) * cmath.exp(1j * mode.k * x)
         ref = np.array([1.0, -lam], dtype=complex) * cmath.exp(-1j * mode.k * x)
         return inc + mode.r * ref
@@ -531,6 +532,18 @@ def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
             one = nm.eval_scalar(xj)
             assert all(type(v) is complex for v in one)
             assert (u[j], ux[j]) == one == _ref_eval_scalar(nm, xj)
+
+
+def test_spinor_on_a_raised_left_plateau_uses_that_plateau():
+    """The left plane waves take lam = hbar c k / (E - phi_L + mc^2), as the
+    solver does, on a plateau that does not round away against E + mc^2."""
+    reg = RegularizedPotential(v0=0.5, eps=0.05, shape="erf")
+    nm = solve_smooth_mode("dirac", 2.0, reg, PARS)
+    k = modes.dispersion("dirac", nm.energy, 0.25, PARS)
+    raised = replace(nm, k=k, model=replace(nm.model, plateau_left=0.25))
+    for x in (-20.0, -3.7, nm.model.edges[0]):
+        assert np.array_equal(raised.eval_spinor(x),
+                              _ref_eval_spinor(raised, x))
 
 
 # A double whose square the C library's pow rounds one ulp away from x * x
