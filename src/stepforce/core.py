@@ -15,11 +15,11 @@ The default is natural units hbar = mass = c = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import InvalidWidth
 
@@ -59,7 +59,7 @@ class PhysicalParams:
     def __post_init__(self):
         for name in ("hbar", "mass", "c"):
             value = getattr(self, name)
-            if value <= 0:
+            if not value > 0:       # false for NaN too
                 raise ValueError(f"{name} must be positive, got {value}")
         try:
             rest = self.rest_energy
@@ -72,6 +72,14 @@ class PhysicalParams:
     @property
     def rest_energy(self) -> float:
         return self.mass * self.c**2
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use: only the logistic and erf
+    profiles need it, and it costs about half of the package's start-up."""
+    import scipy.special
+    return scipy.special
 
 
 @dataclass(frozen=True)
@@ -106,9 +114,9 @@ class RegularizedPotential:
         """Potential value; accepts scalars or arrays."""
         u = np.asarray(x, dtype=float) / self.eps
         if self.shape == "logistic":
-            out = self.v0 * expit(u)
+            out = self.v0 * _special().expit(u)
         elif self.shape == "erf":
-            out = self.v0 * 0.5 * (1.0 + erf(u))
+            out = self.v0 * 0.5 * (1.0 + _special().erf(u))
         else:  # ramp
             out = self.v0 * np.clip((u + 1.0) / 2.0, 0.0, 1.0)
         return out if isinstance(x, np.ndarray) else float(out)
@@ -117,7 +125,7 @@ class RegularizedPotential:
         """d(phi_eps)/dx; nonnegative, integrates to v0."""
         u = np.asarray(x, dtype=float) / self.eps
         if self.shape == "logistic":
-            s = expit(u)
+            s = _special().expit(u)
             out = self.v0 / self.eps * s * (1.0 - s)
         elif self.shape == "erf":
             out = self.v0 / (self.eps * np.sqrt(np.pi)) * np.exp(-(u**2))

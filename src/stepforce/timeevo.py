@@ -23,7 +23,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .core import GridSpec, PhysicalParams, RegularizedPotential, grid_build
 from .errors import BoxTooSmall, UnderResolved
@@ -180,6 +179,9 @@ def _cn_arrays(state: EvolutionState, dt: float):
     if not (np.isfinite(diag_a).all() and np.isfinite(off)):
         raise ValueError(
             f"Crank-Nicolson matrix is not finite (dt = {dt}, h = {h})")
+    # LAPACK loads with the first packet, not with the package
+    from scipy.linalg.lapack import zgttrf
+
     *factors, info = zgttrf(lower, diag_a, upper)
     if info > 0:
         raise np.linalg.LinAlgError(
@@ -198,6 +200,8 @@ def _cn_steps(state: EvolutionState, dt: float, n_steps: int,
     soon as a step leaves psi not finite, and ``BoxTooSmall`` as soon as
     one leaves more than ``wall_tol`` of amplitude next to a wall.
     """
+    from scipy.linalg.lapack import zgttrs
+
     factors, diag_b, off = _cn_arrays(state, dt)
     # per buffer: the rhs, its column (the solved psi), the column's
     # interior and its left and right neighbours; the edge rows stay 0,

@@ -25,6 +25,12 @@ def test_nonpositive_constants_rejected(bad):
         PhysicalParams(**bad)
 
 
+@pytest.mark.parametrize("name", ["hbar", "mass", "c"])
+def test_a_nan_constant_is_rejected_by_name_and_value(name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
+        PhysicalParams(**{name: float("nan")})
+
+
 @pytest.mark.parametrize("mass,c", [(1.0, 1e200), (1e300, 1e10)])
 def test_an_overflowing_rest_energy_is_rejected(mass, c):
     with pytest.raises(ValueError, match="rest energy mass \\* c\\^2 .* must "
