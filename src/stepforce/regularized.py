@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -53,7 +54,8 @@ __all__ = [
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025, 0.0125)
 DEFAULT_DOMAIN = 20.0
 # far above the 640 fine segments of the largest model the report builds;
-# energies needing more would march for minutes in Python, or overflow
+# it bounds the march's memory: its band holds 4 (2n + 2) complex numbers,
+# 128 MB at n = 10^6
 _MAX_SEGMENTS = 10**6
 
 # Gauss-Legendre nodes and weights by node count (callers only read them)
@@ -206,7 +208,14 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
 # * np.hypot(re, im) is CPython's complex abs bit for bit (both call the C
 #   library's hypot), while numpy's complex abs rounds differently;
 # * np.add.accumulate adds strictly left to right, like a running loop,
-#   whereas np.sum adds pairwise.
+#   whereas np.sum adds pairwise;
+# * the march's BLAS ztbsv rounds as the per-segment 2x2 products (the
+#   argument is in _march's docstring): the band's zero entries add +-0,
+#   which leaves every nonzero value as it is, and with one factor on an
+#   axis a fused multiply-add rounds as the unfused product (0 of 897,600
+#   float words differ from the per-segment loop over 495 marches: every
+#   theory, shape and regime, k^2 < 0 segments, and inits with a zero
+#   component).
 
 def _complex(re, im) -> np.ndarray:
     """Complex array with exactly these real and imaginary parts."""
@@ -378,27 +387,47 @@ def _march(model: PiecewiseModel, init_state: np.ndarray) -> np.ndarray:
     """Carry the transmitted-side state leftward across the fine segments.
 
     Returns the state at every segment's left edge.  All propagators come
-    from one batched call, in marching order; only the recurrence itself is
-    sequential.  As k^2 is real, each entry is real or (Dirac off-diagonal)
-    imaginary, and the recurrence rounds exactly as a numpy 2x2 matmul of
-    the same entries.  Marching right-to-left follows the growing (stable)
-    direction when the right side is evanescent, so contamination by the
-    spurious solution decays relative to the signal.
+    from one batched call, in marching order.  The recurrence
+    s_{j+1} = M_j s_j over the interleaved unknowns (a_0, b_0, a_1, b_1, ...)
+    is a unit lower-triangular system of bandwidth 3 (rows 2j+2 and 2j+3
+    hold -m00, -m01 and -m10, -m00 to the left of the diagonal), solved by
+    one BLAS ``ztbsv``.  Its column-oriented forward substitution forms each
+    new component as 0 - a (-m) - b (-m'), the a-term first, as
+    m00 * a + m01 * b does; negation is exact, and as k^2 is real each entry
+    is real or (Dirac off-diagonal) imaginary, so the solve rounds exactly
+    as a numpy 2x2 matmul of the same entries.  Marching right-to-left
+    follows the growing (stable) direction when the right side is
+    evanescent, so contamination by the spurious solution decays relative
+    to the signal.
     """
+    from scipy.linalg.blas import ztbsv
+
     edges = model.edges[::-1]
     gen = model.generator
-    entries = _propagators(model.k2[::-1], edges[1:] - edges[:-1],
-                           None if gen is None else gen[:, ::-1])
-    a, b = complex(init_state[0]), complex(init_state[1])
-    first, second = [], []
-    for m00, m01, m10 in zip(*(m.tolist() for m in entries[:3])):  # m11 = m00
-        a, b = m00 * a + m01 * b, m10 * a + m00 * b
-        first.append(a)
-        second.append(b)
-    states = np.empty((len(first), 2), dtype=complex)
-    states[::-1, 0] = first
-    states[::-1, 1] = second
-    return states
+    m00, m01, m10, _ = _propagators(model.k2[::-1], edges[1:] - edges[:-1],
+                                    None if gen is None else gen[:, ::-1])
+    n = len(m00)
+    # band[j, c, i] is the i-th subdiagonal entry of column 2j + c, so the
+    # transposed (2n + 2, 4) view is the Fortran-ordered band that ztbsv
+    # reads without a copy
+    band = np.zeros((n + 1, 2, 4), dtype=complex)
+    np.negative(m01, out=band[:n, 1, 1])
+    np.negative(m00, out=band[:n, 0, 2])
+    np.negative(m00, out=band[:n, 1, 2])          # m11 = m00
+    np.negative(m10, out=band[:n, 0, 3])
+    x = np.zeros(2 * n + 2, dtype=complex)
+    x[:2] = init_state
+    x = ztbsv(3, band.reshape(-1, 4).T, x, lower=1, diag=1, overwrite_x=1)
+    if not np.isfinite(x).all():
+        raise _out_of_range(model)
+    return x[2:].reshape(-1, 2)[::-1]
+
+
+def _out_of_range(model: PiecewiseModel) -> ValueError:
+    """The refusal of a march whose states leave the normal doubles."""
+    return ValueError(
+        f"the smooth-step march leaves the double range at eps "
+        f"{model.reg.eps!r}, energy {model.energy!r}, v0 {model.reg.v0!r}")
 
 
 def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
@@ -412,10 +441,15 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
     k = dispersion(theory, energy, model.plateau_left, params)
     q = dispersion(theory, energy, model.plateau_right, params)
     xs = model.window
+    # the transmitted wave at the window edge, which the march starts from:
+    # on an evanescent right side it decays as exp(-kappa xs), and below the
+    # normal doubles it has lost its digits (or is zero, and so is every state)
+    wave = cmath.exp(1j * q * xs)
+    if abs(wave) < sys.float_info.min:
+        raise _out_of_range(model)
 
     if theory in ("s", "kfg"):
-        init = np.array([cmath.exp(1j * q * xs),
-                         1j * q * cmath.exp(1j * q * xs)], dtype=complex)
+        init = np.array([wave, 1j * q * wave], dtype=complex)
         states = _march(model, init)
         u_l, ux_l = states[0]
         # split the left-edge state into incident and reflected plane waves
@@ -426,8 +460,7 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
         lamp = _spinor_ratio(q, energy, model.plateau_right, params)
         lam = _spinor_ratio(k, energy, model.plateau_left, params)
         lams = (lam, lamp)
-        init = (np.array([1.0, lamp], dtype=complex)
-                * cmath.exp(1j * q * xs))
+        init = np.array([1.0, lamp], dtype=complex) * wave
         states = _march(model, init)
         psi1, psi2 = states[0]
         a_loc = 0.5 * (psi1 + psi2 / lam)

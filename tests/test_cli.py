@@ -1088,6 +1088,13 @@ _FAILED_RUNS = [
      "config: converge.epsilons needs at least 3", None),
     (["converge", "--theory", "s", "--energy", "1e12"], 2,
      "config: the model needs ", None),
+    # exp(-kappa x_s) underflows at eps = 0.2 (kappa x_s = 1131 and 3578)
+    (["converge", "--theory", "s", "--energy", "1", "--v0", "1e4"], 2,
+     "config: the smooth-step march leaves the double range at eps 0.2, "
+     "energy 1.0, v0 10000.0\n", None),
+    (["converge", "--theory", "s", "--energy", "1", "--v0", "1e5"], 2,
+     "config: the smooth-step march leaves the double range at eps 0.2, "
+     "energy 1.0, v0 100000.0\n", None),
     (["limits", "--kind", "infinite-step", "--energy", "-1"], 1,
      "below-threshold: incidence needs E > 0, got E = -1.0", None),
     # mc^2 + E_nr rounds to mc^2 = 1e20 here: only E_nr shows the cause

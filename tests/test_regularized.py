@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,24 @@ def test_model_rejects_a_non_finite_plateau_k2(theory, energy):
     with pytest.raises(ValueError, match="k\\^2 on the plateau .* must be "
                                          "finite"):
         build_piecewise_model(theory, energy, reg, PARS)
+
+
+def test_a_march_that_leaves_the_double_range_is_refused_by_name():
+    # kappa x_s = 1131 at eps = 0.2: the transmitted wave exp(-kappa x_s)
+    # the march starts from underflows to zero, and so would every state
+    reg = RegularizedPotential(1e4, 0.2, "erf")
+    model = build_piecewise_model("s", 1.0, RegularizedPotential(2.0, 0.05),
+                                  PhysicalParams(v0=2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^the smooth-step march leaves "
+                           r"the double range at eps 0\.2, energy 1\.0, "
+                           r"v0 10000\.0$"):
+            solve_smooth_mode("s", 1.0, reg, PhysicalParams(v0=1e4))
+        # a state that grows past the largest double
+        with pytest.raises(ValueError, match=r"at eps 0\.05, energy 1\.0, "
+                                             r"v0 2\.0$"):
+            _march(model, np.array([1e308, 1e308j]))
 
 
 def _scalar_matrix(k2: complex, d: float) -> np.ndarray:
@@ -288,7 +307,13 @@ def test_jump_diagnostics_reproduce_the_matricial_condition():
 # The reference below is the one-matrix-at-a-time implementation the batched
 # code replaced: one 2x2 propagator and one matmul per fine segment and per
 # quadrature node, cmath throughout, and a running sum node by node.  The
-# batched code must reproduce it exactly, so these tests assert ==.
+# batched code must reproduce it exactly, so these tests assert ==, and
+# compare arrays by their bits, as np.array_equal takes -0.0 for +0.0.
+
+def _bits(a) -> np.ndarray:
+    """The float words of a complex array, for a comparison bit for bit."""
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
 
 def _ref_scalar_propagator(k2, d):
     if k2 == 0.0:
@@ -452,7 +477,7 @@ def test_batched_solve_and_route_b_equal_the_reference(case, monkeypatch):
         reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)
         nm = solve_smooth_mode(theory, energy, reg, params)
         ref = _ref_solve(monkeypatch, theory, energy, reg, params)
-        assert np.array_equal(nm.seg_states, ref.seg_states)
+        assert np.array_equal(_bits(nm.seg_states), _bits(ref.seg_states))
         assert (nm.r, nm.t, nm.defect) == (ref.r, ref.t, ref.defect)
         assert route_b_integral(nm) == _ref_route_b_integral(ref)
 
@@ -497,9 +522,14 @@ def test_batched_propagators_cover_every_branch(theory, params, energy):
         ref = _ref_propagator(model, i, np.float64(dj))
         got = np.array([[entries[0][j], entries[1][j]],
                         [entries[2][j], entries[3][j]]])
+        # by value: where one component is zero, its sign may differ from
+        # the reference's (its literal k^2 = 0 matrix has +0 where
+        # -k^2 sin(kd)/k is -0j); the march below holds to the bit
         assert np.array_equal(got, ref), (i, dj)
-    init = np.array([0.3 - 0.2j, 1.1 + 0.4j])
-    assert np.array_equal(_march(model, init), _ref_march(model, init))
+    for init in ([0.3 - 0.2j, 1.1 + 0.4j], [1.0, 0.0], [0.0, 1j]):
+        init = np.array(init, dtype=complex)
+        assert np.array_equal(_bits(_march(model, init)),
+                              _bits(_ref_march(model, init))), init
 
 
 @pytest.mark.parametrize("theory,energy,v0", [("s", 1.0, 0.5),
