@@ -37,8 +37,8 @@ from .force import (InfiniteStepRow, NonrelRow, boundary_terms,
                     kfg_density_jump, mean_force_closed, nonrel_residuals,
                     weak_product_check)
 from .modes import matching_residuals, random_mode, solve_step_mode
-from .regularized import (DEFAULT_DOMAIN, DEFAULT_EPSILONS, route_b_sweep,
-                          smooth_jump_diagnostics)
+from .regularized import (DEFAULT_DOMAIN, DEFAULT_EPSILONS, _check_widths,
+                          route_b_sweep, smooth_jump_diagnostics)
 from .reporting import csv_text, dumps_json, fmt_bare
 from .timeevo import PacketSpec, compare_packet_rt, ehrenfest_report
 
@@ -283,9 +283,7 @@ def _verdict_line(series, verdict: dict) -> str:
 
 def cmd_converge(cfg: dict, seed: int) -> tuple:
     blk = cfg["converge"]
-    if len(blk["epsilons"]) < 3:
-        raise ConfigError("converge.epsilons needs at least 3 decreasing "
-                          "widths to extrapolate")
+    _check_widths(blk["epsilons"], "converge.epsilons")
     if not blk["shapes"]:
         raise ConfigError("converge.shapes must not be empty")
     pars = build_params(cfg, blk["v0"])

@@ -31,7 +31,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import PhysicalParams, RegularizedPotential
-from .errors import NoConvergence, ProbeInsideSmoothing, UnderResolved
+from .errors import (InvalidWidth, NoConvergence, ProbeInsideSmoothing,
+                     UnderResolved)
 from .modes import (_PROJECTOR, _as_theory, _charge_weight, _check_incidence,
                     _expected_jump, _k_squared, _lift_pair, _plateau_k2,
                     _spinor_ratio, _transmitted_weight, dispersion)
@@ -185,11 +186,13 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
 # * k^2 is real, so k, k d, every propagator entry and the plateau factors
 #   i k, i q lie on the real or the imaginary axis: one component of each
 #   is exactly zero (of either sign);
-# * on the real axis (k^2 >= 0) cos(k d) and sin(k d) come from one
-#   np.exp(1j * k d): the C library's complex exp, cos and sin share one
-#   sincos (10^6 seeded doubles with |x| <= 1e6, +-0, 5e-324, DBL_MIN and
-#   the neighbours of +-1e-8 agree); on the imaginary axis they stay
-#   complex, as numpy's real cosh and sinh differ on 13-26 % of doubles;
+# * on the real axis (k^2 >= 0) cos(k d) and sin(k d) come from the real
+#   np.cos and np.sin, which equal the parts of the complex exp(i k d),
+#   cos and sin bit for bit (10^6 seeded doubles with |x| <= 1e6, +-0,
+#   5e-324, DBL_MIN and the neighbours of +-1e-8), except that sin(-0.0)
+#   is -0.0 where the complex exp gives +0.0: that entry has |k d| < 1e-8,
+#   so the series overwrites it; on the imaginary axis they stay complex,
+#   as numpy's real cosh and sinh differ on 13-26 % of doubles;
 # * sin(k d) / k is CPython's by-real (imaginary axis: by-imaginary) complex
 #   quotient written out on real arrays, zero signs included;
 # * a product with an axis factor is numpy's own complex multiply: with one
@@ -215,7 +218,10 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
 #   axis a fused multiply-add rounds as the unfused product (0 of 897,600
 #   float words differ from the per-segment loop over 495 marches: every
 #   theory, shape and regime, k^2 < 0 segments, and inits with a zero
-#   component).
+#   component);
+# * the scalar route-B density carries u alone, c a + s_over_k b: the
+#   same products and sum as the first row m00 a + m01 b of the full carry,
+#   whose u' row it skips.
 
 def _complex(re, im) -> np.ndarray:
     """Complex array with exactly these real and imaginary parts."""
@@ -231,18 +237,14 @@ def _cmul(a, b) -> np.ndarray:
     return _complex(ar * br - ai * bi, ar * bi + ai * br)
 
 
-def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
-    """Entries (m00, m01, m10, m11) of exact constant-potential propagators.
+def _cos_sinc(k2: np.ndarray, d: np.ndarray):
+    """c = cos(k d) and s_over_k = sin(k d) / k, elementwise over the arrays
+    ``k2`` and ``d``.
 
-    Elementwise over the arrays ``k2`` and ``d``: the matrix that carries a
-    state across distance d where the local wavenumber squared is k2.  For
-    the scalar theories the state is (u, u') with u'' = -k2 u; for Dirac,
-    ``generator`` holds the off-diagonal generator entries (g01, g10) and
-    k2 is q^2.  In both cases M = c + s_over_k * G with c = cos(k d) and
-    s_over_k = sin(k d) / k, taken by their series when |k d| < 1e-8, which
-    keeps them smooth through k2 ~ 0: there the series round to c = 1 + 0j
-    and s_over_k = d + 0j to the bit, k2 = 0 included, and overwrite the
-    0/0 quotient taken there.
+    Both are taken by their series when |k d| < 1e-8, which keeps them
+    smooth through k2 ~ 0: there the series round to c = 1 + 0j and
+    s_over_k = d + 0j to the bit, k2 = 0 included, and overwrite the 0/0
+    quotient taken there.
     """
     k2r = k2.real
     kabs = np.sqrt(np.abs(k2r))
@@ -250,8 +252,7 @@ def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
     imag = k2r < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # real axis, taken everywhere, zero parts signed as ccos and csin
-        e = np.exp(1j * kd)
-        cos, sin = e.real, e.imag
+        cos, sin = np.cos(kd), np.sin(kd)
         c = _complex(cos, -0.0 * sin)
         s_over_k = _complex(sin / kabs, (0.0 * cos - 0.0 * sin) / kabs)
         if imag.any():
@@ -265,6 +266,20 @@ def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
     series = np.abs(kd) < 1e-8
     c[series] = 1.0
     s_over_k[series] = d[series]
+    return c, s_over_k
+
+
+def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
+    """Entries (m00, m01, m10, m11) of exact constant-potential propagators.
+
+    Elementwise over the arrays ``k2`` and ``d``: the matrix that carries a
+    state across distance d where the local wavenumber squared is k2.  For
+    the scalar theories the state is (u, u') with u'' = -k2 u; for Dirac,
+    ``generator`` holds the off-diagonal generator entries (g01, g10) and
+    k2 is q^2.  In both cases M = c + s_over_k * G with _cos_sinc's c and
+    s_over_k.
+    """
+    c, s_over_k = _cos_sinc(k2, d)
     if generator is None:
         return c, s_over_k, -k2 * s_over_k, c
     g01, g10 = generator
@@ -316,12 +331,18 @@ class NumericalMode:
                          len(self.model.values) - 1)
         return left, right, inside, idx, x[inside] - edges[idx]
 
-    def _carry(self, idx, d):
-        """Segment states carried to the window points: the two components."""
+    def _carry(self, idx, d, value_only=False):
+        """Segment states carried to the window points: the two components,
+        or with ``value_only`` (scalar theories) u = c a + (sin kd / k) b
+        alone, the first row of the propagator, rounded as the full carry
+        rounds it."""
+        a, b = self.seg_states[idx, 0], self.seg_states[idx, 1]
+        if value_only:
+            c, s_over_k = _cos_sinc(self.model.k2[idx], d)
+            return c * a + s_over_k * b
         gen = self.model.generator
         m00, m01, m10, m11 = _propagators(
             self.model.k2[idx], d, None if gen is None else gen[:, idx])
-        a, b = self.seg_states[idx, 0], self.seg_states[idx, 1]
         return m00 * a + m01 * b, m10 * a + m11 * b
 
     # -- scalar reconstruction -------------------------------------------
@@ -334,7 +355,14 @@ class NumericalMode:
         if self.theory == "dirac":
             raise ValueError("scalar evaluation undefined for the spin-1/2 theory")
         xa = np.asarray(x, dtype=float)
-        flat = xa.ravel()
+        u, ux = self._scalar(xa.ravel())
+        if xa.ndim == 0:
+            return complex(u[0]), complex(ux[0])
+        return u.reshape(xa.shape), ux.reshape(xa.shape)
+
+    def _scalar(self, flat: np.ndarray, value_only=False):
+        """(u, u') at the points of a 1-D array, or with ``value_only`` u
+        alone, carried without u' across the window."""
         left, right, inside, idx, d = self._locate(flat)
         u = np.empty(flat.shape, dtype=complex)
         ux = np.empty(flat.shape, dtype=complex)
@@ -349,10 +377,11 @@ class NumericalMode:
             e_t = _cmul(self.t, np.exp(iq * flat[right]))
             u[right] = e_t
             ux[right] = iq * e_t
+        if value_only:
+            u[inside] = self._carry(idx, d, value_only=True)
+            return u
         u[inside], ux[inside] = self._carry(idx, d)
-        if xa.ndim == 0:
-            return complex(u[0]), complex(ux[0])
-        return u.reshape(xa.shape), ux.reshape(xa.shape)
+        return u, ux
 
     # -- spinor reconstruction ---------------------------------------------
     def eval_spinor(self, x: float | np.ndarray) -> np.ndarray:
@@ -488,7 +517,7 @@ def _smooth_density(mode: NumericalMode, x: np.ndarray) -> np.ndarray:
     if mode.theory == "dirac":
         psi = mode.eval_spinor(x)
         return np.vecdot(psi, psi).real
-    u, _ = mode.eval_scalar(x)
+    u = mode._scalar(x, value_only=True)
     rho = np.float_power(np.hypot(u.real, u.imag), 2.0)
     if mode.theory == "s":
         return rho
@@ -550,11 +579,22 @@ class ConvergenceSeries:
     error_estimate: float
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons)
-        if len(eps) < 3:
-            raise ValueError("need at least 3 widths to extrapolate")
-        if not np.all(np.diff(eps) < 0):
-            raise ValueError("widths must be strictly decreasing")
+        _check_widths(self.epsilons)
+
+
+def _check_widths(epsilons, name: str = "epsilons") -> list:
+    """The widths as floats, refused unless there are at least 3, each is
+    positive and they strictly decrease, as the fit needs."""
+    eps = [float(e) for e in epsilons]
+    if len(eps) < 3:
+        raise ValueError(
+            f"{name} needs at least 3 decreasing widths to extrapolate")
+    for e in eps:
+        if not e > 0.0:
+            raise InvalidWidth(f"smoothing width must be positive, got {e}")
+    if not all(a > b for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"{name} must be strictly decreasing, got {eps}")
+    return eps
 
 
 def extrapolate(epsilons, values) -> tuple[float, float, float]:
@@ -562,40 +602,39 @@ def extrapolate(epsilons, values) -> tuple[float, float, float]:
 
     The order p comes from the ratios of successive differences; the limit
     is the one-step Richardson update of the last value at that order.  The
-    error estimate is the magnitude of that final update.
+    error estimate is the magnitude of that final update.  Python floats
+    throughout: on CPython 3.11 sum() adds left to right, as numpy's mean
+    of fewer than eight orders does (CPython 3.12 compensates the sum).
     """
-    eps = np.asarray(epsilons, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if len(eps) < 3:
-        raise ValueError("need at least 3 sweep points")
-    if not np.all(np.diff(eps) < 0):
-        raise ValueError("widths must be strictly decreasing")
+    eps = _check_widths(epsilons)
+    vals = [float(v) for v in values]
 
-    d = np.diff(vals)
-    scale = max(np.max(np.abs(vals)), 1.0)
-    if np.all(np.abs(d) < 1e-13 * scale):
-        return float(vals[-1]), float("nan"), 0.0
-    signs = np.sign(d[np.abs(d) > 1e-13 * scale])
-    if len(set(signs.tolist())) > 1:
+    d = [b - a for a, b in zip(vals, vals[1:])]
+    tol = 1e-13 * max(max(map(abs, vals)), 1.0)
+    if all(abs(x) < tol for x in d):
+        return vals[-1], float("nan"), 0.0
+    if len({x > 0.0 for x in d if abs(x) > tol}) > 1:
         raise NoConvergence(
-            f"differences change sign, no power-law trend: {d.tolist()}")
-    if np.any(np.abs(d[1:]) >= np.abs(d[:-1])):
-        raise NoConvergence(
-            f"differences do not shrink monotonically: {d.tolist()}")
+            f"differences change sign, no power-law trend: {d}")
+    if any(abs(b) >= abs(a) for a, b in zip(d, d[1:])):
+        raise NoConvergence(f"differences do not shrink monotonically: {d}")
 
     orders = [math.log(abs(d[i]) / abs(d[i + 1])) / math.log(eps[i] / eps[i + 1])
               for i in range(len(d) - 1)]
-    p = float(np.mean(orders))
+    p = sum(orders) / len(orders)
     ratio = eps[-1] ** p / (eps[-2] ** p - eps[-1] ** p)
     correction = d[-1] * ratio
-    return float(vals[-1] + correction), p, abs(float(correction))
+    return vals[-1] + correction, p, abs(correction)
 
 
 def route_b_sweep(theory: str, energy: float, shape: str, v0: float,
                   params: PhysicalParams, epsilons=DEFAULT_EPSILONS,
                   domain: float = DEFAULT_DOMAIN,
                   resolution: int = 8) -> ConvergenceSeries:
-    """Sweep route B over a family of widths and extrapolate to zero width."""
+    """Sweep route B over a family of widths and extrapolate to zero width.
+
+    The widths are checked before the first solve."""
+    _check_widths(epsilons)
     values, defects = [], []
     for eps in epsilons:
         reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stepforce import cli, force, timeevo
+from stepforce import cli, force, regularized, timeevo
 from stepforce.errors import BoxTooSmall
 
 KFG_R = 0.21543808788147607
@@ -246,6 +246,22 @@ def test_converge_needs_at_least_three_widths(tmp_path, capsys):
     assert run(["converge", "--epsilons", "", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "at least 3" in err
+
+
+@pytest.mark.parametrize("epsilons,code,message", [
+    ("0.05,0.1,0.2", 2, "config: converge.epsilons must be strictly "
+                        "decreasing, got [0.05, 0.1, 0.2]"),
+    ("0.2,0.1,0", 1, "invalid-width: smoothing width must be positive, "
+                     "got 0.0")])
+def test_converge_checks_its_widths_before_any_solve(
+        epsilons, code, message, monkeypatch, tmp_path, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a width was solved")
+
+    monkeypatch.setattr(regularized, "solve_smooth_mode", no_solve)
+    assert run(["converge", "--epsilons", epsilons,
+                "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_converge_rejects_empty_shapes(tmp_path, capsys):
@@ -1086,6 +1102,9 @@ _FAILED_RUNS = [
      "1.9877248679543234e-31, got E = -1.0\n", None),
     (["converge", "--epsilons", "0.2,0.1"], 2,
      "config: converge.epsilons needs at least 3", None),
+    (["converge", "--epsilons", "0.05,0.1,0.2"], 2,
+     "config: converge.epsilons must be strictly decreasing, got "
+     "[0.05, 0.1, 0.2]\n", None),
     (["converge", "--theory", "s", "--energy", "1e12"], 2,
      "config: the model needs ", None),
     # exp(-kappa x_s) underflows at eps = 0.2 (kappa x_s = 1131 and 3578)

@@ -124,6 +124,25 @@ def test_one_exp_gives_the_complex_cos_and_sin():
     assert np.array_equal(bits(e.imag), bits(np.sin(x + 0j).real))
 
 
+def test_real_cos_and_sin_equal_the_parts_of_one_exp():
+    """On the real axis _propagators takes np.cos and np.sin: they equal
+    the parts of np.exp(1j x) bit for bit, save sin(-0.0) = -0.0 where the
+    exp gives +0.0 (an entry the |k d| < 1e-8 series overwrites)."""
+    rng = np.random.default_rng(1811)
+    tiny = np.finfo(float).tiny
+    near = [np.nextafter(1e-8, 0.0), 1e-8, np.nextafter(1e-8, 1.0)]
+    edges = [0.0, 5e-324, tiny, *near]
+    x = np.concatenate([edges, np.negative(edges),
+                        rng.uniform(-1e6, 1e6, 1_000_000)])
+    e = np.exp(1j * x)
+    assert np.array_equal(bits(np.cos(x)), bits(e.real))
+    differs = np.flatnonzero(bits(np.sin(x)) != bits(e.imag))
+    assert differs.tolist() == np.flatnonzero(bits(x) == bits(-0.0)).tolist()
+    assert differs.tolist() == [len(edges)]
+    assert bits(np.sin(x[differs])).tolist() == bits([-0.0]).tolist()
+    assert bits(e.imag[differs]).tolist() == bits([0.0]).tolist()
+
+
 # The complex propagator body the real-axis code replaced: the reference
 # the new entries must equal bit for bit.
 

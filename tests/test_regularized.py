@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 
 from stepforce import modes, regularized
 from stepforce.core import PhysicalParams, RegularizedPotential
-from stepforce.errors import (BelowThreshold, NoConvergence,
+from stepforce.errors import (BelowThreshold, InvalidWidth, NoConvergence,
                               ProbeInsideSmoothing, UnderResolved)
 from stepforce.force import weak_product_check
 from stepforce.modes import solve_step_mode
@@ -264,6 +265,104 @@ def test_convergence_series_validates_widths():
             good, values=(1.0, 0.9), defects=(0.0, 0.0)))
 
 
+def _np_extrapolate(epsilons, values):
+    """extrapolate's former body, on numpy arrays: the reference its
+    Python-float body must equal bit for bit."""
+    eps = np.asarray(epsilons, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    d = np.diff(vals)
+    scale = max(np.max(np.abs(vals)), 1.0)
+    if np.all(np.abs(d) < 1e-13 * scale):
+        return float(vals[-1]), float("nan"), 0.0
+    signs = np.sign(d[np.abs(d) > 1e-13 * scale])
+    if len(set(signs.tolist())) > 1:
+        raise NoConvergence(
+            f"differences change sign, no power-law trend: {d.tolist()}")
+    if np.any(np.abs(d[1:]) >= np.abs(d[:-1])):
+        raise NoConvergence(
+            f"differences do not shrink monotonically: {d.tolist()}")
+    orders = [math.log(abs(d[i]) / abs(d[i + 1])) / math.log(eps[i] / eps[i + 1])
+              for i in range(len(d) - 1)]
+    p = float(np.mean(orders))
+    ratio = eps[-1] ** p / (eps[-2] ** p - eps[-1] ** p)
+    correction = d[-1] * ratio
+    return float(vals[-1] + correction), p, abs(float(correction))
+
+
+def _fit_or_refusal(fit, eps, vals):
+    try:
+        return [float(v).hex() for v in fit(eps, vals)]
+    except NoConvergence as exc:
+        return str(exc)
+
+
+def test_extrapolate_equals_the_numpy_reference():
+    """Seeded noisy power laws over 3 to 9 geometric widths, a few noisy
+    enough to be refused: numpy's mean adds fewer than eight orders left to
+    right, as sum() does."""
+    rng = np.random.default_rng(1818)
+    refusals = 0
+    for n in range(3, 10):
+        for _ in range(300):
+            eps = rng.uniform(0.05, 1.0) * rng.uniform(0.3, 0.8) ** np.arange(n)
+            vals = tuple((rng.normal() + rng.normal()
+                          * eps ** rng.uniform(0.3, 3.0)
+                          + rng.normal(size=n) * 10.0 ** rng.uniform(-12, -3)
+                          ).tolist())
+            eps = tuple(eps.tolist())
+            want = _fit_or_refusal(_np_extrapolate, eps, vals)
+            assert _fit_or_refusal(extrapolate, eps, vals) == want
+            refusals += isinstance(want, str)
+    assert 0 < refusals < 7 * 300 // 4
+    # the flat series, and each refusal with its text
+    eps = (0.2, 0.1, 0.05)
+    for vals in ((0.7, 0.7, 0.7), (-3.0, -3.0 + 1e-14, -3.0),
+                 (1.0, 0.5, 0.8), (1.0, 0.9, 0.7)):
+        assert (_fit_or_refusal(extrapolate, eps, vals)
+                == _fit_or_refusal(_np_extrapolate, eps, vals))
+    assert math.isnan(extrapolate(eps, (0.7, 0.7, 0.7))[1])
+    with pytest.raises(NoConvergence) as sign:
+        extrapolate(eps, (1.0, 0.5, 0.8))
+    assert str(sign.value) == ("no-convergence: differences change sign, no "
+                               "power-law trend: [-0.5, 0.30000000000000004]")
+    with pytest.raises(NoConvergence) as shrink:
+        extrapolate(eps, (1.0, 0.9, 0.7))
+    assert str(shrink.value) == (
+        "no-convergence: differences do not shrink monotonically: "
+        "[-0.09999999999999998, -0.20000000000000007]")
+
+
+def test_widths_are_checked_before_any_model_is_built(monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(regularized, "build_piecewise_model", no_model)
+    good = dict(theory="s", energy=1.0, v0=0.5, shape="erf",
+                values=(1.0, 0.9, 0.85), defects=(0.0, 0.0, 0.0),
+                extrapolated=0.8, order=1.0, error_estimate=0.01)
+    checks = [
+        lambda eps: route_b_sweep("s", 1.0, "erf", 0.5, PARS, eps),
+        lambda eps: extrapolate(eps, (1.0, 0.9, 0.85)),
+        lambda eps: ConvergenceSeries(epsilons=eps, **good)]
+    for check in checks:
+        with pytest.raises(ValueError, match=re.escape(
+                "epsilons must be strictly decreasing, got [0.05, 0.1, 0.2]")):
+            check((0.05, 0.1, 0.2))
+        with pytest.raises(ValueError, match=re.escape(
+                "epsilons must be strictly decreasing, got [0.2, 0.1, 0.1]")):
+            check((0.2, 0.1, 0.1))
+        with pytest.raises(ValueError, match=re.escape(
+                "epsilons needs at least 3 decreasing widths to extrapolate")):
+            check((0.2, 0.1))
+        # the fit's powers of a non-positive width are no real numbers
+        for eps, shown in (((0.2, 0.1, 0.0), "0.0"),
+                           ((-0.1, -0.2, -0.4), "-0.1")):
+            with pytest.raises(InvalidWidth, match=re.escape(
+                    "invalid-width: smoothing width must be positive, got "
+                    + shown)):
+                check(eps)
+
+
 @pytest.mark.parametrize("energy", [1e12, 1e300])
 def test_segment_count_is_bounded_before_allocating(energy):
     reg = RegularizedPotential(v0=0.5, eps=0.2)
@@ -496,6 +595,27 @@ def test_batched_sweep_limits_equal_the_reference(theory, energy, shape,
     assert series.defects == ref.defects
     assert series.extrapolated == ref.extrapolated
     assert series.order == ref.order
+
+
+@pytest.mark.parametrize("theory,energy,v0,regime", [
+    ("s", 1.0, 0.5, "propagating"), ("s", 1.0, 2.0, "evanescent"),
+    ("kfg", 2.0, 0.5, "propagating"), ("kfg", 2.0, 1.5, "evanescent"),
+    ("kfg", 2.0, 5.0, "klein")])
+def test_value_only_density_equals_the_per_node_reference(theory, energy,
+                                                          v0, regime):
+    """The scalar density carries u alone to the nodes, yet route B equals
+    the per-node 2x2 reference, and u equals eval_scalar's to the bit on
+    the window and both plateaus."""
+    params = PhysicalParams(v0=v0)
+    assert solve_step_mode(theory, energy, params).regime == regime
+    for shape, eps in (("erf", 0.05), ("logistic", 0.0125), ("ramp", 0.025)):
+        nm = solve_smooth_mode(
+            theory, energy, RegularizedPotential(v0=v0, eps=eps, shape=shape),
+            params)
+        assert route_b_integral(nm) == _ref_route_b_integral(nm)
+        x = np.linspace(-1.5, 1.5, 1001) * nm.model.window
+        u, _ = nm.eval_scalar(x)
+        assert np.array_equal(_bits(nm._scalar(x, value_only=True)), _bits(u))
 
 
 @pytest.mark.parametrize("theory,params,energy", [
