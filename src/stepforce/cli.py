@@ -30,13 +30,13 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import __version__
-from .core import GridSpec, PhysicalParams, RegularizedPotential
+from .core import REG_SHAPES, GridSpec, PhysicalParams, RegularizedPotential
 from .errors import ConfigError, StepForceError
 from .force import (InfiniteStepRow, NonrelRow, boundary_terms,
                     delta_conventions, infinite_step_sweep, interface_probe,
                     kfg_density_jump, mean_force_closed, nonrel_residuals,
                     weak_product_check)
-from .modes import matching_residuals, random_mode, solve_step_mode
+from .modes import THEORIES, matching_residuals, random_mode, solve_step_mode
 from .regularized import (DEFAULT_DOMAIN, DEFAULT_EPSILONS, _check_widths,
                           route_b_sweep, smooth_jump_diagnostics)
 from .reporting import csv_text, dumps_json, fmt_bare
@@ -229,20 +229,15 @@ def _candidates(theory: str, energy: float, pars: PhysicalParams) -> dict:
     return {"sharp_closed_form": closed, "midpoint_average": midpoint}
 
 
-def _verdict(extrapolated: float, candidates: dict, tol: float = 5e-3) -> dict:
-    diffs = {}
-    for name, value in candidates.items():
-        scale = max(abs(value), 1e-300)
-        diffs[name] = abs(extrapolated - value) / scale
-    matched = [name for name, d in sorted(diffs.items()) if d <= tol]
-    if len(matched) == 1:
-        label = matched[0]
-    elif not matched:
-        label = "neither"
-    else:
-        label = "both"
-    return {"matched": label,
-            "candidates": candidates,
+def _verdict(extrapolated: float, candidates: dict) -> dict:
+    """The candidate within relative distance 5e-3 of the limit, by name,
+    else ``both`` or ``neither``."""
+    diffs = {name: abs(extrapolated - value) / max(abs(value), 1e-300)
+             for name, value in candidates.items()}
+    matched = [name for name, d in sorted(diffs.items()) if d <= 5e-3]
+    label = (matched[0] if len(matched) == 1
+             else "both" if matched else "neither")
+    return {"matched": label, "candidates": candidates,
             "relative_differences": diffs}
 
 
@@ -286,6 +281,10 @@ def cmd_converge(cfg: dict, seed: int) -> tuple:
     _check_widths(blk["epsilons"], "converge.epsilons")
     if not blk["shapes"]:
         raise ConfigError("converge.shapes must not be empty")
+    for i, shape in enumerate(blk["shapes"]):
+        if shape not in REG_SHAPES:
+            raise ConfigError(f"converge.shapes[{i}] must be one of "
+                              f"{REG_SHAPES}, got {shape!r}")
     pars = build_params(cfg, blk["v0"])
     lines, rows = [], []
     for series, verdict in _route_b_verdicts(
@@ -425,10 +424,9 @@ _SERIES_FIELDS = ("epsilons", "values", "defects", "extrapolated", "order",
 def _report_route_b(cfg: dict) -> dict:
     out = {}
     pars = build_params(cfg, 0.5)
-    for theory in ("s", "kfg", "dirac"):
+    for theory in THEORIES:
         energy = FLAGSHIP_ENERGY[theory]
-        shapes = ("logistic", "erf", "ramp") if theory == "kfg" else (
-            "logistic", "erf")
+        shapes = REG_SHAPES if theory == "kfg" else REG_SHAPES[:2]
         series_by_shape = {}
         verdicts = {}
         for series, verdict in _route_b_verdicts(theory, energy, shapes, pars):
@@ -619,9 +617,9 @@ def run_report(cfg: dict, seed: int) -> dict:
         raise ConfigError(f"report.n_random must be >= 0, got {n}")
     pars = build_params(cfg, 0.5)
     flagships = {theory: _mode_payload(theory, FLAGSHIP_ENERGY[theory], pars)
-                 for theory in ("s", "kfg", "dirac")}
+                 for theory in THEORIES}
     sweeps = {theory: _sweep_residuals(theory, rng, n, pars)
-              for theory in ("s", "kfg", "dirac")}
+              for theory in THEORIES}
     return {
         "version": __version__,
         "seed": seed,
@@ -640,7 +638,7 @@ def cmd_report(cfg: dict, seed: int) -> tuple:
     bundle = run_report(cfg, seed)
     elapsed = time.perf_counter() - started
     lines = []
-    for theory in ("s", "kfg", "dirac"):
+    for theory in THEORIES:
         verdict = bundle["route_b"][theory]["verdicts"]["logistic"]
         lines.append(f"route B ({theory}): limit matches "
                      f"{verdict['matched'].replace('_', '-')}")

@@ -31,16 +31,8 @@ __all__ = [
     "REG_SHAPES",
 ]
 
-# Canonical smoothing shapes.  All are midpoint symmetric.
+# The smoothing shapes, all midpoint symmetric.
 REG_SHAPES = ("logistic", "erf", "ramp")
-
-_SHAPE_ALIASES = {
-    "logistic": "logistic",
-    "erf": "erf",
-    "error-function": "erf",
-    "ramp": "ramp",
-    "linear-ramp": "ramp",
-}
 
 
 @dataclass(frozen=True)
@@ -103,12 +95,9 @@ class RegularizedPotential:
     def __post_init__(self):
         if not (self.eps > 0.0):
             raise InvalidWidth(f"smoothing width must be positive, got {self.eps}")
-        canon = _SHAPE_ALIASES.get(self.shape)
-        if canon is None:
-            raise ValueError(
-                f"unknown shape {self.shape!r}; expected one of {sorted(_SHAPE_ALIASES)}"
-            )
-        object.__setattr__(self, "shape", canon)
+        if self.shape not in REG_SHAPES:
+            raise ValueError(f"unknown shape {self.shape!r}; expected one of "
+                             f"{REG_SHAPES}")
 
     def eval(self, x):
         """Potential value; accepts scalars or arrays."""
@@ -151,9 +140,11 @@ class GridSpec:
 
     def __post_init__(self):
         if not (self.x_max > self.x_min):
-            raise ValueError("x_max must exceed x_min")
+            raise ValueError(f"x_max must exceed x_min, got x_min = "
+                             f"{self.x_min} and x_max = {self.x_max}")
         if self.n_points < 2:
-            raise ValueError("need at least 2 grid points")
+            raise ValueError(
+                f"need at least 2 grid points, got {self.n_points}")
 
     @property
     def dx(self) -> float:

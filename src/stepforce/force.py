@@ -449,19 +449,18 @@ class WeakProductReport:
 
 
 def weak_product_check(energy: float, reg: RegularizedPotential,
-                          params: PhysicalParams | None = None,
-                          window: float | None = None,
-                          domain: float = 20.0,
-                          resolution: int = 8) -> WeakProductReport:
+                       params: PhysicalParams | None = None
+                       ) -> WeakProductReport:
     """Check the windowed product of potential and mode against its limit.
 
     In the hard-wall regime the product phi_eps * psi_eps concentrates at
     the interface with total weight -(hbar^2/2m) psi'(0-) of the sharp hard
     wall (integrate the stationary equation over the window: the energy term
     is O(window^2) because psi vanishes at the wall, the right-edge slope is
-    dead, only the left-edge slope survives).  The window must exceed the
-    smoothing width (raise otherwise) yet stay small against the wavelength
-    so the sharp-side lobe of psi does not re-enter the integral.
+    dead, only the left-edge slope survives).  The window is 0.1/k, small
+    against the wavelength so the sharp-side lobe of psi does not re-enter
+    the integral; a smoothing width it does not exceed raises
+    ``UnresolvedWindow``.
     ``params`` supplies hbar and mass; the step height is that of ``reg``.
     """
     from .regularized import _gl_panels, _running_sum, solve_smooth_mode
@@ -473,15 +472,13 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
         raise ValueError(
             f"weak-product regime needs v0/energy >= 100; got {v0 / energy:g}")
     k = math.sqrt(2.0 * mass * energy) / hbar
-    if window is None:
-        window = 0.1 / k
+    window = 0.1 / k
     if window <= reg.eps:
         raise UnresolvedWindow(
             f"window {window} does not clear the smoothing width {reg.eps}")
 
     pars = replace(params, v0=v0)
-    nm = solve_smooth_mode("s", energy, reg, pars, domain=domain,
-                           resolution=resolution)
+    nm = solve_smooth_mode("s", energy, reg, pars)
 
     kappa = math.sqrt(2.0 * mass * (v0 - energy)) / hbar
     width = min(reg.eps, 0.25 / kappa)

@@ -55,19 +55,16 @@ _PROJECTOR = _TAU3 + 1j * _TAU2
 _JUMP_DIRECTION = np.array([-1.0, 1.0], dtype=complex)
 
 
-def _as_theory(theory: str) -> str:
-    t = theory.lower()
-    aliases = {"s": "s", "schrodinger": "s", "kfg": "kfg", "kg": "kfg",
-               "dirac": "dirac", "d": "dirac"}
-    if t not in aliases:
+def _check_theory(theory: str):
+    """ValueError naming ``theory`` unless it is one of THEORIES."""
+    if theory not in THEORIES:
         raise ValueError(f"unknown theory {theory!r}; expected one of {THEORIES}")
-    return aliases[t]
 
 
 def _k_squared(theory: str, energy: float, phi: float,
                params: PhysicalParams) -> float:
     """Squared wavenumber (Dirac: q^2) where the potential equals ``phi``;
-    ``theory`` is a canonical name."""
+    ``theory`` is one of THEORIES."""
     if theory == "s":
         return 2.0 * params.mass * (energy - phi) / params.hbar**2
     mc2 = params.rest_energy
@@ -131,7 +128,7 @@ def dispersion(theory: str, energy: float, phi: float,
     negative in the klein regime, i*kappa (kappa > 0) for evanescent decay
     and exactly 0 at a regime threshold.
     """
-    theory = _as_theory(theory)
+    _check_theory(theory)
     d = _plateau_k2(theory, energy, phi, params)
     if d == 0.0:
         return 0.0 + 0.0j
@@ -241,7 +238,7 @@ def solve_step_mode(theory: str, energy: float,
     Raises ``below-threshold`` when the incident side cannot propagate
     (E <= 0 nonrelativistically, E <= mc^2 relativistically).
     """
-    theory = _as_theory(theory)
+    _check_theory(theory)
     _check_incidence(theory, energy, params)
 
     k = dispersion(theory, energy, 0.0, params)
@@ -383,7 +380,7 @@ def random_mode(theory: str, rng, params: PhysicalParams | None = None):
     1e-3 of a regime threshold are rejected and redrawn, as is the singular
     spin-0 matching point where the two wavenumbers cancel.
     """
-    theory = _as_theory(theory)
+    _check_theory(theory)
     base = params if params is not None else PhysicalParams()
     mc2 = base.rest_energy
     for _ in range(1000):

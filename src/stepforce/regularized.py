@@ -24,16 +24,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
 from .core import PhysicalParams, RegularizedPotential
 from .errors import (InvalidWidth, NoConvergence, ProbeInsideSmoothing,
                      UnderResolved)
-from .modes import (_PROJECTOR, _as_theory, _charge_weight, _check_incidence,
+from .modes import (_PROJECTOR, _charge_weight, _check_incidence, _check_theory,
                     _expected_jump, _k_squared, _lift_pair, _plateau_k2,
                     _spinor_ratio, _transmitted_weight, dispersion)
 
@@ -134,7 +135,7 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     ``resolution`` counts segments per smoothing width eps; widths are also
     capped at a twentieth of the shortest local wavelength (or decay length).
     """
-    theory = _as_theory(theory)
+    _check_theory(theory)
     eps = reg.eps
     if domain < 20.0 or domain < 50.0 * eps:
         raise ValueError(
@@ -463,7 +464,6 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
                       params: PhysicalParams, domain: float = DEFAULT_DOMAIN,
                       resolution: int = 8) -> NumericalMode:
     """Solve the left-incidence scattering problem for the smoothed step."""
-    theory = _as_theory(theory)
     model = build_piecewise_model(theory, energy, reg, params, domain, resolution)
     _check_incidence(theory, energy, params, model.plateau_left)
 
@@ -603,8 +603,9 @@ def extrapolate(epsilons, values) -> tuple[float, float, float]:
     The order p comes from the ratios of successive differences; the limit
     is the one-step Richardson update of the last value at that order.  The
     error estimate is the magnitude of that final update.  Python floats
-    throughout: on CPython 3.11 sum() adds left to right, as numpy's mean
-    of fewer than eight orders does (CPython 3.12 compensates the sum).
+    throughout; the orders are added left to right from the first, as
+    numpy's mean of fewer than eight orders adds them, on every CPython
+    (sum() compensates a float sum since 3.12).
     """
     eps = _check_widths(epsilons)
     vals = [float(v) for v in values]
@@ -621,7 +622,7 @@ def extrapolate(epsilons, values) -> tuple[float, float, float]:
 
     orders = [math.log(abs(d[i]) / abs(d[i + 1])) / math.log(eps[i] / eps[i + 1])
               for i in range(len(d) - 1)]
-    p = sum(orders) / len(orders)
+    p = reduce(operator.add, orders) / len(orders)
     ratio = eps[-1] ** p / (eps[-2] ** p - eps[-1] ** p)
     correction = d[-1] * ratio
     return vals[-1] + correction, p, abs(correction)
@@ -633,7 +634,8 @@ def route_b_sweep(theory: str, energy: float, shape: str, v0: float,
                   resolution: int = 8) -> ConvergenceSeries:
     """Sweep route B over a family of widths and extrapolate to zero width.
 
-    The widths are checked before the first solve."""
+    The widths are checked before the first solve, which checks the
+    theory and the shape; the series records both as given."""
     _check_widths(epsilons)
     values, defects = [], []
     for eps in epsilons:
@@ -643,8 +645,7 @@ def route_b_sweep(theory: str, energy: float, shape: str, v0: float,
         defects.append(nm.defect)
     limit, order, err = extrapolate(epsilons, values)
     return ConvergenceSeries(
-        theory=_as_theory(theory), energy=float(energy), v0=float(v0),
-        shape=RegularizedPotential(v0=v0, eps=epsilons[0], shape=shape).shape,
+        theory=theory, energy=float(energy), v0=float(v0), shape=shape,
         epsilons=tuple(float(e) for e in epsilons),
         values=tuple(values), defects=tuple(defects),
         extrapolated=limit, order=order, error_estimate=err)
@@ -673,7 +674,6 @@ class JumpDiagnostics:
     projected_value: np.ndarray
     projected_deriv: np.ndarray
     expected_value: np.ndarray
-    expected_deriv: np.ndarray
 
     @property
     def projected_fraction_value(self) -> float:
@@ -697,10 +697,8 @@ class JumpDiagnostics:
 
 
 def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
-                                params: PhysicalParams,
-                                probe_offset: float = 0.2,
-                                domain: float = DEFAULT_DOMAIN,
-                                resolution: int = 8) -> JumpDiagnostics:
+                            params: PhysicalParams,
+                            probe_offset: float = 0.2) -> JumpDiagnostics:
     """Measure the lifted-component jump of a smooth spin-0 mode.
 
     ``probe_offset`` must clear the smoothing region (> 3 eps); the probes
@@ -710,13 +708,11 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
     if probe_offset <= 3.0 * reg.eps:
         raise ProbeInsideSmoothing(
             f"probe offset {probe_offset} must exceed 3*eps = {3.0 * reg.eps}")
-    nm = solve_smooth_mode("kfg", energy, reg, params, domain, resolution)
+    nm = solve_smooth_mode("kfg", energy, reg, params)
     p = params
-    mc2 = p.rest_energy
-    delta = probe_offset
 
     def transported(side: int) -> np.ndarray:
-        x = side * delta
+        x = side * probe_offset
         u, ux = nm.eval_scalar(x)
         phi = nm.model.plateau_right if side > 0 else nm.model.plateau_left
         k2 = complex(_k_squared("kfg", energy, phi, p))
@@ -735,5 +731,4 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
         jump_value=jump_value, jump_deriv=jump_deriv,
         projected_value=_PROJECTOR @ jump_value,
         projected_deriv=_PROJECTOR @ jump_deriv,
-        expected_value=_expected_jump(reg.v0, mc2, 0.5 * (u_l + u_r)),
-        expected_deriv=_expected_jump(reg.v0, mc2, 0.5 * (ux_l + ux_r)))
+        expected_value=_expected_jump(reg.v0, p.rest_energy, 0.5 * (u_l + u_r)))

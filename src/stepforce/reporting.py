@@ -9,6 +9,7 @@ fixed to a single newline.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, is_dataclass
 
@@ -21,6 +22,9 @@ __all__ = [
     "dumps_json",
     "csv_text",
 ]
+
+# json.dumps(text, ensure_ascii=False), one encoder for every string
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def fmt_float(value: float) -> str:
@@ -65,7 +69,7 @@ def _render(obj, indent: int, out: list):
         out.append("{\n")
         items = sorted(obj.items())
         for i, (key, value) in enumerate(items):
-            out.append(f'{pad}  "{key}": ')
+            out.append(f"{pad}  {_json_string(key)}: ")
             _render(value, indent + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
@@ -88,9 +92,7 @@ def _render(obj, indent: int, out: list):
     elif isinstance(obj, int):
         out.append(str(obj))
     else:
-        escaped = (str(obj).replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n"))
-        out.append(f'"{escaped}"')
+        out.append(_json_string(str(obj)))
 
 
 def dumps_json(obj) -> str:

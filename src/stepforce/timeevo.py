@@ -294,7 +294,7 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     the work still to go, grid points times steps left: a point where a
     scheduler may pause the audit.  It does not change the result."""
     if save_stride < 1:
-        raise ValueError("save_stride must be at least 1")
+        raise ValueError(f"save_stride must be at least 1, got {save_stride}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"time step must be positive and finite, got {dt}")
     if not 0.0 < t_final < math.inf:

@@ -18,7 +18,7 @@ END_TO_END = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())[
 
 def write_record(folder: Path, seed: int, p50: float, work: float,
                  steal: int = 0, machine=MACHINE, workload="routeb",
-                 wall=(2.0, 9.0)):
+                 wall=(2.0, 9.0), attempted=100):
     """A record whose other end-to-end metrics read 1.0; ``wall`` holds
     its reference-kernel median and its workload's wall time of one op."""
     folder.mkdir(parents=True, exist_ok=True)
@@ -30,7 +30,7 @@ def write_record(folder: Path, seed: int, p50: float, work: float,
                         "report": ("report_s", "s")}[workload]
     record = {
         "workload": workload, "seed": seed, "seconds": 10.0, "trace": 0,
-        "correct": True, "attempted": 100, "failed": 0,
+        "correct": True, "attempted": attempted, "failed": 0,
         "machine": dict(machine, steal_jiffies_before=steal,
                         steal_jiffies_after=steal + 3),
         "metrics": metrics,
@@ -126,6 +126,29 @@ def test_each_pair_shows_its_wall_and_kernel_ratios(tmp_path, capsys):
     assert ratios[0]["report_s"] == pytest.approx(0.95)
     assert ratios[0]["ref_kernel_ms"] == pytest.approx(1.25)
     assert ratios[1] == {"seed": 4, "report_s": 1.0, "ref_kernel_ms": 1.0}
+
+
+def test_ops_per_run_show_beside_the_peak_rss(tmp_path, capsys):
+    # the runner's memory grows with the ops it records
+    for seed, before, after in ((1, 2500, 3100), (2, 3300, 5000)):
+        write_record(tmp_path / "parent", seed, 1.7, 2800.0,
+                     attempted=before)
+        write_record(tmp_path / "change", seed, 1.6, 3100.0, attempted=after)
+    assert bench_pairs.main([
+        "--workload", "routeb", "--seeds", "1", "2",
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"),
+        "--label", "ops", "--out-dir", str(tmp_path)]) == 0
+    rss = [line for line in capsys.readouterr().out.splitlines()
+           if line.startswith("peak_rss_mb")]
+    assert len(rss) == 1
+    assert rss[0].endswith("change wins 0/2 at 2900 -> 4050 ops a run")
+    ops = json.loads((tmp_path / "BENCH_ops.json").read_text())["attempted"]
+    assert ops["parent"]["values"] == [2500, 3300]
+    assert ops["change"]["values"] == [3100, 5000]
+    assert ops["parent"]["median"] == 2900
+    assert ops["change"]["median"] == 4050
+    assert ops["change"]["q1"] <= 4050 <= ops["change"]["q3"]
 
 
 def test_records_without_the_wall_figure_are_refused(tmp_path, capsys):

@@ -264,6 +264,20 @@ def test_converge_checks_its_widths_before_any_solve(
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_converge_refuses_an_unknown_shape_by_key_before_any_solve(
+        monkeypatch, tmp_path, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a width was solved")
+
+    monkeypatch.setattr(cli, "route_b_sweep", no_sweep)
+    assert run(["converge", "--shapes", "logistic,erf,foo",
+                "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: config: converge.shapes[2] must be one of ('logistic', "
+        "'erf', 'ramp'), got 'foo'\n"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_rejects_empty_shapes(tmp_path, capsys):
     assert run(["converge", "--shapes", "", "--out", str(tmp_path)]) == 2
     assert "shapes" in capsys.readouterr().err
@@ -355,6 +369,14 @@ def _echoed_config(out: str) -> dict:
     head, _, body = out.partition("\n")
     assert head == "resolved config:"
     return json.JSONDecoder().raw_decode(body)[0]
+
+
+def test_the_echoed_config_parses_with_control_characters_in_out(
+        tmp_path, capsys):
+    out = tmp_path / "o\tx\r\x01"
+    assert run(["mode", "--out", str(out)]) == 0
+    assert _echoed_config(capsys.readouterr().out)["out"] == str(out)
+    assert (out / "mode.json").exists()
 
 
 def test_ehrenfest_free_keeps_values_equal_to_scattering_defaults(
@@ -1105,6 +1127,18 @@ _FAILED_RUNS = [
     (["converge", "--epsilons", "0.05,0.1,0.2"], 2,
      "config: converge.epsilons must be strictly decreasing, got "
      "[0.05, 0.1, 0.2]\n", None),
+    (["mode", "--theory", "KFG"], 2,
+     "config: unknown theory 'KFG'; expected one of ('s', 'kfg', "
+     "'dirac')\n", None),
+    (["converge", "--theory", "kg"], 2,
+     "config: unknown theory 'kg'; expected one of ('s', 'kfg', "
+     "'dirac')\n", None),
+    (["converge", "--shapes", "LOGISTIC"], 2,
+     "config: converge.shapes[0] must be one of ('logistic', 'erf', "
+     "'ramp'), got 'LOGISTIC'\n", None),
+    (["ehrenfest", "--shape", "error-function"], 2,
+     "config: unknown shape 'error-function'; expected one of "
+     "('logistic', 'erf', 'ramp')\n", None),
     (["converge", "--theory", "s", "--energy", "1e12"], 2,
      "config: the model needs ", None),
     # exp(-kappa x_s) underflows at eps = 0.2 (kappa x_s = 1131 and 3578)
@@ -1125,6 +1159,13 @@ _FAILED_RUNS = [
      "config: the spin-0 energy mc^2 + E_nr rounds to mc^2", None),
     (["ehrenfest", "--case", "free", "--n-points", "41"], 1,
      "under-resolved: grid spacing 2.0", None),
+    (["ehrenfest", "--save-stride", "0"], 2,
+     "config: save_stride must be at least 1, got 0\n", None),
+    (["ehrenfest", "--n-points", "1"], 2,
+     "config: need at least 2 grid points, got 1\n", None),
+    (["ehrenfest", "--x-min", "5", "--x-max", "-5"], 2,
+     "config: x_max must exceed x_min, got x_min = 5.0 and x_max = -5.0\n",
+     None),
     (["ehrenfest", "--t-final", "-1"], 2,
      "config: final time must be positive", None),
     (["report", "--n-random", "2"], 1,

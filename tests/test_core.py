@@ -1,5 +1,7 @@
 """Parameters, smoothed step potentials, and grids."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -73,9 +75,12 @@ def test_smoothed_step_derivative_matches_finite_difference():
             assert reg.deriv(x) == pytest.approx(fd, rel=1e-8, abs=1e-12)
 
 
-def test_shape_aliases_canonicalize():
-    assert RegularizedPotential(0.5, 0.1, "error-function").shape == "erf"
-    assert RegularizedPotential(0.5, 0.1, "linear-ramp").shape == "ramp"
+def test_shapes_outside_reg_shapes_are_refused():
+    for shape in ("error-function", "linear-ramp", "LOGISTIC", "Erf", "spline"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown shape {shape!r}; expected one of "
+                f"('logistic', 'erf', 'ramp')")):
+            RegularizedPotential(0.5, 0.1, shape)
 
 
 def test_invalid_width_and_unknown_shape_rejected():
@@ -101,7 +106,9 @@ def test_grid_spec_spacing_and_validation():
     assert spec.dx == pytest.approx(0.5)
     xs = grid_build(spec)
     assert xs[0] == -1.0 and xs[-1] == 1.0 and len(xs) == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "x_max must exceed x_min, got x_min = 1.0 and x_max = -1.0")):
         GridSpec(x_min=1.0, x_max=-1.0, n_points=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "need at least 2 grid points, got 1")):
         GridSpec(x_min=0.0, x_max=1.0, n_points=1)

@@ -268,7 +268,6 @@ def test_weak_product_concentrates_on_the_wall_slope():
 def test_weak_product_guards_its_regime():
     with pytest.raises(ValueError, match="v0/energy"):
         weak_product_check(1.0, RegularizedPotential(v0=50.0, eps=0.001))
-    with pytest.raises(UnresolvedWindow):
-        weak_product_check(
-            1.0, RegularizedPotential(v0=1.0e4, eps=0.001),
-            window=0.0005)
+    # the window 0.1/k is 0.0707 at E = 1, inside the width 0.1
+    with pytest.raises(UnresolvedWindow, match="window 0.0707"):
+        weak_product_check(1.0, RegularizedPotential(v0=1.0e4, eps=0.1))

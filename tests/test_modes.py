@@ -20,12 +20,14 @@ import numpy as np
 import pytest
 
 from stepforce import modes
-from stepforce.core import PhysicalParams
+from stepforce.core import PhysicalParams, RegularizedPotential
 from stepforce.errors import (BelowThreshold, CrossCheckFailed,
                               UndefinedAtOrigin)
 from stepforce.modes import (THEORIES, bc_residuals, classify_regime,
                              dispersion, fv_lift, random_mode,
                              solve_step_mode)
+from stepforce.regularized import (build_piecewise_model, route_b_sweep,
+                                   solve_smooth_mode)
 
 from reference_checks import (DEFAULT_MATRICES, MatrixSet, fv_components,
                               fv_system_residual, representation_swap_check)
@@ -92,14 +94,22 @@ def test_flagship_spin_half_mode():
     assert mode.t == pytest.approx(D_T, rel=1e-14)
 
 
-def test_theory_aliases_resolve():
-    a = solve_step_mode("schrodinger", 1.0, PARS)
-    b = solve_step_mode("s", 1.0, PARS)
-    assert a.r == b.r
-    assert solve_step_mode("kg", 2.0, PARS).r == pytest.approx(KFG_R, rel=1e-14)
-    assert solve_step_mode("d", 2.0, PARS).r == pytest.approx(D_R, rel=1e-14)
-    with pytest.raises(ValueError):
-        solve_step_mode("tachyon", 1.0, PARS)
+def test_theories_outside_theories_are_refused():
+    """Every entry point that takes a theory takes exactly THEORIES."""
+    reg = RegularizedPotential(v0=0.5, eps=0.1)
+    entry_points = [
+        lambda theory: solve_step_mode(theory, 2.0, PARS),
+        lambda theory: dispersion(theory, 2.0, 0.0, PARS),
+        lambda theory: random_mode(theory, np.random.default_rng(0), PARS),
+        lambda theory: build_piecewise_model(theory, 2.0, reg, PARS),
+        lambda theory: solve_smooth_mode(theory, 2.0, reg, PARS),
+        lambda theory: route_b_sweep(theory, 2.0, "logistic", 0.5, PARS)]
+    for theory in ("KFG", "kg", "schrodinger", "d", "Dirac", "tachyon"):
+        for call in entry_points:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown theory {theory!r}; expected one of "
+                    f"('s', 'kfg', 'dirac')")):
+                call(theory)
 
 
 def test_evanescent_nonrelativistic_mode_is_exactly_minus_i():

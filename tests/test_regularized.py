@@ -296,20 +296,24 @@ def _fit_or_refusal(fit, eps, vals):
         return str(exc)
 
 
+def _noisy_power_law(rng, n: int) -> tuple:
+    """Seeded widths and values of a noisy power law over n geometric
+    widths, a few noisy enough to be refused."""
+    eps = rng.uniform(0.05, 1.0) * rng.uniform(0.3, 0.8) ** np.arange(n)
+    vals = tuple((rng.normal() + rng.normal() * eps ** rng.uniform(0.3, 3.0)
+                  + rng.normal(size=n) * 10.0 ** rng.uniform(-12, -3)
+                  ).tolist())
+    return tuple(eps.tolist()), vals
+
+
 def test_extrapolate_equals_the_numpy_reference():
-    """Seeded noisy power laws over 3 to 9 geometric widths, a few noisy
-    enough to be refused: numpy's mean adds fewer than eight orders left to
-    right, as sum() does."""
+    """Seeded noisy power laws over 3 to 9 geometric widths: numpy's mean
+    adds fewer than eight orders left to right, as the fit does."""
     rng = np.random.default_rng(1818)
     refusals = 0
     for n in range(3, 10):
         for _ in range(300):
-            eps = rng.uniform(0.05, 1.0) * rng.uniform(0.3, 0.8) ** np.arange(n)
-            vals = tuple((rng.normal() + rng.normal()
-                          * eps ** rng.uniform(0.3, 3.0)
-                          + rng.normal(size=n) * 10.0 ** rng.uniform(-12, -3)
-                          ).tolist())
-            eps = tuple(eps.tolist())
+            eps, vals = _noisy_power_law(rng, n)
             want = _fit_or_refusal(_np_extrapolate, eps, vals)
             assert _fit_or_refusal(extrapolate, eps, vals) == want
             refusals += isinstance(want, str)
@@ -330,6 +334,41 @@ def test_extrapolate_equals_the_numpy_reference():
     assert str(shrink.value) == (
         "no-convergence: differences do not shrink monotonically: "
         "[-0.09999999999999998, -0.20000000000000007]")
+
+
+def _neumaier_sum(values):
+    """sum() of floats as CPython 3.12 and later add them: compensated."""
+    total, comp = 0.0, 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_extrapolate_does_not_depend_on_the_sum_builtin(monkeypatch):
+    """A compensated sum() changes the last bit of some means of 3 to 7
+    orders; the fit still equals numpy's left-to-right mean."""
+    monkeypatch.setattr(regularized, "sum", _neumaier_sum, raising=False)
+    assert regularized.sum([0.1, 0.2, 0.3]) == 0.6 != 0.1 + 0.2 + 0.3
+    rng = np.random.default_rng(1919)
+    for n in range(5, 10):
+        for _ in range(400):
+            eps, vals = _noisy_power_law(rng, n)
+            assert (_fit_or_refusal(extrapolate, eps, vals)
+                    == _fit_or_refusal(_np_extrapolate, eps, vals))
+
+
+def test_a_sweep_refuses_an_unknown_shape_before_any_model(monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(regularized, "build_piecewise_model", no_model)
+    for shape in ("error-function", "linear-ramp", "Erf"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown shape {shape!r}; expected one of "
+                f"('logistic', 'erf', 'ramp')")):
+            route_b_sweep("kfg", 2.0, shape, 0.5, PARS)
 
 
 def test_widths_are_checked_before_any_model_is_built(monkeypatch):

@@ -32,6 +32,17 @@ def test_json_sorts_keys_and_parses_back():
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
 
 
+def test_json_strings_escape_what_json_requires():
+    for text in ("o\tx", "cr\rlf\n", "soh\x01", 'quote " back \\',
+                 "phi_\u03b5"):
+        obj = {text: [text], "plain": text}
+        assert json.loads(dumps_json(obj)) == obj
+    # quotes, backslashes and newlines as before; non-ASCII text as it is
+    assert dumps_json(['a"b\\c\nd', "\u03b5"]) == (
+        '[\n  "a\\"b\\\\c\\nd",\n  "\u03b5"\n]\n')
+    assert dumps_json("\t\x01") == '"\\t\\u0001"\n'
+
+
 def test_json_bytes_do_not_depend_on_insertion_order():
     first = dumps_json({"alpha": 1, "beta": {"x": 0.5, "y": 2.0}})
     second = dumps_json({"beta": {"y": 2.0, "x": 0.5}, "alpha": 1})

@@ -17,6 +17,9 @@ against the wall clock.  ``pair_ratios`` holds, for each pair, the
 change/parent ratio of the wall figure next to that of ``ref_kernel_ms``:
 a gain in reference units that comes from a slower kernel, not from a
 faster op, shows as a kernel ratio above 1 next to a wall ratio near 1.
+``attempted`` summarizes each side's ops per run the same way, and the
+``peak_rss_mb`` line shows their medians: the runner keeps every op's
+record in memory, so a run that makes more ops reads a higher peak RSS.
 """
 
 from __future__ import annotations
@@ -100,6 +103,8 @@ def compare(parent: list, change: list, end_to_end: list) -> dict:
         "metrics": metrics,
         "figures": figures,
         "pair_ratios": ratios,
+        "attempted": {"parent": summarize([r["attempted"] for r in parent]),
+                      "change": summarize([r["attempted"] for r in change])},
     }
 
 
@@ -127,10 +132,14 @@ def main(argv=None) -> int:
     with open(path, "w") as fh:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    ops = bench["attempted"]
     for name, m in bench["metrics"].items():
         print(f"{name:14s} {m['parent']['median']:12.6g} -> "
               f"{m['change']['median']:12.6g} {m['unit']:7s} "
-              f"change wins {m['change_wins']}/{bench['pairs']}")
+              f"change wins {m['change_wins']}/{bench['pairs']}"
+              + (f" at {ops['parent']['median']:g} -> "
+                 f"{ops['change']['median']:g} ops a run"
+                 if name == "peak_rss_mb" else ""))
     for name, f in bench["figures"].items():
         print(f"{name:14s} {f['parent']['median']:12.6g} -> "
               f"{f['change']['median']:12.6g} {f['unit']:7s} (wall clock)")
