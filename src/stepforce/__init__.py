@@ -7,7 +7,7 @@ numerical limits (smooth-potential, nonrelativistic, hard-wall,
 time-dependent) that probe every boundary condition behind them.
 """
 
-from .core import GridSpec, PhysicalParams, RegularizedPotential, grid_build
+from .core import GridSpec, PhysicalParams, RegularizedPotential
 from .errors import (BelowThreshold, BoxTooSmall, ConfigError,
                      CrossCheckFailed, InvalidWidth, NoConvergence,
                      ProbeInsideSmoothing, StepForceError, UndefinedAtOrigin,
@@ -15,8 +15,8 @@ from .errors import (BelowThreshold, BoxTooSmall, ConfigError,
 from .force import (boundary_terms, delta_conventions, density,
                     infinite_step_sweep, interface_probe, kfg_density_jump,
                     mean_force_closed, nonrel_residuals)
-from .modes import (ScatterMode, bc_residuals, classify_regime, dispersion,
-                    fv_lift, random_mode, solve_step_mode)
+from .modes import (ScatterMode, bc_residuals, dispersion, fv_lift,
+                    random_mode, solve_step_mode)
 from .regularized import (ConvergenceSeries, extrapolate, route_b_sweep,
                           smooth_jump_diagnostics, solve_smooth_mode)
 from .timeevo import (EvolutionState, PacketSpec, ehrenfest_report, evolve,
@@ -26,11 +26,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "PhysicalParams", "RegularizedPotential", "GridSpec", "grid_build",
+    "PhysicalParams", "RegularizedPotential", "GridSpec",
     "StepForceError", "ConfigError", "UndefinedAtOrigin", "InvalidWidth",
     "BelowThreshold", "UnderResolved", "NoConvergence", "UnresolvedWindow",
     "ProbeInsideSmoothing", "BoxTooSmall", "CrossCheckFailed",
-    "ScatterMode", "dispersion", "classify_regime",
+    "ScatterMode", "dispersion",
     "solve_step_mode", "fv_lift", "bc_residuals", "random_mode",
     "density", "interface_probe", "kfg_density_jump", "mean_force_closed",
     "boundary_terms", "delta_conventions", "nonrel_residuals",

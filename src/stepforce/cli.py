@@ -355,7 +355,8 @@ def _ehrenfest_block(blk: dict, given: set) -> dict:
                     f"ehrenfest.{key} has no effect in the free case")
         return {**_EHRENFEST_FREE, **{key: blk[key] for key in given}}
     if blk["case"] != "scattering":
-        raise ConfigError(f"unknown ehrenfest case: {blk['case']!r}")
+        raise ConfigError(f"unknown ehrenfest case: {blk['case']!r}; "
+                          "expected one of ('scattering', 'free')")
     return blk
 
 
@@ -595,9 +596,7 @@ def _report_ehrenfest(cfg: dict) -> dict:
     free, coarse, fine, rt_run = _two_lanes(
         [functools.partial(_audit, audit, dt, pars) for audit, dt in audits],
         [audit["n_points"] * audit["t_final"] / dt for audit, dt in audits])
-    rt = compare_packet_rt(rt_run.final_state,
-                           _ehrenfest_setup(_RT_CASE)[0],
-                           rt_run.final_state.reg)
+    rt = compare_packet_rt(rt_run.final_state, _ehrenfest_setup(_RT_CASE)[0])
     ratio = (coarse.max_deviation / fine.max_deviation
              if fine.max_deviation > 0.0 else float("inf"))
     return {
@@ -742,7 +741,8 @@ def _resolve(args: argparse.Namespace) -> tuple:
                                   f"distinct values")
         kind = cfg["limits"]["kind"]
         if kind not in _LIMITS_READS:
-            raise ConfigError(f"unknown limits kind: {kind!r}")
+            raise ConfigError(f"unknown limits kind: {kind!r}; expected one "
+                              f"of {tuple(_LIMITS_READS)}")
         extra = sorted(given - _LIMITS_READS[kind])
         if extra:
             raise ConfigError(

@@ -27,7 +27,6 @@ __all__ = [
     "PhysicalParams",
     "RegularizedPotential",
     "GridSpec",
-    "grid_build",
     "REG_SHAPES",
 ]
 
@@ -149,8 +148,3 @@ class GridSpec:
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
-
-
-def grid_build(spec: GridSpec) -> np.ndarray:
-    """Return the sample positions of ``spec`` as a float array."""
-    return np.linspace(spec.x_min, spec.x_max, spec.n_points)

@@ -35,7 +35,6 @@ __all__ = [
     "FVBoundary",
     "BCResiduals",
     "dispersion",
-    "classify_regime",
     "solve_step_mode",
     "fv_lift",
     "bc_residuals",
@@ -150,12 +149,6 @@ def _regime(q: complex) -> str:
     if q.real < 0.0:
         return "klein"
     return "propagating"
-
-
-def classify_regime(theory: str, energy: float, phi: float,
-                    params: PhysicalParams) -> str:
-    """Regime where the potential equals ``phi``; see :func:`dispersion`."""
-    return _regime(dispersion(theory, energy, phi, params))
 
 
 @dataclass(frozen=True)

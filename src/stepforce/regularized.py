@@ -81,7 +81,6 @@ class PiecewiseModel:
 
     theory: str
     energy: float
-    domain: float
     edges: np.ndarray          # fine-segment edges, [-xs ... +xs]
     values: np.ndarray         # potential per fine segment (midpoint samples)
     plateau_left: float
@@ -170,8 +169,7 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     plateau_mid_l = 0.5 * (-domain - xs)
     plateau_mid_r = 0.5 * (domain + xs)
     return PiecewiseModel(
-        theory=theory, energy=float(energy), domain=float(domain),
-        edges=edges, values=values,
+        theory=theory, energy=float(energy), edges=edges, values=values,
         plateau_left=float(reg.eval(plateau_mid_l)),
         plateau_right=float(reg.eval(plateau_mid_r)),
         params=params, reg=reg)
@@ -184,9 +182,9 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
 # The batched arithmetic below rounds exactly as the scalar complex formulas
 # it replaces:
 #
-# * k^2 is real, so k, k d, every propagator entry and the plateau factors
-#   i k, i q lie on the real or the imaginary axis: one component of each
-#   is exactly zero (of either sign);
+# * k^2 is real, so k, k d, every propagator entry and the plateau ratios
+#   f (i k or the spinor ratio) lie on the real or the imaginary axis: one
+#   component of each is exactly zero (of either sign);
 # * on the real axis (k^2 >= 0) cos(k d) and sin(k d) come from the real
 #   np.cos and np.sin, which equal the parts of the complex exp(i k d),
 #   cos and sin bit for bit (10^6 seeded doubles with |x| <= 1e6, +-0,
@@ -477,23 +475,18 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
     if abs(wave) < sys.float_info.min:
         raise _out_of_range(model)
 
-    if theory in ("s", "kfg"):
-        init = np.array([wave, 1j * q * wave], dtype=complex)
-        states = _march(model, init)
-        u_l, ux_l = states[0]
-        # split the left-edge state into incident and reflected plane waves
-        a_loc = 0.5 * (u_l + ux_l / (1j * k))
-        b_loc = 0.5 * (u_l - ux_l / (1j * k))
-        lams = None
+    # f: a plane wave's second over first component, ik or the spinor ratio
+    if theory == "dirac":
+        lams = (_spinor_ratio(k, energy, model.plateau_left, params),
+                _spinor_ratio(q, energy, model.plateau_right, params))
+        f_l, f_r = lams
     else:
-        lamp = _spinor_ratio(q, energy, model.plateau_right, params)
-        lam = _spinor_ratio(k, energy, model.plateau_left, params)
-        lams = (lam, lamp)
-        init = np.array([1.0, lamp], dtype=complex) * wave
-        states = _march(model, init)
-        psi1, psi2 = states[0]
-        a_loc = 0.5 * (psi1 + psi2 / lam)
-        b_loc = 0.5 * (psi1 - psi2 / lam)
+        f_l, f_r, lams = 1j * k, 1j * q, None
+    states = _march(model, np.array([wave, f_r * wave]))
+    s0, s1 = states[0]
+    # split the left-edge state into incident and reflected plane waves
+    a_loc = 0.5 * (s0 + s1 / f_l)
+    b_loc = 0.5 * (s0 - s1 / f_l)
     a_coef = a_loc * cmath.exp(1j * k * xs)       # e^{ikx} coefficient
     b_coef = b_loc * cmath.exp(-1j * k * xs)      # e^{-ikx} coefficient
     r = b_coef / a_coef
@@ -667,8 +660,6 @@ class JumpDiagnostics:
     must die with eps.
     """
 
-    eps: float
-    probe_offset: float
     jump_value: np.ndarray
     jump_deriv: np.ndarray
     projected_value: np.ndarray
@@ -727,7 +718,6 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
     jump_deriv = (_lift_pair(ux_r, energy, phi_r, p)
                   - _lift_pair(ux_l, energy, phi_l, p))
     return JumpDiagnostics(
-        eps=reg.eps, probe_offset=probe_offset,
         jump_value=jump_value, jump_deriv=jump_deriv,
         projected_value=_PROJECTOR @ jump_value,
         projected_deriv=_PROJECTOR @ jump_deriv,

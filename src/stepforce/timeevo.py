@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GridSpec, PhysicalParams, RegularizedPotential, grid_build
+from .core import GridSpec, PhysicalParams, RegularizedPotential
 from .errors import BoxTooSmall, UnderResolved
 from .modes import solve_step_mode
 
@@ -101,7 +101,7 @@ class EvolutionState:
 def gaussian_packet(spec: PacketSpec, reg: RegularizedPotential | None = None,
                     params: PhysicalParams | None = None) -> EvolutionState:
     """Normalized Gaussian packet at t = 0 on the grid of ``spec``."""
-    x = grid_build(spec.grid)
+    x = np.linspace(spec.grid.x_min, spec.grid.x_max, spec.grid.n_points)
     psi = np.exp(-((x - spec.x0) ** 2) / (4.0 * spec.sigma**2)
                  + 1j * spec.k0 * x)
     psi[0] = 0.0
@@ -360,9 +360,9 @@ def packet_rt(state: EvolutionState) -> tuple[float, float]:
     return r, 1.0 - r
 
 
-def compare_packet_rt(state: EvolutionState, spec: PacketSpec,
-                      reg: RegularizedPotential) -> dict:
-    """Compare the packet's reflected weight with stationary probabilities.
+def compare_packet_rt(state: EvolutionState, spec: PacketSpec) -> dict:
+    """Compare the reflected weight of a packet that scattered on the step
+    ``state.reg`` with stationary probabilities.
 
     Meaningful only for packets narrow in momentum: requires
     k0 * sigma >= 10.  Both references are reported: the smooth-profile
@@ -371,14 +371,17 @@ def compare_packet_rt(state: EvolutionState, spec: PacketSpec,
     """
     from .regularized import solve_smooth_mode
 
+    if state.reg is None:
+        raise ValueError("compare_packet_rt needs a state with a step, "
+                         "got reg = None")
     if spec.k0 * spec.sigma < 10.0:
         raise UnderResolved(
             f"momentum spread too broad for a single-momentum comparison: "
             f"k0*sigma = {spec.k0 * spec.sigma:g} < 10")
     r_packet, t_packet = packet_rt(state)
-    pars = replace(state.params, v0=reg.v0)
+    pars = replace(state.params, v0=state.reg.v0)
     energy = (pars.hbar * spec.k0) ** 2 / (2.0 * pars.mass)
-    nm = solve_smooth_mode("s", energy, reg, pars)
+    nm = solve_smooth_mode("s", energy, state.reg, pars)
     sharp = solve_step_mode("s", energy, pars)
     r_smooth = float(abs(nm.r) ** 2)
     r_sharp = float(abs(sharp.r) ** 2)

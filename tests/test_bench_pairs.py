@@ -191,3 +191,59 @@ def test_unpaired_or_mixed_records_are_refused(tmp_path):
         "--out-dir", str(tmp_path)])
     assert code == 2
     assert not (tmp_path / "BENCH_x.json").exists()
+
+
+def _metric(better: str, bound: float, before: list, after: list) -> dict:
+    """A metric's summaries as compare() writes them."""
+    lower = better == "lower"
+    wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+    return {"better": better, "bound": bound, "change_wins": wins,
+            "parent": bench_pairs.summarize(before),
+            "change": bench_pairs.summarize(after)}
+
+
+PARENT = [2.0 + 0.01 * i for i in range(10)]    # quartile distance 0.055
+WIDE = [1.0, 1.5] * 5                           # median 1.25, quartiles 1, 1.5
+
+
+@pytest.mark.parametrize("better,bound,before,after,expected", [
+    # 10/10 wins and a median gap of 0.5 against the quartile distance
+    ("lower", 0.25, PARENT, [v - 0.5 for v in PARENT], "gain"),
+    # 10/10 wins, but a gap of 0.001 lies inside the parent's quartiles
+    ("lower", 0.25, PARENT, [v - 0.001 for v in PARENT], "within bound"),
+    # 8/10 wins with a wide gap is not a gain
+    ("lower", 0.25, PARENT, [v - 0.5 for v in PARENT[:8]] + PARENT[8:],
+     "within bound"),
+    # higher is better: the change's median is 30 % under the parent's
+    ("higher", 0.25, [1000.0 + i for i in range(10)],
+     [700.0 + i for i in range(10)], "worse"),
+    # 20 % worse passes a 25 % bound and fails a 10 % one
+    ("lower", 0.25, PARENT, [1.2 * v for v in PARENT], "within bound"),
+    ("lower", 0.1, PARENT, [1.2 * v for v in PARENT], "worse"),
+    # the parent's quartile distance, 0.5, is wider than 10 % of 1.25
+    ("lower", 0.1, WIDE, WIDE[::-1], "unresolved"),
+    # as wide, but every change run beats every parent run
+    ("lower", 0.1, WIDE, [0.99] * 10, "within bound"),
+    ("higher", 0.1, WIDE, [1.51] * 10, "within bound")])
+def test_each_metric_gets_its_verdict(better, bound, before, after, expected):
+    assert bench_pairs.verdict(_metric(better, bound, before, after)) == expected
+
+
+def test_the_verdicts_are_stored_and_printed(tmp_path, capsys):
+    for seed, (p50, work) in enumerate(zip(PARENT, range(1000, 1010))):
+        write_record(tmp_path / "parent", seed, p50, float(work))
+        write_record(tmp_path / "change", seed, p50 - 0.5, work - 300.0)
+    assert bench_pairs.main([
+        "--workload", "routeb", "--seeds", *map(str, range(10)),
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"),
+        "--label", "v", "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    metrics = json.loads((tmp_path / "BENCH_v.json").read_text())["metrics"]
+    assert {name: m["verdict"] for name, m in metrics.items()} == {
+        "op_p50_ref": "gain", "work_per_kref": "worse",
+        "op_tail_ref": "within bound", "peak_rss_mb": "within bound",
+        "setup_s": "within bound"}
+    for name, m in metrics.items():
+        line, = [ln for ln in lines if ln.startswith(name + " ")]
+        assert f" {m['verdict']} " in line

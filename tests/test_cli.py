@@ -895,7 +895,7 @@ def _stub_audits(monkeypatch, act):
 
     monkeypatch.setattr(cli, "_audit", audit)
     monkeypatch.setattr(cli, "compare_packet_rt",
-                        lambda state, spec, reg: {"stub": True})
+                        lambda state, spec: {"stub": True})
     return threads, log
 
 
@@ -1139,6 +1139,12 @@ _FAILED_RUNS = [
     (["ehrenfest", "--shape", "error-function"], 2,
      "config: unknown shape 'error-function'; expected one of "
      "('logistic', 'erf', 'ramp')\n", None),
+    (["limits", "--kind", "Nonrel"], 2,
+     "config: unknown limits kind: 'Nonrel'; expected one of "
+     "('nonrel', 'infinite-step')\n", None),
+    (["ehrenfest", "--case", "Free"], 2,
+     "config: unknown ehrenfest case: 'Free'; expected one of "
+     "('scattering', 'free')\n", None),
     (["converge", "--theory", "s", "--energy", "1e12"], 2,
      "config: the model needs ", None),
     # exp(-kappa x_s) underflows at eps = 0.2 (kappa x_s = 1131 and 3578)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from stepforce.core import (REG_SHAPES, GridSpec, PhysicalParams,
-                            RegularizedPotential, grid_build)
+                            RegularizedPotential)
 from stepforce.errors import InvalidWidth
+from stepforce.timeevo import PacketSpec, gaussian_packet
 
 
 def test_default_params_are_natural_units():
@@ -104,8 +105,10 @@ def test_ramp_support_is_exactly_eps():
 def test_grid_spec_spacing_and_validation():
     spec = GridSpec(x_min=-1.0, x_max=1.0, n_points=5)
     assert spec.dx == pytest.approx(0.5)
-    xs = grid_build(spec)
-    assert xs[0] == -1.0 and xs[-1] == 1.0 and len(xs) == 5
+    grid = GridSpec(x_min=-40.0, x_max=40.0, n_points=321)
+    xs = gaussian_packet(PacketSpec(x0=-10.0, sigma=2.0, k0=1.0, grid=grid)).x
+    assert xs[0] == -40.0 and xs[-1] == 40.0 and len(xs) == 321
+    assert np.diff(xs) == pytest.approx(grid.dx)
     with pytest.raises(ValueError, match=re.escape(
             "x_max must exceed x_min, got x_min = 1.0 and x_max = -1.0")):
         GridSpec(x_min=1.0, x_max=-1.0, n_points=5)

@@ -23,9 +23,8 @@ from stepforce import modes
 from stepforce.core import PhysicalParams, RegularizedPotential
 from stepforce.errors import (BelowThreshold, CrossCheckFailed,
                               UndefinedAtOrigin)
-from stepforce.modes import (THEORIES, bc_residuals, classify_regime,
-                             dispersion, fv_lift, random_mode,
-                             solve_step_mode)
+from stepforce.modes import (THEORIES, bc_residuals, dispersion, fv_lift,
+                             random_mode, solve_step_mode)
 from stepforce.regularized import (build_piecewise_model, route_b_sweep,
                                    solve_smooth_mode)
 
@@ -161,10 +160,10 @@ def test_dispersion_branches_and_thresholds():
     assert dispersion("s", 1.0, 1.0, pars) == 0.0
     assert dispersion("kfg", 2.0, 1.0, pars) == 0.0
     assert dispersion("kfg", 2.0, 3.0, pars) == 0.0
-    assert classify_regime("s", 1.0, 1.0, pars) == "threshold"
-    assert classify_regime("kfg", 2.0, 3.0, pars) == "threshold"
-    assert classify_regime("kfg", 2.0, 5.0, pars) == "klein"
-    assert classify_regime("dirac", 2.0, 2.5, pars) == "evanescent"
+    assert modes._regime(dispersion("s", 1.0, 1.0, pars)) == "threshold"
+    assert modes._regime(dispersion("kfg", 2.0, 3.0, pars)) == "threshold"
+    assert modes._regime(dispersion("kfg", 2.0, 5.0, pars)) == "klein"
+    assert modes._regime(dispersion("dirac", 2.0, 2.5, pars)) == "evanescent"
 
 
 @pytest.mark.parametrize("theory,energy,phi,k2", [
@@ -177,20 +176,18 @@ def test_sharp_modes_share_the_plateau_k2_check(theory, energy, phi, k2):
     with pytest.raises(ValueError, match=message):
         dispersion(theory, energy, phi, PARS)
     with pytest.raises(ValueError, match=message):
-        classify_regime(theory, energy, phi, PARS)
-    with pytest.raises(ValueError, match=message):
         solve_step_mode(theory, energy, PhysicalParams(v0=phi))
 
 
 @pytest.mark.parametrize("theory", THEORIES)
-def test_classify_regime_equals_the_mode_regime(theory):
+def test_the_dispersion_regime_equals_the_mode_regime(theory):
     rng = np.random.default_rng(2718)
     regimes = set()
     for _ in range(300):
         mode = random_mode(theory, rng)
         regimes.add(mode.regime)
-        assert classify_regime(theory, mode.energy, mode.params.v0,
-                               mode.params) == mode.regime
+        assert modes._regime(dispersion(theory, mode.energy, mode.params.v0,
+                                        mode.params)) == mode.regime
     assert regimes == ({"propagating", "evanescent"} if theory == "s"
                        else {"propagating", "evanescent", "klein"})
 

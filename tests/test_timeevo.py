@@ -312,7 +312,15 @@ def test_rt_comparison_requires_narrow_momentum_spread():
     reg = RegularizedPotential(v0=0.5, eps=0.1, shape="logistic")
     state = gaussian_packet(FREE_SPEC, reg)
     with pytest.raises(UnderResolved, match="k0\\*sigma"):
-        compare_packet_rt(state, FREE_SPEC, reg)
+        compare_packet_rt(state, FREE_SPEC)
+
+
+def test_rt_comparison_refuses_a_packet_with_no_step():
+    # the step comes from the state: a free packet has none to compare with
+    spec = replace(FREE_SPEC, k0=5.0)
+    with pytest.raises(ValueError, match="needs a state with a step, "
+                                         "got reg = None"):
+        compare_packet_rt(gaussian_packet(spec), spec)
 
 
 def test_packet_rt_matches_stationary_probabilities(report_runs):

@@ -20,6 +20,17 @@ faster op, shows as a kernel ratio above 1 next to a wall ratio near 1.
 ``attempted`` summarizes each side's ops per run the same way, and the
 ``peak_rss_mb`` line shows their medians: the runner keeps every op's
 record in memory, so a run that makes more ops reads a higher peak RSS.
+
+Each metric also gets a ``verdict``, decided in this order:
+
+* ``gain``: the change wins at least nine tenths of the pairs and its
+  median is better than the parent's by more than the parent's quartile
+  distance;
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound``, a fraction of the parent's median;
+* ``unresolved``: the parent's quartile distance is wider than the bound
+  and not every change run beats every parent run;
+* ``within bound`` otherwise.
 """
 
 from __future__ import annotations
@@ -56,6 +67,26 @@ def summarize(values: list) -> dict:
             "q1": q1, "q3": q3}
 
 
+def verdict(metric: dict) -> str:
+    """The verdict on one metric's summaries (see the module docstring)."""
+    # sign * value is lower when better
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    before, after = metric["parent"], metric["change"]
+    gain = sign * (before["median"] - after["median"])
+    spread = before["q3"] - before["q1"]
+    bound = metric["bound"] * abs(before["median"])
+    pairs = len(before["values"])
+    if 10 * metric["change_wins"] >= 9 * pairs and gain > spread:
+        return "gain"
+    if -gain > bound:
+        return "worse"
+    separated = (max(sign * v for v in after["values"])
+                 < min(sign * v for v in before["values"]))
+    if spread > bound and not separated:
+        return "unresolved"
+    return "within bound"
+
+
 def compare(parent: list, change: list, end_to_end: list) -> dict:
     """The comparison of two equally long, seed-paired record lists."""
     if len(parent) < 2 or len(parent) != len(change):
@@ -79,6 +110,7 @@ def compare(parent: list, change: list, end_to_end: list) -> dict:
             "parent": summarize(before), "change": summarize(after),
             "change_wins": wins,
         }
+        metrics[name]["verdict"] = verdict(metrics[name])
     figures = {}
     names = (WALL_FIGURES[parent[0]["workload"]], "ref_kernel_ms")
     for name in names:
@@ -136,6 +168,7 @@ def main(argv=None) -> int:
     for name, m in bench["metrics"].items():
         print(f"{name:14s} {m['parent']['median']:12.6g} -> "
               f"{m['change']['median']:12.6g} {m['unit']:7s} "
+              f"{m['verdict']:12s} "
               f"change wins {m['change_wins']}/{bench['pairs']}"
               + (f" at {ops['parent']['median']:g} -> "
                  f"{ops['change']['median']:g} ops a run"
