@@ -212,17 +212,6 @@ class ScatterMode:
     def lam_right(self) -> complex:
         return _spinor_ratio(self.q, self.energy, self.params.v0, self.params)
 
-    def spinor(self, x: float) -> np.ndarray:
-        """Two-component spinor of the spin-1/2 mode; continuous at 0."""
-        if self.theory != "dirac":
-            raise ValueError("spinor defined only for the spin-1/2 theory")
-        lam, lamp = self.lam_left, self.lam_right
-        if x < 0.0:
-            inc = np.array([1.0, lam], dtype=complex) * np.exp(1j * self.k * x)
-            ref = np.array([1.0, -lam], dtype=complex) * np.exp(-1j * self.k * x)
-            return inc + self.r * ref
-        return self.t * np.array([1.0, lamp], dtype=complex) * np.exp(1j * self.q * x)
-
 
 def solve_step_mode(theory: str, energy: float,
                     params: PhysicalParams) -> ScatterMode:

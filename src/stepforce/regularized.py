@@ -156,15 +156,11 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
         raise ValueError(
             f"the model needs {needed:.3g} segments at energy {energy!r}; "
             f"the bound is {_MAX_SEGMENTS:.0e}")
-    n_seg = max(int(math.ceil(needed)), 16)
+    # xs >= 5 eps, width <= eps/8: at least 80 segments, 79 in |x| < 5 eps
+    n_seg = int(math.ceil(needed))
     edges = np.linspace(-xs, xs, n_seg + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     values = np.asarray(reg.eval(mids), dtype=float)
-
-    inside = np.sum((mids > -5.0 * eps) & (mids < 5.0 * eps))
-    if inside < 40:
-        raise UnderResolved(
-            f"only {inside} segments resolve the smoothing region; need >= 40")
 
     plateau_mid_l = 0.5 * (-domain - xs)
     plateau_mid_r = 0.5 * (domain + xs)

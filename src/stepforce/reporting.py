@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, is_dataclass
-
-import numpy as np
 
 __all__ = [
     "fmt_float",
     "fmt_bare",
-    "to_jsonable",
     "dumps_json",
     "csv_text",
 ]
@@ -41,25 +37,6 @@ def fmt_bare(value: float) -> str:
     return fmt_float(value).strip('"')
 
 
-def to_jsonable(obj):
-    """Reduce dataclasses, numpy containers and complexes to plain data."""
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return to_jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"im": float(obj.imag), "re": float(obj.real)}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _render(obj, indent: int, out: list):
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -67,13 +44,13 @@ def _render(obj, indent: int, out: list):
             out.append("{}")
             return
         out.append("{\n")
-        items = sorted(obj.items())
+        items = sorted({str(k): v for k, v in obj.items()}.items())
         for i, (key, value) in enumerate(items):
             out.append(f"{pad}  {_json_string(key)}: ")
             _render(value, indent + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
@@ -91,14 +68,20 @@ def _render(obj, indent: int, out: list):
         out.append(fmt_float(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
+    elif isinstance(obj, complex):
+        _render({"im": obj.imag, "re": obj.real}, indent, out)
+    elif isinstance(obj, str):
+        out.append(_json_string(obj))
     else:
-        out.append(_json_string(str(obj)))
+        raise TypeError(f"cannot write type {type(obj).__name__} as JSON")
 
 
 def dumps_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, 17-digit floats, LF endings."""
+    """Deterministic JSON text: sorted keys, 17-digit floats, LF endings,
+    tuples as lists and complexes as {"im", "re"}; a value of any type
+    JSON does not hold raises TypeError."""
     out: list = []
-    _render(to_jsonable(obj), 0, out)
+    _render(obj, 0, out)
     out.append("\n")
     return "".join(out)
 

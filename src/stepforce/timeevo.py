@@ -290,6 +290,8 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
                      ) -> EhrenfestReport:
     """Propagate the packet and audit the momentum balance along the way.
 
+    dp/dt is a central difference of the saved momenta, so a run of fewer
+    than 3 saves, which audits no point, raises ValueError before it steps.
     ``checkpoint``, if given, is called after each save but the last with
     the work still to go, grid points times steps left: a point where a
     scheduler may pause the audit.  It does not change the result."""
@@ -300,9 +302,14 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     if not 0.0 < t_final < math.inf:
         raise ValueError(
             f"final time must be positive and finite, got {t_final}")
-    state = gaussian_packet(spec, reg, params)
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     n_steps += (-n_steps) % save_stride
+    saves = n_steps // save_stride + 1
+    if saves < 3:
+        raise ValueError(
+            f"the audit needs at least 3 saves, got {saves} from t_final = "
+            f"{t_final!r}, dt = {dt!r} and save_stride = {save_stride}")
+    state = gaussian_packet(spec, reg, params)
 
     times, momenta, forces, norms = [], [], [], []
     wall_max = 0.0
@@ -333,13 +340,8 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     forces_a = np.asarray(forces)
     norms_a = np.asarray(norms)
     dpdt = np.full_like(momenta_a, np.nan)
-    if len(times_a) >= 3:
-        dts = save_stride * dt
-        dpdt[1:-1] = (momenta_a[2:] - momenta_a[:-2]) / (2.0 * dts)
-        dev = np.abs(dpdt[1:-1] - forces_a[1:-1])
-        max_dev = float(np.max(dev))
-    else:
-        max_dev = 0.0
+    dpdt[1:-1] = (momenta_a[2:] - momenta_a[:-2]) / (2.0 * save_stride * dt)
+    max_dev = float(np.max(np.abs(dpdt[1:-1] - forces_a[1:-1])))
     fmax = float(np.max(np.abs(forces_a)))
     return EhrenfestReport(
         times=times_a, momenta=momenta_a, forces=forces_a,

@@ -1002,6 +1002,20 @@ def test_report_with_a_worker_lane_box_error_exits_1(monkeypatch, tmp_path,
     assert threading.active_count() == before
 
 
+def test_a_report_of_no_draws_writes_empty_regime_counts(monkeypatch,
+                                                         tmp_path, capsys):
+    _stub_audits(monkeypatch, lambda stage: None)
+    assert run(["report", "--n-random", "0", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "report.json").read_text()
+    sweeps = json.loads(text)["random_sweeps"]
+    for theory in ("s", "kfg", "dirac"):
+        assert sweeps[theory]["n_draws"] == 0
+        assert sweeps[theory]["regime_counts"] == {}
+        assert set(sweeps[theory]["worst"].values()) == {0}
+    assert text.count('"regime_counts": {}') == 3
+
+
 def test_two_lanes_run_each_job_once_under_fast_thread_switching():
     log, ran = _Log(), []
 
@@ -1108,6 +1122,20 @@ def _worker_lane_box_error(monkeypatch):
     _stub_audits(monkeypatch, act)
 
 
+def _config_file(table):
+    """Stub: every config file reads as ``table``."""
+    return lambda monkeypatch: monkeypatch.setattr(
+        cli, "_read_config", lambda path: table)
+
+
+def _wrong_density_jump(monkeypatch):
+    """Stub: the spin-0 density jump is off by 1 %, so the half-jump force
+    disagrees with its one-component restatement."""
+    jump = force.kfg_density_jump
+    monkeypatch.setattr(force, "kfg_density_jump",
+                        lambda mode: 1.01 * jump(mode))
+
+
 # failing runs, at least one per command and exit code: (argv, exit code,
 # start of the stderr message, stub to install first)
 _FAILED_RUNS = [
@@ -1174,6 +1202,22 @@ _FAILED_RUNS = [
      None),
     (["ehrenfest", "--t-final", "-1"], 2,
      "config: final time must be positive", None),
+    # 40 steps of one stride: two saves, no central difference to audit
+    (["ehrenfest", "--case", "free", "--t-final", "0.04"], 2,
+     "config: the audit needs at least 3 saves, got 2 from t_final = 0.04, "
+     "dt = 0.001 and save_stride = 40\n", None),
+    (["converge", "--config", "cfg.json"], 2,
+     "config: config key converge.shapes must be a list\n",
+     _config_file({"converge": {"shapes": "erf"}})),
+    (["converge", "--config", "cfg.json"], 2,
+     "config: config key converge.theory must be a string\n",
+     _config_file({"converge": {"theory": 1}})),
+    (["mode", "--config", "cfg.json"], 2,
+     "config: config key params must be a table\n",
+     _config_file({"params": [1.0]})),
+    (["limits", "--kind", "nonrel"], 1,
+     "cross-check: half-jump force -(v0/2)(rho(0+) - rho(0-)) = ",
+     _wrong_density_jump),
     (["report", "--n-random", "2"], 1,
      "box-too-small: stub wall amplitude in ", _worker_lane_box_error),
     (["report", "--n-random", "-1"], 2,

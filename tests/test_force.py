@@ -17,6 +17,7 @@ radicals evaluated to 30 digits).  Flagship points, natural units:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,12 @@ def test_jump_functions_are_specific_to_the_two_component_theory():
         kfg_density_from_components(solve_step_mode("dirac", 2.0, PARS), 1.0)
 
 
+def test_density_is_specific_to_the_spin0_theory():
+    for theory, energy in (("s", 1.0), ("dirac", 2.0)):
+        with pytest.raises(ValueError, match="specific to the spin-0 theory"):
+            density(solve_step_mode(theory, energy, PARS), 0.5)
+
+
 def test_boundary_terms_flagship_two_component():
     rep = boundary_terms(solve_step_mode("kfg", 2.0, PARS))
     assert rep.route_a == pytest.approx(KFG_FORCE, rel=1e-13)
@@ -265,9 +272,20 @@ def test_weak_product_concentrates_on_the_wall_slope():
     assert devs[0] > devs[1] > devs[2]
 
 
+def test_weak_product_window_is_a_tenth_of_one_over_k_at_any_hbar():
+    hbar, mass, energy = 0.7, 1.3, 2.0
+    chk = weak_product_check(energy, RegularizedPotential(v0=1.0e3, eps=0.004),
+                             PhysicalParams(hbar=hbar, mass=mass))
+    assert chk.window == pytest.approx(
+        0.1 * hbar / math.sqrt(2.0 * mass * energy), rel=1e-15)
+
+
 def test_weak_product_guards_its_regime():
     with pytest.raises(ValueError, match="v0/energy"):
         weak_product_check(1.0, RegularizedPotential(v0=50.0, eps=0.001))
+    with pytest.raises(ValueError, match=re.escape(
+            "weak-product regime needs v0/energy >= 100; got 50")):
+        weak_product_check(2.0, RegularizedPotential(v0=100.0, eps=0.001))
     # the window 0.1/k is 0.0707 at E = 1, inside the width 0.1
     with pytest.raises(UnresolvedWindow, match="window 0.0707"):
         weak_product_check(1.0, RegularizedPotential(v0=1.0e4, eps=0.1))

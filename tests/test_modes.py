@@ -224,6 +224,13 @@ def test_mode_profile_matches_plane_wave_forms():
     assert mode.psix0 == pytest.approx(1j * mode.k * (1.0 - mode.r), rel=1e-15)
 
 
+def test_the_scalar_wave_function_is_refused_for_the_spin_half_theory():
+    mode = solve_step_mode("dirac", 2.0, PARS)
+    for x in (-0.5, 0.5):
+        with pytest.raises(ValueError, match="undefined for the spin-1/2"):
+            mode.u(x)
+
+
 @pytest.mark.parametrize("theory", THEORIES)
 def test_matching_residuals_equal_the_restated_reference(theory):
     rng = np.random.default_rng(0)

@@ -723,6 +723,17 @@ def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
             assert (u[j], ux[j]) == one == _ref_eval_scalar(nm, xj)
 
 
+def test_each_evaluation_is_refused_for_the_other_kind_of_mode():
+    reg = RegularizedPotential(v0=0.5, eps=0.05)
+    dirac = solve_smooth_mode("dirac", 2.0, reg, PARS)
+    with pytest.raises(ValueError, match="undefined for the spin-1/2"):
+        dirac.eval_scalar(0.01)
+    for theory, energy in (("s", 1.0), ("kfg", 2.0)):
+        scalar = solve_smooth_mode(theory, energy, reg, PARS)
+        with pytest.raises(ValueError, match="only for the spin-1/2"):
+            scalar.eval_spinor(0.01)
+
+
 def test_spinor_on_a_raised_left_plateau_uses_that_plateau():
     """The left plane waves take lam = hbar c k / (E - phi_L + mc^2), as the
     solver does, on a plateau that does not round away against E + mc^2."""

@@ -4,9 +4,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
-from stepforce.reporting import (csv_text, dumps_json, fmt_bare, fmt_float,
-                                 to_jsonable)
+from stepforce.reporting import csv_text, dumps_json, fmt_bare, fmt_float
 
 
 def test_float_rendering_round_trips_doubles():
@@ -49,25 +49,23 @@ def test_json_bytes_do_not_depend_on_insertion_order():
     assert first == second
 
 
-def test_json_reduces_numpy_complex_and_dataclass_values():
-    @dataclass
-    class Point:
-        x: float
-        label: str
-
+def test_json_writes_complexes_numpy_doubles_tuples_and_none():
     payload = {
-        "arr": np.array([1.0, 2.5]),
         "z": 1.0 + 2.0j,
-        "np_int": np.int64(7),
+        "np_z": np.complex128(0.5 - 0.25j),
         "np_float": np.float64(0.25),
-        "point": Point(x=0.5, label="probe"),
+        "pair": (1, 2.5),
+        "none": None,
     }
-    parsed = json.loads(dumps_json(payload))
-    assert parsed["arr"] == [1.0, 2.5]
-    assert parsed["z"] == {"im": 2.0, "re": 1.0}
-    assert parsed["np_int"] == 7
-    assert parsed["np_float"] == 0.25
-    assert parsed["point"] == {"label": "probe", "x": 0.5}
+    plain = {"z": {"im": 2.0, "re": 1.0}, "np_z": {"im": -0.25, "re": 0.5},
+             "np_float": 0.25, "pair": [1, 2.5], "none": None}
+    text = dumps_json(payload)
+    assert json.loads(text) == plain and text == dumps_json(plain)
+    assert dumps_json({"e": [], "t": (), "d": {}}) == (
+        '{\n  "d": {},\n  "e": [],\n  "t": []\n}\n')
+    assert dumps_json({1: 0.1, "0": (0.1 + 0j)}) == (
+        '{\n  "0": {\n    "im": 0,\n    "re": 0.10000000000000001\n  },\n'
+        '  "1": 0.10000000000000001\n}\n')
 
 
 def test_json_renders_non_finite_floats_as_strings():
@@ -76,9 +74,19 @@ def test_json_renders_non_finite_floats_as_strings():
     assert parsed == {"bad": "nan", "big": "inf"}
 
 
-def test_to_jsonable_handles_nested_containers():
-    out = to_jsonable({"t": (1, 2), "m": np.array([[1.0, 0.0], [0.0, 1.0]])})
-    assert out == {"t": [1, 2], "m": [[1.0, 0.0], [0.0, 1.0]]}
+@dataclass
+class _Point:
+    x: float
+
+
+@pytest.mark.parametrize("value,name", [
+    (np.array([1.0, 2.5]), "ndarray"), (np.int64(7), "int64"),
+    (_Point(x=0.5), "_Point")], ids=["ndarray", "int64", "dataclass"])
+def test_json_refuses_what_it_does_not_write(value, name):
+    for obj in (value, {"nested": [1.0, value]}):
+        with pytest.raises(TypeError,
+                           match=f"cannot write type {name} as JSON"):
+            dumps_json(obj)
 
 
 def test_csv_layout_and_float_formatting():

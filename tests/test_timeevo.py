@@ -1,5 +1,6 @@
 """Packet evolution: guards, conservation laws, momentum-balance audit."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -274,6 +275,26 @@ def test_evolve_rejects_bad_time_inputs(dt, n_steps, match):
 def test_audit_rejects_bad_time_inputs(dt, t_final, match):
     with pytest.raises(ValueError, match=match):
         ehrenfest_report(FREE_SPEC, None, dt, t_final)
+
+
+@pytest.mark.parametrize("dt,t_final,save_stride,saves", [
+    (1e-3, 0.04, 40, 2), (1e-3, 0.05, 50, 2), (1e-3, 1e-16, 1, 1),
+    (2e-3, 0.002, 1, 2)])
+def test_audit_refuses_fewer_than_three_saves(monkeypatch, dt, t_final,
+                                             save_stride, saves):
+    # refused before the packet is built, let alone stepped
+    monkeypatch.setattr(timeevo, "gaussian_packet", None)
+    with pytest.raises(ValueError, match=re.escape(
+            f"the audit needs at least 3 saves, got {saves} from t_final = "
+            f"{t_final!r}, dt = {dt!r} and save_stride = {save_stride}")):
+        ehrenfest_report(FREE_SPEC, None, dt, t_final, save_stride)
+
+
+def test_audit_of_three_saves_checks_the_middle_one():
+    rep = ehrenfest_report(FREE_SPEC, None, 1e-3, 0.002, save_stride=1)
+    assert len(rep.times) == 3
+    assert np.isnan(rep.dpdt[[0, -1]]).all() and np.isfinite(rep.dpdt[1])
+    assert rep.max_deviation == abs(rep.dpdt[1] - rep.forces[1])
 
 
 def test_time_step_resolution_guard():
