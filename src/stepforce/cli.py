@@ -37,8 +37,8 @@ from .force import (InfiniteStepRow, NonrelRow, boundary_terms,
                     kfg_density_jump, mean_force_closed, nonrel_residuals,
                     weak_product_check)
 from .modes import THEORIES, matching_residuals, random_mode, solve_step_mode
-from .regularized import (DEFAULT_DOMAIN, DEFAULT_EPSILONS, _check_widths,
-                          route_b_sweep, smooth_jump_diagnostics)
+from .regularized import (DEFAULT_EPSILONS, _check_widths, route_b_sweep,
+                          smooth_jump_diagnostics)
 from .reporting import csv_text, dumps_json, fmt_bare
 from .timeevo import PacketSpec, compare_packet_rt, ehrenfest_report
 
@@ -52,7 +52,7 @@ DEFAULTS = {
         "theory": "kfg", "energy": 2.0, "v0": 0.5,
         "shapes": ["logistic", "erf"],
         "epsilons": list(DEFAULT_EPSILONS),
-        "domain": DEFAULT_DOMAIN, "resolution": 8,
+        "domain": 20.0, "resolution": 8,  # domain: echoed, refused if given
     },
     "limits": {
         "kind": "nonrel",
@@ -172,13 +172,8 @@ def build_params(cfg: dict, v0: float) -> PhysicalParams:
 
 
 def _echo_config(command: str, cfg: dict, seed: int, out_dir: str) -> str:
-    subset = {
-        "command": command,
-        "out": out_dir,
-        "params": cfg["params"],
-        "seed": seed,
-        command: cfg[command],
-    }
+    subset = {"command": command, "out": out_dir, "params": cfg["params"],
+              "seed": seed, command: cfg[command]}
     return "resolved config:\n" + dumps_json(subset)
 
 
@@ -289,7 +284,7 @@ def cmd_converge(cfg: dict, seed: int) -> tuple:
     lines, rows = [], []
     for series, verdict in _route_b_verdicts(
             blk["theory"], blk["energy"], blk["shapes"], pars,
-            tuple(blk["epsilons"]), blk["domain"], int(blk["resolution"])):
+            tuple(blk["epsilons"]), int(blk["resolution"])):
         for eps, value, defect in zip(series.epsilons, series.values,
                                       series.defects):
             rows.append((series.theory, series.energy, series.v0,
@@ -368,6 +363,11 @@ def cmd_ehrenfest(cfg: dict, seed: int) -> tuple:
              f"{fmt_bare(report.max_deviation_rel)}",
              f"norm drift = {fmt_bare(report.norm_drift)}",
              f"wall amplitude max = {fmt_bare(report.wall_amplitude)}"]
+    ran_to = float(report.times[-1])   # rounding moves it by ulps only
+    if not math.isclose(ran_to, blk["t_final"], rel_tol=1e-9):
+        lines.append(f"ran to t = {fmt_bare(ran_to)}, past t_final = "
+                     f"{fmt_bare(blk['t_final'])}: t_final / dt rounds up to "
+                     f"a whole number of save intervals")
     return lines, {"ehrenfest.csv": csv_text(
         ("t", "px_expect", "dpdt", "force_expect", "norm"), report.rows())}
 
@@ -731,6 +731,9 @@ def _resolve(args: argparse.Namespace) -> tuple:
     _merge_into(cfg, user)
     _merge_into(cfg, {command: flags})
     given = set(user.get(command, {})) | set(flags)
+    if command == "converge" and "domain" in given:
+        raise ConfigError("converge.domain has no effect: the smooth solver "
+                          "meshes only the smoothing window")
     if command == "ehrenfest":
         cfg["ehrenfest"] = _ehrenfest_block(cfg["ehrenfest"], given)
     if command == "limits":

@@ -104,18 +104,13 @@ def _transmitted_weight(t: complex, k: complex, q: complex, lams=None) -> float:
     return abs(t) ** 2 * (q.real / k.real)
 
 
-def _check_incidence(theory: str, energy: float, params: PhysicalParams,
-                     phi_left: float = 0.0):
+def _check_incidence(theory: str, energy: float, params: PhysicalParams):
     """BelowThreshold naming E and the threshold unless a wave comes in on
-    the left plateau ``phi_left``: E > phi_left, relativistically
-    E > mc^2 + phi_left.  The one incidence check of every solver."""
+    the left plateau, where the potential is 0: E > 0, relativistically
+    E > mc^2.  The one incidence check of every solver."""
     mc2 = 0.0 if theory == "s" else params.rest_energy
-    if energy <= mc2 + phi_left:
-        terms = {} if theory == "s" else {"mc^2": mc2}
-        if phi_left != 0.0:
-            terms["phi_left"] = phi_left
-        bound = (f"{' + '.join(terms)} = {' + '.join(map(str, terms.values()))}"
-                 if terms else "0")
+    if energy <= mc2:
+        bound = "0" if theory == "s" else f"mc^2 = {mc2}"
         raise BelowThreshold(f"incidence needs E > {bound}, got E = {energy}")
 
 

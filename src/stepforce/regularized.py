@@ -44,7 +44,6 @@ __all__ = [
     "ConvergenceSeries",
     "JumpDiagnostics",
     "DEFAULT_EPSILONS",
-    "DEFAULT_DOMAIN",
     "build_piecewise_model",
     "solve_smooth_mode",
     "route_b_integral",
@@ -54,7 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025, 0.0125)
-DEFAULT_DOMAIN = 20.0
 # far above the 640 fine segments of the largest model the report builds;
 # it bounds the march's memory: its band holds 4 (2n + 2) complex numbers,
 # 128 MB at n = 10^6
@@ -70,13 +68,13 @@ _leggauss = cache(np.polynomial.legendre.leggauss)
 
 @dataclass(frozen=True)
 class PiecewiseModel:
-    """Piecewise-constant sampling of a smoothed step on [-L, L].
+    """Piecewise-constant sampling of a smoothed step.
 
     ``edges``/``values`` describe the fine segments inside the smoothing
     window, where the profile actually varies; outside the window the two
-    plateau segments carry the profile's limiting values (the profile equals
-    them to 1 ulp there), so the segment-width bound is imposed where it
-    matters and the plateaus stay single exact segments.
+    half-line plateaus carry the profile's limits at -inf and +inf (the
+    profile equals them to 1 ulp there), so the segment-width bound is
+    imposed where it matters and the plateaus stay exact.
     """
 
     theory: str
@@ -127,7 +125,7 @@ class PiecewiseModel:
 
 
 def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
-                          params: PhysicalParams, domain: float = DEFAULT_DOMAIN,
+                          params: PhysicalParams,
                           resolution: int = 8) -> PiecewiseModel:
     """Sample ``reg`` into segments fine enough for the transfer marching.
 
@@ -136,14 +134,12 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     """
     _check_theory(theory)
     eps = reg.eps
-    if domain < 20.0 or domain < 50.0 * eps:
-        raise ValueError(
-            f"domain half-length {domain} too small; need >= 20 and >= 50*eps")
     if resolution < 8:
         raise UnderResolved(
             f"resolution {resolution} too coarse; need >= 8 segments per eps")
 
-    xs = min(max(reg.support_halfwidth(), 5.0 * eps), 0.9 * domain)
+    # the old box cap, 0.9 domain >= 45 eps, never bound xs <= 40 eps
+    xs = max(reg.support_halfwidth(), 5.0 * eps)
     # the profile lies between its plateaus, so finite plateau k^2 bound
     # every segment's k^2
     kmax = max(abs(cmath.sqrt(_plateau_k2(theory, energy, phi, params)))
@@ -161,13 +157,9 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     edges = np.linspace(-xs, xs, n_seg + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     values = np.asarray(reg.eval(mids), dtype=float)
-
-    plateau_mid_l = 0.5 * (-domain - xs)
-    plateau_mid_r = 0.5 * (domain + xs)
     return PiecewiseModel(
         theory=theory, energy=float(energy), edges=edges, values=values,
-        plateau_left=float(reg.eval(plateau_mid_l)),
-        plateau_right=float(reg.eval(plateau_mid_r)),
+        plateau_left=reg.eval(-math.inf), plateau_right=reg.eval(math.inf),
         params=params, reg=reg)
 
 
@@ -455,11 +447,11 @@ def _out_of_range(model: PiecewiseModel) -> ValueError:
 
 
 def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
-                      params: PhysicalParams, domain: float = DEFAULT_DOMAIN,
+                      params: PhysicalParams,
                       resolution: int = 8) -> NumericalMode:
     """Solve the left-incidence scattering problem for the smoothed step."""
-    model = build_piecewise_model(theory, energy, reg, params, domain, resolution)
-    _check_incidence(theory, energy, params, model.plateau_left)
+    model = build_piecewise_model(theory, energy, reg, params, resolution)
+    _check_incidence(theory, energy, params)
 
     k = dispersion(theory, energy, model.plateau_left, params)
     q = dispersion(theory, energy, model.plateau_right, params)
@@ -619,7 +611,6 @@ def extrapolate(epsilons, values) -> tuple[float, float, float]:
 
 def route_b_sweep(theory: str, energy: float, shape: str, v0: float,
                   params: PhysicalParams, epsilons=DEFAULT_EPSILONS,
-                  domain: float = DEFAULT_DOMAIN,
                   resolution: int = 8) -> ConvergenceSeries:
     """Sweep route B over a family of widths and extrapolate to zero width.
 
@@ -629,7 +620,7 @@ def route_b_sweep(theory: str, energy: float, shape: str, v0: float,
     values, defects = [], []
     for eps in epsilons:
         reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)
-        nm = solve_smooth_mode(theory, energy, reg, params, domain, resolution)
+        nm = solve_smooth_mode(theory, energy, reg, params, resolution)
         values.append(route_b_integral(nm))
         defects.append(nm.defect)
     limit, order, err = extrapolate(epsilons, values)

@@ -257,8 +257,8 @@ class EhrenfestReport:
 
     ``dpdt`` holds centered differences of the momentum series at the save
     times (nan at the ends); ``max_deviation`` is the worst interior
-    |dpdt - force|, and ``max_deviation_rel`` divides it by the force peak
-    when the force is not identically zero.
+    |dpdt - force|, and ``max_deviation_rel`` divides it by the force peak,
+    or equals it when the force is identically zero (no step).
     """
 
     times: np.ndarray

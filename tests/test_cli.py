@@ -365,6 +365,22 @@ def test_ehrenfest_free_run_writes_table(tmp_path, capsys):
     assert float(first[4]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ehrenfest_says_when_it_runs_past_t_final(tmp_path, capsys):
+    # 41 steps of dt = 1e-3 round up to two save intervals of 40 steps
+    assert run(["ehrenfest", "--case", "free", "--t-final", "0.041",
+                "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == ("ran to t = 0.080000000000000002, past t_final = "
+                         "0.041000000000000002: t_final / dt rounds up to a "
+                         "whole number of save intervals")
+    rows = (tmp_path / "ehrenfest.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.04, 0.08]
+    # a whole number of save intervals runs to t_final and says nothing
+    assert run(["ehrenfest", "--case", "free", "--t-final", "0.08",
+                "--out", str(tmp_path)]) == 0
+    assert "ran to" not in capsys.readouterr().out
+
+
 def _echoed_config(out: str) -> dict:
     head, _, body = out.partition("\n")
     assert head == "resolved config:"
@@ -1143,13 +1159,12 @@ _FAILED_RUNS = [
      "below-threshold: incidence needs E > mc^2", None),
     (["mode", "--theory", "kfg", "--energy", "1e300"], 2,
      "config: k^2 on the plateau", None),
-    # the smooth solver's threshold holds the logistic step's left plateau
+    # the smooth solver's left plateau is the profile's limit, exactly 0,
+    # so it refuses with the sharp solver's text
     (["converge", "--theory", "kfg", "--energy", "0.5"], 1,
-     "below-threshold: incidence needs E > mc^2 + phi_left = 1.0 + "
-     "1.9877248679543234e-31, got E = 0.5\n", None),
+     "below-threshold: incidence needs E > mc^2 = 1.0, got E = 0.5\n", None),
     (["converge", "--theory", "s", "--energy", "-1"], 1,
-     "below-threshold: incidence needs E > phi_left = "
-     "1.9877248679543234e-31, got E = -1.0\n", None),
+     "below-threshold: incidence needs E > 0, got E = -1.0\n", None),
     (["converge", "--epsilons", "0.2,0.1"], 2,
      "config: converge.epsilons needs at least 3", None),
     (["converge", "--epsilons", "0.05,0.1,0.2"], 2,
@@ -1221,7 +1236,18 @@ _FAILED_RUNS = [
     (["report", "--n-random", "2"], 1,
      "box-too-small: stub wall amplitude in ", _worker_lane_box_error),
     (["report", "--n-random", "-1"], 2,
-     "config: report.n_random must be >= 0, got -1", None)]
+     "config: report.n_random must be >= 0, got -1", None),
+    # the smooth solver has no box: its echoed domain is refused when given
+    (["converge", "--domain", "30"], 2,
+     "config: converge.domain has no effect: the smooth solver meshes only "
+     "the smoothing window\n", None),
+    (["converge", "--config", "cfg.json"], 2,
+     "config: converge.domain has no effect: ",
+     _config_file({"converge": {"domain": 30.0}})),
+    # a width of 1 once needed a box of 50: now it reaches the solver
+    (["converge", "--theory", "s", "--energy", "1", "--epsilons",
+      "1,0.5,0.25"], 1,
+     "no-convergence: differences do not shrink monotonically", None)]
 
 
 @pytest.mark.parametrize("argv,code,message,stub", [
@@ -1252,3 +1278,91 @@ def test_an_out_path_naming_a_file_exits_2(tmp_path, capsys):
     assert run(["mode", "--out", ""]) == 2
     assert capsys.readouterr() == (
         "", "error: config: cannot write '': No such file or directory\n")
+
+
+# ---------------------------------------------------------------------------
+# the input contract: no config key is silently inert
+# ---------------------------------------------------------------------------
+
+# one valid value other than the default for each key of each command's
+# table (params aside)
+_ALTERNATIVES = {
+    "mode": {"theory": "s", "energy": 3.0, "v0": 0.7},
+    "converge": {"theory": "s", "energy": 3.0, "v0": 0.7, "shapes": ["ramp"],
+                 "epsilons": [0.2, 0.1, 0.05], "domain": 30.0,
+                 "resolution": 9},
+    "limits": {"kind": "infinite-step", "energy_nr": 0.2, "v0": 0.1,
+               "speeds": [10.0, 100.0], "energy": 2.0,
+               "v0_list": [10.0, 100.0]},
+    "ehrenfest": {"case": "free", "k0": 1.2, "sigma": 1.8, "x0": -11.0,
+                  "v0": 0.7, "eps": 0.2, "shape": "erf", "x_min": -42.0,
+                  "x_max": 42.0, "n_points": 3401, "dt": 3.0e-4,
+                  "t_final": 0.2, "save_stride": 10},
+    "report": {"n_random": 2},
+}
+
+# cheap runs to vary one key of: the keys each gives.  The ehrenfest bases
+# are short runs on grids that every alternative keeps resolved (eps = 0.1
+# >= 4 h, dt <= h^2); the scattering one gives its dt, so that the free
+# case overlaid on it keeps it too
+_BASES = {
+    "mode": [{}],
+    "converge": [{}],
+    "limits": [{}],
+    "ehrenfest": [{"case": "free", "dt": 4.0e-4, "t_final": 0.16},
+                  {"x_min": -40.0, "x_max": 40.0, "n_points": 3601,
+                   "dt": 4.0e-4, "t_final": 0.4, "save_stride": 20}],
+    "report": [{"n_random": 1}],
+}
+
+
+def _outputs(command, table, monkeypatch, out, capsys):
+    """(exit code, stdout less the config echo, files, stderr) of a run
+    whose config file gives ``table`` for ``command``.  report.json is
+    compared less its echoed config, and the wall-clock sidecar not at
+    all."""
+    monkeypatch.setattr(cli, "_read_config", lambda path: {command: table})
+    code = run([command, "--config", "cfg.json", "--out", str(out)])
+    captured = capsys.readouterr()
+    text = captured.out.replace(str(out), "<out>")
+    if code == 0:
+        body = text.partition("\n")[2]
+        text = body[json.JSONDecoder().raw_decode(body)[1]:]
+    files = {}
+    for path in sorted(out.iterdir()) if out.exists() else []:
+        if path.name == "report.json":
+            files[path.name] = json.loads(path.read_text())
+            del files[path.name]["resolved_config"]
+        elif path.name != "report_timing.txt":
+            files[path.name] = path.read_bytes()
+    return code, text, files, captured.err
+
+
+def test_every_config_key_has_an_alternative():
+    assert ({command: set(table) for command, table in _ALTERNATIVES.items()}
+            == {command: set(table) for command, table in cli.DEFAULTS.items()
+                if command != "params"})
+
+
+@pytest.mark.parametrize("command,key,base", [
+    pytest.param(command, key, base, id=f"{command}.{key}-base{i}")
+    for command, bases in _BASES.items()
+    for i, base in enumerate(bases)
+    for key, value in _ALTERNATIVES[command].items()
+    if base.get(key) != value])
+def test_no_config_key_is_inert(command, key, base, monkeypatch, tmp_path,
+                                capsys):
+    # a key given with another valid value changes some output byte, or
+    # the run refuses it by name
+    if command == "report":
+        _stub_audits(monkeypatch, lambda stage: None)
+    want = _outputs(command, base, monkeypatch, tmp_path / "base", capsys)
+    assert want[0] == 0, want[3]
+    got = _outputs(command, {**base, key: _ALTERNATIVES[command][key]},
+                   monkeypatch, tmp_path / "variant", capsys)
+    if got[0] == 2:
+        assert got[1:3] == ("", {})
+        assert f"{command}.{key}" in got[3]
+    else:
+        assert got[0] == 0, got[3]
+        assert got[1:3] != want[1:3]

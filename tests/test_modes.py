@@ -207,6 +207,13 @@ def test_singular_matching_point_is_refused():
     # E = 2, v0 = 4 makes the transmitted wavenumber exactly -k
     with pytest.raises(ValueError):
         solve_step_mode("kfg", 2.0, PhysicalParams(v0=4.0))
+    # the guard is relative, |k + q| < 1e-12 |k|, in any units: 1e-12 off
+    # the pole |k + q| / |k| is 6.7e-13, 1e-11 off it 6.7e-12
+    for hbar in (1.0, 1e-3):
+        with pytest.raises(ValueError, match="singular"):
+            solve_step_mode("kfg", 2.0, PhysicalParams(hbar=hbar,
+                                                       v0=4.0 + 1e-12))
+        solve_step_mode("kfg", 2.0, PhysicalParams(hbar=hbar, v0=4.0 + 1e-11))
 
 
 def test_mode_profile_matches_plane_wave_forms():
@@ -220,6 +227,8 @@ def test_mode_profile_matches_plane_wave_forms():
     for x in (0.4, 1.9):
         assert mode.u(x) == pytest.approx(mode.t * np.exp(1j * mode.q * x),
                                           rel=1e-14)
+        assert mode.ux(x) == pytest.approx(
+            1j * mode.q * mode.t * np.exp(1j * mode.q * x), rel=1e-14)
     assert mode.psi0 == pytest.approx(1.0 + mode.r, rel=1e-15)
     assert mode.psix0 == pytest.approx(1j * mode.k * (1.0 - mode.r), rel=1e-15)
 
@@ -360,6 +369,17 @@ def test_bad_matrix_algebra_is_rejected():
         representation_swap_check(
             2.0, PARS, MatrixSet(alpha=0.5 * DEFAULT_MATRICES.tau1,
                                  beta=DEFAULT_MATRICES.tau3, **base))
+
+
+@pytest.mark.parametrize("theory", ["kfg", "dirac"])
+def test_random_modes_keep_clear_of_both_thresholds(theory):
+    # E - v0 = +-mc^2 within 1e-3 is redrawn; without the redraw at
+    # E - v0 = mc^2, 3 of these 10,000 draws land that close, per theory
+    rng = np.random.default_rng(7)
+    for _ in range(10_000):
+        mode = random_mode(theory, rng, PARS)
+        gap = mode.energy - mode.params.v0
+        assert min(abs(gap - 1.0), abs(gap + 1.0)) >= 1e-3
 
 
 def test_random_mode_reports_exhausted_draws(monkeypatch):

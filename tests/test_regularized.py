@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stepforce import modes, regularized
-from stepforce.core import PhysicalParams, RegularizedPotential
+from stepforce.core import REG_SHAPES, PhysicalParams, RegularizedPotential
 from stepforce.errors import (BelowThreshold, InvalidWidth, NoConvergence,
                               ProbeInsideSmoothing, UnderResolved)
 from stepforce.force import weak_product_check
@@ -32,11 +32,6 @@ KFG_SHARP_CLOSED = 0.18466121818412234
 
 def test_model_builder_guards():
     reg = RegularizedPotential(v0=0.5, eps=0.05)
-    with pytest.raises(ValueError, match="domain"):
-        build_piecewise_model("s", 1.0, reg, PARS, domain=5.0)
-    with pytest.raises(ValueError, match="domain"):
-        build_piecewise_model("s", 1.0,
-                              RegularizedPotential(v0=0.5, eps=0.5), PARS)
     with pytest.raises(UnderResolved, match="resolution"):
         build_piecewise_model("s", 1.0, reg, PARS, resolution=4)
 
@@ -50,6 +45,17 @@ def test_model_covers_the_smoothing_window():
     assert model.plateau_right == pytest.approx(0.5, abs=1e-16)
     assert np.all(np.diff(model.values) >= 0.0)
     assert model.values[0] <= 1e-12 and model.values[-1] >= 0.5 - 1e-12
+
+
+@pytest.mark.parametrize("shape", REG_SHAPES)
+@pytest.mark.parametrize("v0", [0.5, -3.0, 4.0])
+def test_plateaus_are_the_profile_limits(shape, v0):
+    # no box: the plateaus are phi(-inf) = 0 and phi(+inf) = v0 exactly,
+    # so even a wide width needs no domain around it
+    reg = RegularizedPotential(v0=v0, eps=1.0, shape=shape)
+    model = build_piecewise_model("s", 1.0, reg, PARS)
+    assert model.plateau_left == 0.0
+    assert model.plateau_right == v0
 
 
 @pytest.mark.parametrize("theory,energy", [("s", 1e308), ("kfg", 1e300),
@@ -418,7 +424,8 @@ def test_segment_count_is_bounded_before_allocating(energy):
 
 def test_jump_diagnostics_probe_must_clear_the_smoothing():
     reg = RegularizedPotential(v0=0.5, eps=0.1)
-    with pytest.raises(ProbeInsideSmoothing):
+    with pytest.raises(ProbeInsideSmoothing, match=re.escape(
+            "probe offset 0.2 must exceed 3*eps = 0.30000000000000004")):
         smooth_jump_diagnostics(2.0, reg, PARS, probe_offset=0.2)
 
 

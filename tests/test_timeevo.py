@@ -76,6 +76,8 @@ def test_free_audit_reports_zero_force_balance():
     rep = ehrenfest_report(FREE_SPEC, None, dt=2e-3, t_final=1.0,
                            save_stride=50)
     assert rep.max_deviation <= 1e-8
+    # no step, no force peak to divide by: the relative field holds the
+    # absolute deviation, as report.json's ehrenfest.free does
     assert rep.max_deviation_rel == rep.max_deviation
     assert rep.norm_drift <= 1e-10
     assert np.all(rep.forces == 0.0)
