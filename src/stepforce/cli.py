@@ -172,8 +172,13 @@ def build_params(cfg: dict, v0: float) -> PhysicalParams:
 
 
 def _echo_config(command: str, cfg: dict, seed: int, out_dir: str) -> str:
-    subset = {"command": command, "out": out_dir, "params": cfg["params"],
-              "seed": seed, command: cfg[command]}
+    subset = {
+        "command": command,
+        "out": out_dir,
+        "params": cfg["params"],
+        "seed": seed,
+        command: cfg[command],
+    }
     return "resolved config:\n" + dumps_json(subset)
 
 
@@ -711,9 +716,12 @@ def build_parser() -> argparse.ArgumentParser:
         # this pattern, by default a plain decimal
         p_cmd._negative_number_matcher = _SIGNED_VALUE
         for key, default in DEFAULTS[command].items():
+            # converge.domain is only echoed; _resolve refuses it if given
+            hidden = (command, key) == ("converge", "domain")
             p_cmd.add_argument("--" + key.replace("_", "-"),
                                type=_flag_type(default),
-                               help=f"default {default}")
+                               help=argparse.SUPPRESS if hidden
+                               else f"default {default}")
     return parser
 
 

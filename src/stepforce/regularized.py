@@ -138,7 +138,6 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
         raise UnderResolved(
             f"resolution {resolution} too coarse; need >= 8 segments per eps")
 
-    # the old box cap, 0.9 domain >= 45 eps, never bound xs <= 40 eps
     xs = max(reg.support_halfwidth(), 5.0 * eps)
     # the profile lies between its plateaus, so finite plateau k^2 bound
     # every segment's k^2

@@ -43,6 +43,12 @@ def test_help_exits_0(capsys):
     assert "mode" in out and "converge" in out and "report" in out
 
 
+def test_converge_help_does_not_list_the_refused_domain(capsys):
+    assert run(["converge", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--resolution" in out and "domain" not in out
+
+
 def test_each_command_has_one_flag_per_config_key():
     parser = cli.build_parser()
     subparsers = next(action for action in parser._actions

@@ -10,12 +10,11 @@ It draws ``--sample`` of them with ``--seed``.  Each mutant swaps one
 operator (``+`` with ``-``, ``*`` with ``/``) in a copy of ``src/`` under a
 temporary directory, and the suite runs on that copy (``PYTHONPATH``) with
 ``-x``, less the tests that take the session's two seed-0 report runs
-(those that request the ``report_runs`` fixture).  At most ``--jobs``
-(1 or 2) pytest processes run at once.  A mutant the suite fails on is
-killed; one it passes survives.  One that runs past ``--timeout`` times
-the clean run is counted as killed by the timeout.  The survivors go to
-stdout as a Markdown table, and to ``--out`` when given.  The exit status
-is 0 unless the clean run fails.
+(those that request the ``report_runs`` fixture).  At most two pytest
+processes run at once.  A mutant the suite fails on is killed; one it
+passes survives.  One that runs past five times the clean run is counted
+as killed by the timeout.  The survivors go to stdout as a Markdown
+table.  The exit status is 0 unless the clean run fails.
 
 Standard library only.  Not part of the suite: 60 mutants take minutes.
 """
@@ -37,6 +36,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOKEN = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 SWAP = {"+": "-", "-": "+", "*": "/", "/": "*"}
+JOBS = 2         # pytest processes at once
+TIMEOUT = 5.0    # a mutant's time limit, in clean runs
 
 
 def _offset(lines: list, line: int, col: int) -> int:
@@ -160,12 +161,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sample", type=int, default=60,
                         help="mutants to run (default 60)")
-    parser.add_argument("--jobs", type=int, choices=(1, 2), default=2,
-                        help="pytest processes at once (default 2)")
-    parser.add_argument("--timeout", type=float, default=5.0,
-                        help="a mutant's time limit, in clean runs "
-                             "(default 5)")
-    parser.add_argument("--out", help="also write the survivors table here")
     args = parser.parse_args(argv)
 
     paths = [os.path.abspath(m) for m in args.modules]
@@ -178,12 +173,12 @@ def main(argv=None) -> int:
 
     base = tempfile.mkdtemp(prefix="mutate-")
     try:
-        workers = [Worker(base, deselect) for _ in range(args.jobs)]
+        workers = [Worker(base, deselect) for _ in range(JOBS)]
         started = time.perf_counter()
         if workers[0].run() != "passed":
             print("the suite fails on the unmutated copy", file=sys.stderr)
             return 1
-        limit = args.timeout * (time.perf_counter() - started)
+        limit = TIMEOUT * (time.perf_counter() - started)
         free = queue.SimpleQueue()
         for worker in workers:
             free.put(worker)
@@ -196,7 +191,7 @@ def main(argv=None) -> int:
                 free.put(worker)
 
         outcomes = {}
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
+        with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
             for site, outcome in pool.map(job, chosen):
                 outcomes[site] = outcome
                 path, _, line, col, token = site
@@ -214,13 +209,10 @@ def main(argv=None) -> int:
             survivors.append((path, line, col, token, text))
     counts = {o: list(outcomes.values()).count(o)
               for o in ("failed", "timeout", "passed")}
-    text = (f"{len(chosen)} mutants (seed {args.seed}): {counts['failed']} "
-            f"killed, {counts['timeout']} timed out, {counts['passed']} "
-            f"survived\n\n" + table(survivors))
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    sys.stdout.write(f"{len(chosen)} mutants (seed {args.seed}): "
+                     f"{counts['failed']} killed, {counts['timeout']} timed "
+                     f"out, {counts['passed']} survived\n\n"
+                     + table(survivors))
     return 0
 
 
