@@ -176,9 +176,10 @@ def _echo_config(command: str, cfg: dict, seed: int, out_dir: str) -> str:
         "command": command,
         "out": out_dir,
         "params": cfg["params"],
-        "seed": seed,
         command: cfg[command],
     }
+    if command == "report":
+        subset["seed"] = seed
     return "resolved config:\n" + dumps_json(subset)
 
 
@@ -693,25 +694,24 @@ _SIGNED_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 def build_parser() -> argparse.ArgumentParser:
     """One --key-with-dashes flag per key of each command's DEFAULTS table;
-    only the flags given reach the namespace.  A flag takes a value that
-    begins with a minus sign (``--v0-list -5,20``, ``--energy -1e3``) as
-    its separate argument, as in its ``--flag=value`` form; an option name
-    after a flag is still an error."""
-    common = argparse.ArgumentParser(add_help=False,
-                                     argument_default=argparse.SUPPRESS)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int,
-                        help="seed for randomized sweeps (default 0)")
-    common.add_argument("--out", help="output directory (default .)")
-
+    only the flags given reach the namespace; all follow the subcommand,
+    and only report takes --seed.  A flag takes a value that begins with
+    a minus sign (``--v0-list -5,20``, ``--energy -1e3``) as its separate
+    argument, as in its ``--flag=value`` form; an option name after a
+    flag is still an error."""
     parser = argparse.ArgumentParser(
         prog="stepforce",
         description="mean-force verification laboratory for the step "
-                    "potential", parents=[common])
+                    "potential")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, text) in _COMMANDS.items():
-        p_cmd = sub.add_parser(command, parents=[common], help=text,
+        p_cmd = sub.add_parser(command, help=text,
                                argument_default=argparse.SUPPRESS)
+        p_cmd.add_argument("--config", help="JSON config file")
+        p_cmd.add_argument("--out", help="output directory (default .)")
+        if command == "report":
+            p_cmd.add_argument("--seed", type=int,
+                               help="seed for the random sweeps (default 0)")
         # argparse reads such a value as an argument only when it matches
         # this pattern, by default a plain decimal
         p_cmd._negative_number_matcher = _SIGNED_VALUE

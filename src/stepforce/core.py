@@ -56,9 +56,10 @@ class PhysicalParams:
             rest = self.rest_energy
         except OverflowError:       # c**2 overflowed
             rest = math.inf
-        if not math.isfinite(rest):
+        if not 0.0 < rest < math.inf:     # 0 if c**2 underflowed
             raise ValueError(f"the rest energy mass * c^2 of mass "
-                             f"{self.mass!r} and c {self.c!r} must be finite")
+                             f"{self.mass!r} and c {self.c!r} must be finite "
+                             f"and positive")
 
     @property
     def rest_energy(self) -> float:

@@ -363,6 +363,9 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
         if v0 == 0.0:
             rows.append(NonrelRow(c, float(dens_resid), 0.0, "degenerate"))
             continue
+        if force_k == 0.0:
+            raise ValueError(f"the spin-0 force underflows to 0 at v0 = "
+                             f"{v0!r} and c = {c!r}")
         leading = (v0**2 / (2.0 * mass * c**2)) * rho_s0
         force_resid = abs(force_k - leading) / abs(force_k)
         rows.append(NonrelRow(c, float(dens_resid), float(force_resid), "ok"))

@@ -219,13 +219,17 @@ def solve_step_mode(theory: str, energy: float,
     _check_incidence(theory, energy, params)
 
     k = dispersion(theory, energy, 0.0, params)
+    if k == 0.0:        # above the threshold, so k^2 underflowed
+        raise ValueError(f"k^2 on the plateau phi = 0.0 at energy "
+                         f"{energy!r} underflows to 0")
     q = dispersion(theory, energy, params.v0, params)
 
     if theory in ("s", "kfg"):
         if abs(k + q) < 1e-12 * abs(k):
             raise ValueError(
-                "incident and transmitted exponentials coincide (k + q = 0); "
-                "the stationary matching is singular here")
+                f"incident and transmitted exponentials coincide (k + q = 0) "
+                f"at energy {energy!r} and v0 {params.v0!r}; the stationary "
+                f"matching is singular here")
         r = (k - q) / (k + q)
         t = 2.0 * k / (k + q)
     else:

@@ -42,6 +42,9 @@ __all__ = [
     "compare_packet_rt",
 ]
 
+# the amplitude next to a hard wall past which an evolution aborts
+_WALL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PacketSpec:
@@ -66,7 +69,7 @@ class PacketSpec:
                 f"packet center {self.x0} sits on the interface; "
                 f"need |x0| >= 5*sigma = {5.0 * self.sigma}")
         if (self.grid.x_min > self.x0 - 10.0 * self.sigma
-                or self.grid.x_max < 10.0 * self.sigma):
+                or self.grid.x_max < max(self.x0, 0.0) + 10.0 * self.sigma):
             raise BoxTooSmall(
                 f"grid [{self.grid.x_min}, {self.grid.x_max}] too tight for "
                 f"a packet at {self.x0} of width {self.sigma}")
@@ -235,7 +238,7 @@ def _cn_steps(state: EvolutionState, dt: float, n_steps: int,
 
 
 def evolve(state: EvolutionState, dt: float, n_steps: int,
-           wall_tol: float = 1e-6) -> EvolutionState:
+           wall_tol: float = _WALL_TOL) -> EvolutionState:
     """Advance the state by n_steps Crank-Nicolson steps.
 
     Aborts if the wave function climbs the hard walls above ``wall_tol``:
@@ -285,7 +288,6 @@ class EhrenfestReport:
 def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
                      dt: float, t_final: float, save_stride: int = 50,
                      params: PhysicalParams | None = None,
-                     wall_tol: float = 1e-6,
                      checkpoint: Callable[[int], None] | None = None,
                      ) -> EhrenfestReport:
     """Propagate the packet and audit the momentum balance along the way.
@@ -328,7 +330,7 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
         norms.append(float(np.trapezoid(rho, x)))
 
     record(state)
-    for step, psi in _cn_steps(state, dt, n_steps, wall_tol):
+    for step, psi in _cn_steps(state, dt, n_steps, _WALL_TOL):
         if step % save_stride == 0:
             state = replace(state, psi=psi.copy(), t=step * dt)
             record(state)

@@ -1,0 +1,92 @@
+"""50-digit oracle for the sharp-step closed forms.
+
+Evaluates, with mpmath at ``DIGITS`` significant digits, the same physics
+that ``stepforce.modes`` and ``stepforce.force`` evaluate in doubles: the
+plateau wavenumbers, the amplitudes r and t, the one-sided interface
+densities, route A and the spin-0 delta-integral candidates.  Inputs are
+doubles, taken exactly; outputs are mpmath numbers, so a test can round
+them once and compare bit for bit, or count the ulps between them and the
+library's doubles.
+
+Written from the equations, not from the library's code:
+
+* ``s``: hbar^2 k^2 / 2m = E - phi, u and u' continuous;
+* ``kfg``: (hbar c k)^2 = (E - phi)^2 - (mc^2)^2, u and u' continuous,
+  charge density (E - phi)/mc^2 |u|^2, which jumps with phi;
+* ``dirac``: same dispersion, spinor (1, lam) with
+  lam = hbar c k / (E - phi + mc^2), continuous.
+
+On the transmitted side a real root takes the sign of the group velocity
+(negative in the Klein regime, E - v0 < -mc^2), an imaginary one decays.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import mpmath
+
+DIGITS = 50
+
+
+@dataclass(frozen=True)
+class Sharp:
+    """Interface data of the left-incident mode, each to at least
+    ``DIGITS`` digits."""
+
+    k: mpmath.mpc
+    q: mpmath.mpc
+    r: mpmath.mpc
+    t: mpmath.mpc
+    rho_left: mpmath.mpf
+    rho_right: mpmath.mpf
+    midpoint: mpmath.mpf
+    half_jump: mpmath.mpf
+    route_a: mpmath.mpf
+
+
+def _wavenumber(theory, energy, phi, hbar, mass, c):
+    if theory == "s":
+        k2 = 2 * mass * (energy - phi) / hbar**2
+    else:
+        k2 = ((energy - phi) ** 2 - (mass * c**2) ** 2) / (hbar * c) ** 2
+    if k2 < 0:
+        return mpmath.mpc(0, mpmath.sqrt(-k2))
+    root = mpmath.sqrt(k2)
+    if theory != "s" and energy - phi < 0:
+        root = -root
+    return mpmath.mpc(root)
+
+
+def sharp(theory: str, energy: float, v0: float, hbar: float = 1.0,
+          mass: float = 1.0, c: float = 1.0) -> Sharp:
+    """The sharp-step mode of ``theory`` at ``energy`` on a step of
+    height ``v0``, in units with the given constants."""
+    with mpmath.workdps(DIGITS + 10):
+        energy, v0, hbar, mass, c = map(mpmath.mpf, (energy, v0, hbar, mass,
+                                                     c))
+        k = _wavenumber(theory, energy, 0, hbar, mass, c)
+        q = _wavenumber(theory, energy, v0, hbar, mass, c)
+        mc2 = mass * c**2
+        if theory == "dirac":
+            lam_l = hbar * c * k / (energy + mc2)
+            lam_r = hbar * c * q / (energy - v0 + mc2)
+            r = (lam_l - lam_r) / (lam_l + lam_r)
+            t = 1 + r
+            rho = abs(1 + r) ** 2 + abs(lam_l * (1 - r)) ** 2
+            rho_left = rho_right = rho
+            route_a = -v0 * rho
+        else:
+            r = (k - q) / (k + q)
+            t = 2 * k / (k + q)
+            u0 = abs(1 + r) ** 2
+            if theory == "s":
+                rho_left = rho_right = u0
+                route_a = -v0 * u0
+            else:
+                rho_left = energy / mc2 * u0
+                rho_right = (energy - v0) / mc2 * u0
+                route_a = -v0 * (rho_right - rho_left) / 2
+        return Sharp(k, q, r, t, rho_left, rho_right,
+                     (rho_left + rho_right) / 2, (rho_right - rho_left) / 2,
+                     route_a)

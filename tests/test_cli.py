@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from stepforce import cli, force, regularized, timeevo
+from stepforce.core import PhysicalParams
 from stepforce.errors import BoxTooSmall
+from stepforce.modes import solve_step_mode
 
 KFG_R = 0.21543808788147607
 S_R = 0.17157287525380990
@@ -57,7 +59,9 @@ def test_each_command_has_one_flag_per_config_key():
     for command, sub in subparsers.choices.items():
         table = cli.DEFAULTS[command]
         dests = {action.dest for action in sub._actions}
-        assert dests - {"help", "config", "seed", "out"} == set(table)
+        flags = {"help", "config", "out"} | ({"seed"} if command == "report"
+                                             else set())
+        assert dests == flags | set(table)
         # every flag parses its default's text back to the default
         argv = [command]
         for key, default in table.items():
@@ -218,18 +222,18 @@ def test_converge_outputs_are_byte_pinned(tmp_path, capsys):
 # and of the CSV it writes (None: mode writes the pinned mode.json)
 STDOUT_SHA256 = {
     ("mode",): (
-        "f250669423d06f38f4f238044069e67da7585903687056b70010e0abd2ec630a",
+        "35b8edf794d32036592ac4645c0715fa5bd6aaad0430c7b9d54913e8b7c6d946",
         None, None),
     ("limits", "--kind", "nonrel"): (
-        "4c8dcd7e5367097c6bcb2332fae2d71844968db4f71ef218e30c515df9d71c88",
+        "a52f7f12bec8895169f62613759b2bb42f265c904cae52dc57ff9935eddc4349",
         "limits_nonrel.csv",
         "c847aab79ce0d9387b9e839c507e11fed3ffb9c013d79d2e3afb905190410f08"),
     ("limits", "--kind", "infinite-step"): (
-        "5525aee8f811bb59de1899545e3aa0e672d8c49e8f005cb029f7c279255c5668",
+        "9ba83bc3ef0e26fd11ae8a18ce91328c0259596d468d33e918d2bcc8568cdd72",
         "limits_infinite_step.csv",
         "08b5e588e6033cb629f9acb04be39addfc4d6fabe132aa5ab381e7c1cc3296cf"),
     ("ehrenfest", "--case", "free"): (
-        "2c1dfb7daab6c4f585172661bcb7b79e038c16441b416ed9785cd91534fb98d7",
+        "1d4db5999f6cefc47f201e36ca3cc55ba23427bfeb3b75897791c61067796efe",
         "ehrenfest.csv",
         "ab88e9d6493192d1613ead1fbf33748261f14b31e616b2d77f410f8471c3887e"),
 }
@@ -590,6 +594,10 @@ def test_failed_cross_check_exits_1_naming_both_quantities(
     assert code == 1
     assert err.startswith("error: cross-check: density jump rho(0+) - rho(0-)")
     assert "-(v0/mc^2)|psi(0)|^2" in err and "exceeds 1e-12" in err
+    # the difference printed is the one injected
+    rho_right = real_probe(solve_step_mode("kfg", 2.0,
+                                           PhysicalParams(v0=0.5))).rho_right
+    assert f"difference {1e-6 * rho_right:.3e} exceeds" in err
     assert "Traceback" not in err
 
 
@@ -784,11 +792,15 @@ def test_nonrel_energy_at_zero_stays_below_threshold(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["mode", "converge", "limits",
                                      "ehrenfest", "report"])
 def test_a_negative_seed_exits_2_naming_it(command, tmp_path, capsys):
+    # report alone reads a seed; the other commands have no --seed flag
     out = tmp_path / "out"
     assert run([command, "--seed", "-1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: config: seed must be non-negative, got -1\n"
+    assert captured.err.endswith(
+        "error: config: seed must be non-negative, got -1\n"
+        if command == "report"
+        else "stepforce: error: unrecognized arguments: --seed -1\n")
     assert not out.exists()
 
 
@@ -1212,6 +1224,11 @@ _FAILED_RUNS = [
      "E_nr = -1.0\n", None),
     (["limits", "--kind", "nonrel", "--speeds", "1e10,1e20"], 2,
      "config: the spin-0 energy mc^2 + E_nr rounds to mc^2", None),
+    # 1 + 1e-16 rounds to 1, while 1 - 1e-16 does not
+    (["limits", "--kind", "nonrel", "--energy-nr", "1e-16", "--speeds",
+      "1,2"], 2,
+     "config: the spin-0 energy mc^2 + E_nr rounds to mc^2 = 1.0 at E_nr = "
+     "1e-16 and c = 1.0; E_nr is below the precision of the sum\n", None),
     (["ehrenfest", "--case", "free", "--n-points", "41"], 1,
      "under-resolved: grid spacing 2.0", None),
     (["ehrenfest", "--save-stride", "0"], 2,
@@ -1250,6 +1267,21 @@ _FAILED_RUNS = [
     (["converge", "--config", "cfg.json"], 2,
      "config: converge.domain has no effect: ",
      _config_file({"converge": {"domain": 30.0}})),
+    # below the double range: v0^2 / 2mc^2, the incident k^2, mc^2
+    (["limits", "--kind", "nonrel", "--v0", "1e-200"], 2,
+     "config: the spin-0 force underflows to 0 at v0 = 1e-200 and c = 10.0\n",
+     None),
+    (["mode", "--config", "cfg.json", "--theory", "s", "--energy", "1e-300"],
+     2, "config: k^2 on the plateau phi = 0.0 at energy 1e-300 underflows "
+     "to 0\n", _config_file({"params": {"mass": 1e-300}})),
+    (["mode", "--theory", "kfg", "--config", "cfg.json"], 2,
+     "config: the rest energy mass * c^2 of mass 1.0 and c 1e-300 must be "
+     "finite and positive\n",
+     _config_file({"params": {"hbar": 1e300, "c": 1e-300}})),
+    # a packet right of the step needs the box beyond x0 + 10 sigma
+    (["ehrenfest", "--x0", "30"], 1,
+     "box-too-small: grid [-60.0, 44.0] too tight for a packet at 30.0 of "
+     "width 2.0\n", None),
     # a width of 1 once needed a box of 50: now it reaches the solver
     (["converge", "--theory", "s", "--energy", "1", "--epsilons",
       "1,0.5,0.25"], 1,
@@ -1372,3 +1404,38 @@ def test_no_config_key_is_inert(command, key, base, monkeypatch, tmp_path,
     else:
         assert got[0] == 0, got[3]
         assert got[1:3] != want[1:3]
+
+
+# ---------------------------------------------------------------------------
+# the input contract: every flag the parser takes is read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,flag", [
+    *[pytest.param([command, "--seed", "1"], "--seed 1",
+                   id=f"{command} --seed")
+      for command in ("mode", "converge", "limits", "ehrenfest")],
+    # no flag comes before the subcommand: its value reads as the command
+    pytest.param(["--out", "x", "mode"], "'x'", id="--out before mode"),
+    pytest.param(["--config", "f", "mode"], "'f'", id="--config before mode")])
+def test_a_flag_that_nothing_reads_exits_2(argv, flag, monkeypatch, tmp_path,
+                                           capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("stepforce: error: ")
+    assert flag in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_report_seed_is_read(monkeypatch, tmp_path, capsys):
+    _stub_audits(monkeypatch, lambda stage: None)
+    bundles = []
+    for seed in ("0", "3"):
+        out = tmp_path / seed
+        assert run(["report", "--seed", seed, "--n-random", "2",
+                    "--out", str(out)]) == 0
+        assert f'"seed": {seed}\n' in capsys.readouterr().out
+        bundles.append(json.loads((out / "report.json").read_text()))
+    assert bundles[0]["random_sweeps"] != bundles[1]["random_sweeps"]

@@ -46,6 +46,17 @@ def test_the_package_imports_with_only_src_on_the_path(tmp_path):
     assert [f for f in files if tests_dir in f.parents] == []
 
 
+def test_the_package_itself_loads_only_its_version(tmp_path):
+    # each public name has one import path, its module: the package
+    # re-exports none, so importing it loads neither numpy nor a module
+    code = ("import sys, stepforce\n"
+            "print(stepforce.__version__)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('numpy', 'stepforce')))\n")
+    assert _run_fresh(code, tmp_path) == "0.1.0\n['stepforce']\n"
+    assert stepforce.__all__ == ["__version__"]
+
+
 # What a fresh process has loaded of scipy once it has imported the package
 # and run a command: the sharp step needs numpy alone, a smooth step
 # scipy.special and BLAS (its march) and a packet LAPACK.  Each entry: argv

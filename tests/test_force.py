@@ -244,14 +244,17 @@ def test_nonrelativistic_limit_tags_bad_inputs():
 
 
 def test_hard_wall_sweep_hits_the_exact_value():
-    report = infinite_step_sweep(1.0, (10.0, 100.0, 1000.0))
-    for row in report.rows:
-        assert row.tag == "ok"
-        assert row.wall_value == pytest.approx(-4.0, rel=1e-15)
-        assert row.route_a == pytest.approx(-4.0, rel=1e-12)
-        # the one-sided-slope candidate misses by exactly energy / v0
-        assert row.candidate_error == pytest.approx(1.0 / row.v0, rel=1e-9)
-    assert report.error_slope == pytest.approx(-1.0, abs=1e-6)
+    # -2 hbar^2 k^2 / m = -4E in any units
+    for pars in (None, PhysicalParams(hbar=0.7, mass=2.0)):
+        report = infinite_step_sweep(1.0, (10.0, 100.0, 1000.0), pars)
+        for row in report.rows:
+            assert row.tag == "ok"
+            assert row.wall_value == pytest.approx(-4.0, rel=1e-15)
+            assert row.route_a == pytest.approx(-4.0, rel=1e-12)
+            # the one-sided-slope candidate misses by exactly energy / v0
+            assert row.candidate_error == pytest.approx(1.0 / row.v0,
+                                                        rel=1e-9)
+        assert report.error_slope == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_hard_wall_sweep_rejects_subcritical_heights():
@@ -270,6 +273,24 @@ def test_weak_product_concentrates_on_the_wall_slope():
         devs.append(chk.deviation)
     assert devs[-1] <= 0.05
     assert devs[0] > devs[1] > devs[2]
+    # measured against the sharp wall's -(hbar^2/2m) psi'(0-)
+    target = -0.5 * solve_step_mode("s", 1.0, PhysicalParams(v0=1.0e4)).psix0
+    assert chk.deviation == pytest.approx(
+        abs(chk.integral - target) / abs(target), rel=1e-14)
+
+
+def test_weak_product_is_unit_covariant():
+    # E, V0 and mc^2 scaled by s through m, and eps by 1/s, scale every
+    # wavenumber by s: the integral and its target keep their values, to
+    # rounding, only if the quadrature panels scale with the lengths
+    s = 2.3
+    base = weak_product_check(1.0, RegularizedPotential(v0=1.0e4, eps=0.004))
+    scaled = weak_product_check(
+        s, RegularizedPotential(v0=s * 1.0e4, eps=0.004 / s),
+        PhysicalParams(mass=s))
+    assert scaled.integral == pytest.approx(base.integral, rel=1e-12)
+    assert scaled.deviation == pytest.approx(base.deviation, rel=1e-11)
+    assert scaled.window == pytest.approx(base.window / s, rel=1e-15)
 
 
 def test_weak_product_window_is_a_tenth_of_one_over_k_at_any_hbar():

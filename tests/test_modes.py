@@ -205,7 +205,8 @@ def test_below_threshold_incidence_is_refused():
 
 def test_singular_matching_point_is_refused():
     # E = 2, v0 = 4 makes the transmitted wavenumber exactly -k
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(k \+ q = 0\) at energy 2.0 "
+                                         r"and v0 4.0; "):
         solve_step_mode("kfg", 2.0, PhysicalParams(v0=4.0))
     # the guard is relative, |k + q| < 1e-12 |k|, in any units: 1e-12 off
     # the pole |k + q| / |k| is 6.7e-13, 1e-11 off it 6.7e-12

@@ -61,15 +61,16 @@ def test_gaussian_packet_moments():
 
 
 def test_free_evolution_conserves_momentum_and_norm():
-    state = gaussian_packet(FREE_SPEC)
-    p0 = expectation_momentum(state)
-    out = evolve(state, dt=2e-3, n_steps=500)
-    assert out.t == pytest.approx(1.0)
-    assert abs(expectation_momentum(out) - p0) <= 1e-10
-    assert abs(out.norm() - 1.0) <= 1e-10
-    # straight-line center motion, up to the lattice dispersion correction
-    expected = -10.0 + p0 * 1.0
-    assert expectation_position(out) == pytest.approx(expected, abs=2e-3)
+    for pars in (PhysicalParams(), PhysicalParams(hbar=0.7, mass=2.0)):
+        state = gaussian_packet(FREE_SPEC, params=pars)
+        p0 = expectation_momentum(state)
+        out = evolve(state, dt=2e-3, n_steps=500)
+        assert out.t == pytest.approx(1.0)
+        assert abs(expectation_momentum(out) - p0) <= 1e-10
+        assert abs(out.norm() - 1.0) <= 1e-10
+        # straight-line center motion at p0/m, up to the lattice dispersion
+        expected = -10.0 + p0 / pars.mass * 1.0
+        assert expectation_position(out) == pytest.approx(expected, abs=2e-3)
 
 
 def test_free_audit_reports_zero_force_balance():
@@ -303,6 +304,13 @@ def test_time_step_resolution_guard():
     state = gaussian_packet(FREE_SPEC)
     with pytest.raises(UnderResolved, match="time step"):
         evolve(state, dt=5e-3, n_steps=10)
+    # the bound is m h^2 / hbar in any units, and a step equal to it passes
+    pars = PhysicalParams(hbar=0.7, mass=2.0)
+    state = gaussian_packet(FREE_SPEC, params=pars)
+    bound = pars.mass * state.dx * state.dx / pars.hbar
+    evolve(state, dt=bound, n_steps=1)
+    with pytest.raises(UnderResolved, match="time step"):
+        evolve(state, dt=bound * (1.0 + 1e-9), n_steps=1)
 
 
 def test_smoothing_width_resolution_guard():
@@ -319,6 +327,26 @@ def test_wall_contamination_aborts_the_run():
     state = gaussian_packet(spec)
     with pytest.raises(BoxTooSmall, match="wall amplitude"):
         evolve(state, dt=2e-3, n_steps=1500)
+
+
+def test_packet_weights_are_fractions_of_the_norm():
+    # |psi|^2 is 1 left of the step and 4 right of it, on a grid that
+    # misses x = 0
+    grid = GridSpec(x_min=-95.0, x_max=95.0, n_points=1900)
+    spec = PacketSpec(x0=-25.0, sigma=5.0, k0=2.0, grid=grid)
+    x = np.linspace(grid.x_min, grid.x_max, grid.n_points)
+    state = timeevo.EvolutionState(
+        x=x, psi=np.where(x < 0.0, 1.0, 2.0).astype(complex), t=0.0,
+        reg=RegularizedPotential(v0=0.5, eps=0.1, shape="logistic"))
+    r, t = packet_rt(state)
+    assert r == pytest.approx(0.2, rel=1e-3) and t == 1.0 - r
+    assert packet_rt(replace(state, psi=3.0 * state.psi)) == pytest.approx(
+        (r, t), rel=1e-14)
+    rt = compare_packet_rt(state, spec)
+    smooth = rt["r_stationary_smooth"]
+    assert rt["r_packet"] == r
+    assert rt["rel_difference_smooth"] == pytest.approx(
+        (r - smooth) / smooth, rel=1e-14)
 
 
 def test_packet_norm_split_at_the_interface():
