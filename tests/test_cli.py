@@ -797,10 +797,12 @@ def test_a_negative_seed_exits_2_naming_it(command, tmp_path, capsys):
     assert run([command, "--seed", "-1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith(
-        "error: config: seed must be non-negative, got -1\n"
-        if command == "report"
-        else "stepforce: error: unrecognized arguments: --seed -1\n")
+    if command == "report":
+        assert captured.err == (
+            "error: config: seed must be non-negative, got -1\n")
+    else:
+        assert captured.err.endswith(
+            "stepforce: error: unrecognized arguments: --seed -1\n")
     assert not out.exists()
 
 
@@ -1222,11 +1224,9 @@ _FAILED_RUNS = [
       "--speeds", "1e10,1e20"], 1,
      "below-threshold: incidence needs E > mc^2, that is E_nr > 0, got "
      "E_nr = -1.0\n", None),
-    (["limits", "--kind", "nonrel", "--speeds", "1e10,1e20"], 2,
-     "config: the spin-0 energy mc^2 + E_nr rounds to mc^2", None),
     # 1 + 1e-16 rounds to 1, while 1 - 1e-16 does not
-    (["limits", "--kind", "nonrel", "--energy-nr", "1e-16", "--speeds",
-      "1,2"], 2,
+    (["limits", "--kind", "nonrel", "--speeds", "1,2", "--energy-nr",
+      "1e-16"], 2,
      "config: the spin-0 energy mc^2 + E_nr rounds to mc^2 = 1.0 at E_nr = "
      "1e-16 and c = 1.0; E_nr is below the precision of the sum\n", None),
     (["ehrenfest", "--case", "free", "--n-points", "41"], 1,
