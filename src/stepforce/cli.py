@@ -87,9 +87,17 @@ _RT_CASE = {
     "dt": 4.0e-4, "t_final": 27.0, "save_stride": 250,
 }
 
-# the keys each limits kind reads: giving any other is a config error
-_LIMITS_READS = {"nonrel": {"kind", "energy_nr", "v0", "speeds"},
-                 "infinite-step": {"kind", "energy", "v0_list"}}
+# the names a key accepts, checked wherever the key is given
+_NAMES = {"converge.shapes": REG_SHAPES,
+          "limits.kind": ("nonrel", "infinite-step"),
+          "ehrenfest.case": ("scattering", "free")}
+
+# the keys of its table that a command, or its kind or case, does not
+# read: giving one is a config error (converge.domain is only echoed)
+_UNREAD = {"converge": ("domain",),
+           "nonrel": ("energy", "v0_list"),
+           "infinite-step": ("energy_nr", "v0", "speeds"),
+           "free": ("v0", "eps", "shape")}
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +113,19 @@ def _finite(name: str, value):
     return value
 
 
-def _checked(name: str, default, value):
+def _checked(name: str, default, value, names=None):
     """``value`` as the type of ``default`` (a list: of its items' type),
-    or ConfigError naming ``name``."""
+    each string one of ``names`` if given, or ConfigError naming ``name``."""
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ConfigError(f"config key {name} must be a list")
-        return [_checked(f"{name}[{i}]", default[0], item)
+        return [_checked(f"{name}[{i}]", default[0], item, names)
                 for i, item in enumerate(_finite(name, value))]
     if isinstance(default, str):
         if not isinstance(value, str):
             raise ConfigError(f"config key {name} must be a string")
+        if names is not None and value not in names:
+            raise ConfigError(f"{name} must be one of {names}, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {name} must be a number")
@@ -129,8 +139,8 @@ def _checked(name: str, default, value):
 def _merge_into(base: dict, override: dict, path: str = "",
                 types: dict = DEFAULTS):
     """Overlay ``override`` on ``base`` in place.  Each value is checked
-    against the default it replaces in ``types``: the one check that
-    config-file values and flags both pass."""
+    against the default it replaces in ``types``, and against _NAMES: the
+    one check that config-file values and flags both pass."""
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
         if key not in types:
@@ -140,7 +150,7 @@ def _merge_into(base: dict, override: dict, path: str = "",
                 raise ConfigError(f"config key {here} must be a table")
             _merge_into(base[key], value, here, types[key])
         else:
-            base[key] = _checked(here, types[key], value)
+            base[key] = _checked(here, types[key], value, _NAMES.get(here))
 
 
 def _read_config(path: str | None) -> dict:
@@ -282,10 +292,6 @@ def cmd_converge(cfg: dict, seed: int) -> tuple:
     _check_widths(blk["epsilons"], "converge.epsilons")
     if not blk["shapes"]:
         raise ConfigError("converge.shapes must not be empty")
-    for i, shape in enumerate(blk["shapes"]):
-        if shape not in REG_SHAPES:
-            raise ConfigError(f"converge.shapes[{i}] must be one of "
-                              f"{REG_SHAPES}, got {shape!r}")
     pars = build_params(cfg, blk["v0"])
     lines, rows = [], []
     for series, verdict in _route_b_verdicts(
@@ -344,21 +350,6 @@ def _audit(blk: dict, dt: float, pars: PhysicalParams, checkpoint=None):
     return ehrenfest_report(spec, reg, dt, blk["t_final"],
                             int(blk["save_stride"]), params=pars,
                             checkpoint=checkpoint)
-
-
-def _ehrenfest_block(blk: dict, given: set) -> dict:
-    """The case's own defaults, overlaid with every key the user gave."""
-    if blk["case"] == "free":
-        # the free case has no step: its v0 is 0
-        for key in ("v0", "eps", "shape"):
-            if key in given:
-                raise ConfigError(
-                    f"ehrenfest.{key} has no effect in the free case")
-        return {**_EHRENFEST_FREE, **{key: blk[key] for key in given}}
-    if blk["case"] != "scattering":
-        raise ConfigError(f"unknown ehrenfest case: {blk['case']!r}; "
-                          "expected one of ('scattering', 'free')")
-    return blk
 
 
 def cmd_ehrenfest(cfg: dict, seed: int) -> tuple:
@@ -716,8 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
         # this pattern, by default a plain decimal
         p_cmd._negative_number_matcher = _SIGNED_VALUE
         for key, default in DEFAULTS[command].items():
-            # converge.domain is only echoed; _resolve refuses it if given
-            hidden = (command, key) == ("converge", "domain")
+            # a key the command never reads: _resolve refuses it if given
+            hidden = key in _UNREAD.get(command, ())
             p_cmd.add_argument("--" + key.replace("_", "-"),
                                type=_flag_type(default),
                                help=argparse.SUPPRESS if hidden
@@ -739,25 +730,23 @@ def _resolve(args: argparse.Namespace) -> tuple:
     _merge_into(cfg, user)
     _merge_into(cfg, {command: flags})
     given = set(user.get(command, {})) | set(flags)
-    if command == "converge" and "domain" in given:
-        raise ConfigError("converge.domain has no effect: the smooth solver "
-                          "meshes only the smoothing window")
-    if command == "ehrenfest":
-        cfg["ehrenfest"] = _ehrenfest_block(cfg["ehrenfest"], given)
     if command == "limits":
         # a log-log slope needs two abscissae
         for key in ("speeds", "v0_list"):
             if len(set(cfg["limits"][key])) < 2:
                 raise ConfigError(f"config key limits.{key} needs at least 2 "
                                   f"distinct values")
-        kind = cfg["limits"]["kind"]
-        if kind not in _LIMITS_READS:
-            raise ConfigError(f"unknown limits kind: {kind!r}; expected one "
-                              f"of {tuple(_LIMITS_READS)}")
-        extra = sorted(given - _LIMITS_READS[kind])
-        if extra:
-            raise ConfigError(
-                f"limits.{extra[0]} has no effect for kind {kind}")
+    # the kind or case a command runs reads its keys, else the command
+    selector = {"limits": "kind", "ehrenfest": "case"}.get(command)
+    reader = cfg[command][selector] if selector else command
+    unread = sorted(given.intersection(_UNREAD.get(reader, ())))
+    if unread:
+        raise ConfigError(f"{command}.{unread[0]} has no effect"
+                          + (f" for {selector} {reader}" if selector else ""))
+    if reader == "free":
+        # the free case's own defaults, overlaid with every key given
+        cfg["ehrenfest"] = {**_EHRENFEST_FREE,
+                            **{key: cfg["ehrenfest"][key] for key in given}}
     if command == "report":
         # report runs every experiment on its own fixed inputs
         for section, table in user.items():

@@ -98,6 +98,10 @@ class RegularizedPotential:
         if self.shape not in REG_SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}; expected one of "
                              f"{REG_SHAPES}")
+        # deriv's scale: past the doubles it turns the plateaus' 0 into NaN
+        if not math.isfinite(float(self.v0) / float(self.eps)):
+            raise ValueError(f"the step's slope scale v0 / eps of v0 "
+                             f"{self.v0!r} and eps {self.eps!r} must be finite")
 
     def eval(self, x):
         """Potential value; accepts scalars or arrays."""

@@ -301,11 +301,23 @@ def _lift_pair(value: complex, energy: float, phi: float,
 
 
 def fv_lift(mode: ScatterMode) -> FVBoundary:
-    """Lift the scalar spin-0 mode to its two-component interface data."""
+    """Lift the scalar spin-0 mode to its two-component interface data.
+
+    Route C sums the lifted values' squares, up to (1 + w)^2 |psi(0)|^2/2,
+    and the lifted derivatives' products with psi_x(0), up to
+    (1 + w) |psi_x(0)|^2/2, w the larger |charge weight|: a lift that
+    takes either out of the doubles is refused before numpy overflows."""
     if mode.theory != "kfg":
         raise ValueError("the two-component lift applies to the spin-0 theory only")
     E, v0, p = mode.energy, mode.params.v0, mode.params
     psi0, psix0 = mode.psi0, mode.psix0
+    w = max(abs(_charge_weight(E, 0.0, p)), abs(_charge_weight(E, v0, p)))
+    for name, value, other in (("psi(0)", psi0, (1.0 + w) * abs(psi0)),
+                               ("psi_x(0)", psix0, abs(psix0))):
+        if not math.isfinite(0.5 * (1.0 + w) * abs(value) * other):
+            raise ValueError(
+                f"the spin-0 lift of {name} = {value!r} by the charge weight "
+                f"|E - phi|/mc^2 = {w!r} leaves the double range")
     return FVBoundary(
         psi0=psi0,
         psix0=psix0,

@@ -72,17 +72,16 @@ class PiecewiseModel:
 
     ``edges``/``values`` describe the fine segments inside the smoothing
     window, where the profile actually varies; outside the window the two
-    half-line plateaus carry the profile's limits at -inf and +inf (the
-    profile equals them to 1 ulp there), so the segment-width bound is
-    imposed where it matters and the plateaus stay exact.
+    half-line plateaus carry the profile's limits at -inf and +inf, exactly
+    0 and ``reg.v0`` (the profile equals them to 1 ulp there), so the
+    segment-width bound is imposed where it matters and the plateaus stay
+    exact.
     """
 
     theory: str
     energy: float
     edges: np.ndarray          # fine-segment edges, [-xs ... +xs]
     values: np.ndarray         # potential per fine segment (midpoint samples)
-    plateau_left: float
-    plateau_right: float
     params: PhysicalParams
     reg: RegularizedPotential
 
@@ -158,7 +157,6 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     values = np.asarray(reg.eval(mids), dtype=float)
     return PiecewiseModel(
         theory=theory, energy=float(energy), edges=edges, values=values,
-        plateau_left=reg.eval(-math.inf), plateau_right=reg.eval(math.inf),
         params=params, reg=reg)
 
 
@@ -381,14 +379,13 @@ class NumericalMode:
         # numpy's complex products, in the operand order of the per-point
         # reference in tests/test_regularized.py, so the bits match it
         if left.any():
-            lam = _spinor_ratio(self.k, self.energy, self.model.plateau_left,
-                                self.params)
+            lam = _spinor_ratio(self.k, self.energy, 0.0, self.params)
             e_p = np.exp(1j * self.k * flat[left])
             e_m = np.exp(-1j * self.k * flat[left])
             psi[left, 0] = e_p + self.r * e_m
             psi[left, 1] = lam * e_p + self.r * (-lam * e_m)
         if right.any():
-            lamp = _spinor_ratio(self.q, self.energy, self.model.plateau_right,
+            lamp = _spinor_ratio(self.q, self.energy, self.model.reg.v0,
                                  self.params)
             amp = self.t * np.array([1.0, lamp], dtype=complex)
             e_t = np.exp(1j * self.q * flat[right])
@@ -452,8 +449,8 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
     model = build_piecewise_model(theory, energy, reg, params, resolution)
     _check_incidence(theory, energy, params)
 
-    k = dispersion(theory, energy, model.plateau_left, params)
-    q = dispersion(theory, energy, model.plateau_right, params)
+    k = dispersion(theory, energy, 0.0, params)
+    q = dispersion(theory, energy, reg.v0, params)
     xs = model.window
     # the transmitted wave at the window edge, which the march starts from:
     # on an evanescent right side it decays as exp(-kappa xs), and below the
@@ -464,8 +461,8 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
 
     # f: a plane wave's second over first component, ik or the spinor ratio
     if theory == "dirac":
-        lams = (_spinor_ratio(k, energy, model.plateau_left, params),
-                _spinor_ratio(q, energy, model.plateau_right, params))
+        lams = (_spinor_ratio(k, energy, 0.0, params),
+                _spinor_ratio(q, energy, reg.v0, params))
         f_l, f_r = lams
     else:
         f_l, f_r, lams = 1j * k, 1j * q, None
@@ -691,14 +688,14 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
     def transported(side: int) -> np.ndarray:
         x = side * probe_offset
         u, ux = nm.eval_scalar(x)
-        phi = nm.model.plateau_right if side > 0 else nm.model.plateau_left
+        phi = reg.v0 if side > 0 else 0.0
         k2 = complex(_k_squared("kfg", energy, phi, p))
         m00, m01, m10, m11 = _propagators(np.array([k2]), np.array([-x]))
         return np.concatenate([m00 * u + m01 * ux, m10 * u + m11 * ux])
 
     (u_l, ux_l) = transported(-1)
     (u_r, ux_r) = transported(+1)
-    phi_l, phi_r = nm.model.plateau_left, nm.model.plateau_right
+    phi_l, phi_r = 0.0, reg.v0
     jump_value = (_lift_pair(u_r, energy, phi_r, p)
                   - _lift_pair(u_l, energy, phi_l, p))
     jump_deriv = (_lift_pair(ux_r, energy, phi_r, p)

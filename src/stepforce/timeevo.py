@@ -142,6 +142,15 @@ def expectation_force(state: EvolutionState) -> float:
     return float(-np.trapezoid(dphi * np.abs(state.psi) ** 2, state.x))
 
 
+def _check_smoothing(state: EvolutionState):
+    """UnderResolved unless the state's grid resolves the smoothing width
+    of its step, eps >= 4 h."""
+    if state.reg is not None and state.reg.eps < 4.0 * state.dx:
+        raise UnderResolved(
+            f"grid spacing {state.dx} does not resolve the smoothing width "
+            f"{state.reg.eps}; need eps >= 4*h")
+
+
 def _cn_arrays(state: EvolutionState, dt: float):
     """Factored Crank-Nicolson matrix for the state's grid and potential.
 
@@ -158,14 +167,9 @@ def _cn_arrays(state: EvolutionState, dt: float):
     if dt > bound * (1.0 + 1e-12):
         raise UnderResolved(
             f"time step {dt} exceeds the resolution bound {bound}")
-    if state.reg is None:
-        phi = np.zeros(n)
-    else:
-        phi = np.asarray(state.reg.eval(x), dtype=float)
-        if state.reg.eps < 4.0 * h:
-            raise UnderResolved(
-                f"grid spacing {h} does not resolve the smoothing width "
-                f"{state.reg.eps}; need eps >= 4*h")
+    _check_smoothing(state)
+    phi = (np.zeros(n) if state.reg is None
+           else np.asarray(state.reg.eval(x), dtype=float))
 
     alpha = 1j * dt / (2.0 * hbar)
     kin = hbar**2 / (mass * h * h)
@@ -315,8 +319,10 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
 
     times, momenta, forces, norms = [], [], [], []
     wall_max = 0.0
-    # expectation_force and norm with phi' once per run, |psi|^2 once a save
+    # expectation_force and norm with phi' once per run, |psi|^2 once a save;
+    # phi' only on a grid that resolves it, as unresolved it can overflow
     x = state.x
+    _check_smoothing(state)
     dphi = None if reg is None else np.asarray(reg.deriv(x), dtype=float)
 
     def record(cur: EvolutionState):

@@ -4,9 +4,10 @@ Each example is one command run on a config table drawn from that
 command's defaults: numbers near and past their bounds (NaN and the
 infinities included), lists of 0 to 5 items, values of the wrong type,
 and for the name keys the accepted spellings mixed with others.  The
-property is the output contract: the run exits 0, 1 or 2; a failure
-prints one ``error:`` line on stderr that names a key or a quantity, no
-traceback, nothing on stdout, and creates nothing.
+property is the output contract: the run exits 0, 1 or 2 and raises no
+numpy RuntimeWarning (overflow, division by zero or a NaN made); a
+failure prints one ``error:`` line on stderr that names a key or a
+quantity, no traceback, nothing on stdout, and creates nothing.
 
 Every draw is bounded so that a run takes milliseconds: ehrenfest runs
 at most 2001 points to t_final <= 0.05, converge at most 5 widths.  report
@@ -20,6 +21,7 @@ import io
 import os
 import re
 import tempfile
+import warnings
 from unittest import mock
 
 from hypothesis import given, settings
@@ -42,7 +44,7 @@ set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(),
 _NAMES = {
     "theory": THEORIES + ("KFG", "kg", "S", ""),
     "shape": REG_SHAPES + ("error-function", "Logistic"),
-    "kind": tuple(cli._LIMITS_READS) + ("Nonrel", "hardwall"),
+    "kind": cli._NAMES["limits.kind"] + ("Nonrel", "hardwall"),
     "case": ("scattering", "free", "Free", "wall"),
 }
 _NAMES["shapes"] = _NAMES["shape"]
@@ -119,10 +121,11 @@ _NAMED = re.compile(r"^error: [a-z-]+: .*\b(%s)\b"
 @given(_runs())
 def test_every_run_keeps_the_output_contract(run):
     command, config = run
-    with tempfile.TemporaryDirectory() as tmp, \
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
             mock.patch.object(cli, "_read_config", lambda path: config), \
             contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("error", RuntimeWarning)
         target = os.path.join(tmp, "out")
         code = cli.main([command, "--config", "cfg.json", "--out", target])
         created = os.path.exists(target)

@@ -18,6 +18,7 @@ radicals evaluated to 30 digits).  Flagship points, natural units:
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -310,3 +311,15 @@ def test_weak_product_guards_its_regime():
     # the window 0.1/k is 0.0707 at E = 1, inside the width 0.1
     with pytest.raises(UnresolvedWindow, match="window 0.0707"):
         weak_product_check(1.0, RegularizedPotential(v0=1.0e4, eps=0.1))
+
+
+def test_route_c_runs_where_its_largest_product_still_fits():
+    # k = 1.3e154 at hbar = 1.3e-154: the lifted derivatives' largest
+    # product with psi_x(0), (1 + w) |psi_x(0)|^2 / 2 = 1.6e308, is finite,
+    # so the lift is kept and route C still balances route A
+    mode = solve_step_mode("kfg", 2.0, PhysicalParams(hbar=1.3e-154, v0=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = boundary_terms(mode)
+    assert report.route_a == pytest.approx(KFG_FORCE, rel=1e-14)
+    assert abs(report.identity_residual) <= 1e-14

@@ -383,6 +383,15 @@ def test_random_modes_keep_clear_of_both_thresholds(theory):
         assert min(abs(gap - 1.0), abs(gap + 1.0)) >= 1e-3
 
 
+def test_random_s_modes_keep_clear_of_the_threshold():
+    # E = v0 within 1e-3 is redrawn; without the redraw 7 of these 10,000
+    # draws land that close
+    rng = np.random.default_rng(7)
+    for _ in range(10_000):
+        mode = random_mode("s", rng, PARS)
+        assert abs(mode.energy - mode.params.v0) >= 1e-3
+
+
 def test_random_mode_reports_exhausted_draws(monkeypatch):
     # every draw lands on the k + q pole, so rejection sampling gives up
     monkeypatch.setattr(modes, "dispersion",

@@ -41,8 +41,6 @@ def test_model_covers_the_smoothing_window():
     model = build_piecewise_model("s", 1.0, reg, PARS)
     assert model.window == pytest.approx(reg.support_halfwidth())
     assert len(model.edges) == len(model.values) + 1
-    assert abs(model.plateau_left) <= 1e-16
-    assert model.plateau_right == pytest.approx(0.5, abs=1e-16)
     assert np.all(np.diff(model.values) >= 0.0)
     assert model.values[0] <= 1e-12 and model.values[-1] >= 0.5 - 1e-12
 
@@ -50,12 +48,11 @@ def test_model_covers_the_smoothing_window():
 @pytest.mark.parametrize("shape", REG_SHAPES)
 @pytest.mark.parametrize("v0", [0.5, -3.0, 4.0])
 def test_plateaus_are_the_profile_limits(shape, v0):
-    # no box: the plateaus are phi(-inf) = 0 and phi(+inf) = v0 exactly,
-    # so even a wide width needs no domain around it
+    # no box: the solver's plateaus 0 and v0 are the profile's limits
+    # phi(-inf) and phi(+inf) exactly, so even a wide width needs no domain
     reg = RegularizedPotential(v0=v0, eps=1.0, shape=shape)
-    model = build_piecewise_model("s", 1.0, reg, PARS)
-    assert model.plateau_left == 0.0
-    assert model.plateau_right == v0
+    assert reg.eval(-math.inf) == 0.0
+    assert reg.eval(math.inf) == v0
 
 
 @pytest.mark.parametrize("theory,energy", [("s", 1e308), ("kfg", 1e300),
@@ -445,6 +442,21 @@ def test_jump_diagnostics_reproduce_the_matricial_condition():
     assert fractions_d[0] > fractions_d[1] > fractions_d[2]
 
 
+def test_jump_fractions_and_ratio_read_the_stored_jumps():
+    # each fraction is |projected| / |jump| and the ratio the first
+    # component over the second, on jumps whose norms are 5 and sqrt(20)
+    diag = regularized.JumpDiagnostics(
+        jump_value=np.array([2.0, 4.0], dtype=complex),
+        jump_deriv=np.array([3.0, 4.0], dtype=complex),
+        projected_value=np.array([0.0, 1.0], dtype=complex),
+        projected_deriv=np.array([0.0, 2.0], dtype=complex),
+        expected_value=np.zeros(2, dtype=complex))
+    assert diag.projected_fraction_value == pytest.approx(
+        1.0 / math.sqrt(20.0), rel=1e-15)
+    assert diag.projected_fraction_deriv == 0.4
+    assert diag.component_ratio_value == 0.5
+
+
 # ---------------------------------------------------------------------------
 # batched evaluation against the per-segment, per-node reference
 # ---------------------------------------------------------------------------
@@ -538,14 +550,13 @@ def _ref_eval_spinor(mode, x):
     p = mode.params
     mc2 = p.rest_energy
     if x <= edges[0]:
-        lam = p.hbar * p.c * mode.k / (
-            mode.energy - mode.model.plateau_left + mc2)
+        lam = p.hbar * p.c * mode.k / (mode.energy - 0.0 + mc2)
         inc = np.array([1.0, lam], dtype=complex) * cmath.exp(1j * mode.k * x)
         ref = np.array([1.0, -lam], dtype=complex) * cmath.exp(-1j * mode.k * x)
         return inc + mode.r * ref
     if x >= edges[-1]:
         lamp = p.hbar * p.c * mode.q / (
-            mode.energy - mode.model.plateau_right + mc2)
+            mode.energy - mode.model.reg.v0 + mc2)
         return (mode.t * np.array([1.0, lamp], dtype=complex)
                 * cmath.exp(1j * mode.q * x))
     return _ref_inside(mode, x)
@@ -739,18 +750,6 @@ def test_each_evaluation_is_refused_for_the_other_kind_of_mode():
         scalar = solve_smooth_mode(theory, energy, reg, PARS)
         with pytest.raises(ValueError, match="only for the spin-1/2"):
             scalar.eval_spinor(0.01)
-
-
-def test_spinor_on_a_raised_left_plateau_uses_that_plateau():
-    """The left plane waves take lam = hbar c k / (E - phi_L + mc^2), as the
-    solver does, on a plateau that does not round away against E + mc^2."""
-    reg = RegularizedPotential(v0=0.5, eps=0.05, shape="erf")
-    nm = solve_smooth_mode("dirac", 2.0, reg, PARS)
-    k = modes.dispersion("dirac", nm.energy, 0.25, PARS)
-    raised = replace(nm, k=k, model=replace(nm.model, plateau_left=0.25))
-    for x in (-20.0, -3.7, nm.model.edges[0]):
-        assert np.array_equal(raised.eval_spinor(x),
-                              _ref_eval_spinor(raised, x))
 
 
 # A double whose square the C library's pow rounds one ulp away from x * x
