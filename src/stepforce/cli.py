@@ -9,7 +9,8 @@ with the same seed must produce byte-identical JSON.  Wall-clock timings
 therefore never enter report.json; they go to a sidecar text file.
 
 Exit codes: 0 success; 1 physics-domain failure (thresholds, unresolved
-numerics, box contamination) or a failed internal cross-check; 2
+numerics, box contamination), a failed internal cross-check or a
+floating-point overflow, invalid operation or division by zero; 2
 configuration or usage error.
 """
 
@@ -36,7 +37,8 @@ from .force import (InfiniteStepRow, NonrelRow, boundary_terms,
                     delta_conventions, infinite_step_sweep, interface_probe,
                     kfg_density_jump, mean_force_closed, nonrel_residuals,
                     weak_product_check)
-from .modes import THEORIES, matching_residuals, random_mode, solve_step_mode
+from .modes import (THEORIES, _expected_jump, matching_residuals, random_mode,
+                    solve_step_mode)
 from .regularized import (DEFAULT_EPSILONS, _check_widths, route_b_sweep,
                           smooth_jump_diagnostics)
 from .reporting import csv_text, dumps_json, fmt_bare
@@ -321,8 +323,7 @@ def cmd_limits(cfg: dict, seed: int) -> tuple:
         table = infinite_step_sweep(blk["energy"], tuple(blk["v0_list"]),
                                     pars)
         name, row_type = "limits_infinite_step.csv", InfiniteStepRow
-        line = (f"candidate-error log-log slope vs v0: "
-                f"{fmt_bare(table.error_slope)}")
+        line = f"candidate-error log-log slope vs v0: {fmt_bare(table.slope)}"
     return [line], {name: csv_text([f.name for f in fields(row_type)],
                                    [astuple(row) for row in table.rows])}
 
@@ -461,7 +462,7 @@ def _report_limits(cfg: dict) -> dict:
         },
         "infinite_step": {
             "rows": [asdict(r) for r in infinite.rows],
-            "error_slope": infinite.error_slope,
+            "error_slope": infinite.slope,
         },
         "weak_product": {
             "rows": a3,
@@ -480,7 +481,8 @@ def _report_jump_diagnostics(cfg: dict) -> dict:
         rows.append({
             "eps": eps,
             "jump_value_norm": float(np.linalg.norm(diag.jump_value)),
-            "expected_value_norm": float(np.linalg.norm(diag.expected_value)),
+            "expected_value_norm": float(np.linalg.norm(
+                _expected_jump(reg.v0, pars.rest_energy, diag.psi0))),
             "projected_fraction_value": diag.projected_fraction_value,
             "projected_fraction_deriv": diag.projected_fraction_deriv,
             "component_ratio": diag.component_ratio_value,
@@ -526,8 +528,10 @@ def _two_lanes(jobs: list, costs: list) -> list:
 
     Every job runs to its end; then the exception of the first failed job
     in job order is raised, so a failure reads as in a serial run.  The
-    jobs share nothing but their result slots."""
+    jobs share nothing but their result slots.  Each runs under the
+    caller's numpy error state, which a new thread does not inherit."""
     results, errors = [None] * len(jobs), [None] * len(jobs)
+    float_state = np.geterr()
     left = list(costs)
     margin = _HANDOVER_MARGIN * sum(costs)
     order = sorted(range(len(jobs)), key=lambda i: -costs[i])
@@ -560,7 +564,8 @@ def _two_lanes(jobs: list, costs: list) -> list:
         with turn:
             hold(i)
         try:
-            results[i] = jobs[i](functools.partial(checkpoint, i))
+            with np.errstate(**float_state):
+                results[i] = jobs[i](functools.partial(checkpoint, i))
         except Exception as exc:
             errors[i] = exc
         finally:
@@ -764,7 +769,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         cfg, seed, out_dir, command = _resolve(args)
-        lines, files = _COMMANDS[command][0](cfg, seed)
+        # an overflow, invalid operation or division by zero fails the run;
+        # underflow does not, as evanescent tails underflow by design
+        with np.errstate(over="raise", invalid="raise", divide="raise",
+                         under="ignore"):
+            lines, files = _COMMANDS[command][0](cfg, seed)
         # the one place that writes: only once the command has returned
         os.makedirs(out_dir, exist_ok=True)
         for name, text in files.items():
@@ -783,6 +792,9 @@ def main(argv=None) -> int:
         return 2
     except StepForceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: floating-point: {command}: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(_echo_config(command, cfg, seed, out_dir))
     for line in lines + [f"wrote {os.path.join(out_dir, name)}"

@@ -36,9 +36,8 @@ __all__ = [
     "DensityProbe",
     "MeanForceReport",
     "NonrelRow",
-    "NonrelReport",
     "InfiniteStepRow",
-    "InfiniteStepReport",
+    "SweepReport",
     "WeakProductReport",
     "density",
     "interface_probe",
@@ -281,7 +280,10 @@ class NonrelRow:
 
 
 @dataclass(frozen=True)
-class NonrelReport:
+class SweepReport:
+    """The rows of a limit sweep and the log-log slope fitted through the
+    residual of its computed rows."""
+
     rows: tuple
     slope: float
 
@@ -307,7 +309,7 @@ def _loglog_slope(logs: list) -> float:
 
 
 def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
-                     params: PhysicalParams | None = None) -> NonrelReport:
+                     params: PhysicalParams | None = None) -> SweepReport:
     """Compare spin-0 modes at kinetic energy ``energy_nr`` against the
     nonrelativistic mode as the light speed grows.
 
@@ -370,7 +372,7 @@ def nonrel_residuals(energy_nr: float, c_list=(10.0, 100.0, 1000.0),
         force_resid = abs(force_k - leading) / abs(force_k)
         rows.append(NonrelRow(c, float(dens_resid), float(force_resid), "ok"))
         logs.append(_log_pair("force residual", "c", c, force_resid))
-    return NonrelReport(rows=tuple(rows), slope=_loglog_slope(logs))
+    return SweepReport(rows=tuple(rows), slope=_loglog_slope(logs))
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +391,8 @@ class InfiniteStepRow:
     tag: str
 
 
-@dataclass(frozen=True)
-class InfiniteStepReport:
-    rows: tuple
-    error_slope: float
-
-
 def infinite_step_sweep(energy: float, v0_list,
-                        params: PhysicalParams | None = None
-                        ) -> InfiniteStepReport:
+                        params: PhysicalParams | None = None) -> SweepReport:
     """Push the nonrelativistic step height to the hard-wall regime.
 
     For every height above the energy the closed mean force equals the
@@ -429,7 +424,7 @@ def infinite_step_sweep(energy: float, v0_list,
         rows.append(InfiniteStepRow(float(v0), route_a, wall,
                                     float(candidate), float(err), "ok"))
         logs.append(_log_pair("candidate error", "v0", v0, err))
-    return InfiniteStepReport(rows=tuple(rows), error_slope=_loglog_slope(logs))
+    return SweepReport(rows=tuple(rows), slope=_loglog_slope(logs))
 
 
 # ---------------------------------------------------------------------------

@@ -271,10 +271,10 @@ def matching_residuals(mode: ScatterMode) -> tuple[float, float]:
 class FVBoundary:
     """One-sided interface data of the lifted two-component spin-0 mode.
 
-    psi0 / psix0 are the (continuous) scalar boundary values; the Psi
-    vectors are the lifted components evaluated from each side.  Their
-    difference is the physical discontinuity the matricial interface
-    conditions describe.
+    psi0 / psix0 are the scalar boundary values (for a smooth mode, the
+    midpoints of its two one-sided values); the Psi vectors are the lifted
+    components evaluated from each side.  Their difference is the physical
+    discontinuity the matricial interface conditions describe.
     """
 
     psi0: complex
@@ -291,6 +291,28 @@ class FVBoundary:
     @property
     def jump_deriv(self) -> np.ndarray:
         return self.Psix_right - self.Psix_left
+
+    @property
+    def projected_fraction_value(self) -> float:
+        return _projected_fraction(self.jump_value)
+
+    @property
+    def projected_fraction_deriv(self) -> float:
+        return _projected_fraction(self.jump_deriv)
+
+    @property
+    def component_ratio_value(self) -> complex:
+        upper, lower = self.jump_value
+        return complex("nan") if lower == 0.0 else complex(upper / lower)
+
+
+def _projected_fraction(jump: np.ndarray) -> float:
+    """|(tau3 + i tau2) jump| / |jump|, 0 for a zero jump: the share of the
+    jump that breaks the continuity of psi itself."""
+    denom = float(np.linalg.norm(jump))
+    if denom == 0.0:
+        return 0.0
+    return float(np.linalg.norm(_PROJECTOR @ jump)) / denom
 
 
 def _lift_pair(value: complex, energy: float, phi: float,

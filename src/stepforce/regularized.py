@@ -34,15 +34,14 @@ import numpy as np
 from .core import PhysicalParams, RegularizedPotential
 from .errors import (InvalidWidth, NoConvergence, ProbeInsideSmoothing,
                      UnderResolved)
-from .modes import (_PROJECTOR, _charge_weight, _check_incidence, _check_theory,
-                    _expected_jump, _k_squared, _lift_pair, _plateau_k2,
-                    _spinor_ratio, _transmitted_weight, dispersion)
+from .modes import (FVBoundary, _charge_weight, _check_incidence, _check_theory,
+                    _k_squared, _lift_pair, _plateau_k2, _spinor_ratio,
+                    _transmitted_weight, dispersion)
 
 __all__ = [
     "PiecewiseModel",
     "NumericalMode",
     "ConvergenceSeries",
-    "JumpDiagnostics",
     "DEFAULT_EPSILONS",
     "build_piecewise_model",
     "solve_smooth_mode",
@@ -369,30 +368,17 @@ class NumericalMode:
 
     # -- spinor reconstruction ---------------------------------------------
     def eval_spinor(self, x: float | np.ndarray) -> np.ndarray:
-        """Spinor at x: shape (2,) for a float, x.shape + (2,) for an array."""
+        """Spinor at x inside the smoothing window, where route B's nodes
+        lie: shape (2,) for a float, x.shape + (2,) for an array."""
         if self.theory != "dirac":
             raise ValueError("spinor evaluation defined only for the spin-1/2 theory")
         xa = np.asarray(x, dtype=float)
-        flat = xa.ravel()
-        left, right, inside, idx, d = self._locate(flat)
-        psi = np.empty(flat.shape + (2,), dtype=complex)
-        # numpy's complex products, in the operand order of the per-point
-        # reference in tests/test_regularized.py, so the bits match it
-        if left.any():
-            lam = _spinor_ratio(self.k, self.energy, 0.0, self.params)
-            e_p = np.exp(1j * self.k * flat[left])
-            e_m = np.exp(-1j * self.k * flat[left])
-            psi[left, 0] = e_p + self.r * e_m
-            psi[left, 1] = lam * e_p + self.r * (-lam * e_m)
-        if right.any():
-            lamp = _spinor_ratio(self.q, self.energy, self.model.reg.v0,
-                                 self.params)
-            amp = self.t * np.array([1.0, lamp], dtype=complex)
-            e_t = np.exp(1j * self.q * flat[right])
-            psi[right, 0] = amp[0] * e_t
-            psi[right, 1] = amp[1] * e_t
-        psi[inside, 0], psi[inside, 1] = self._carry(idx, d)
-        return psi.reshape(xa.shape + (2,))
+        left, right, _, idx, d = self._locate(xa.ravel())
+        if left.any() or right.any():
+            xs, outside = self.model.window, float(xa.ravel()[left | right][0])
+            raise ValueError(f"spinor evaluation covers the smoothing window "
+                             f"({-xs!r}, {xs!r}) only, got x = {outside!r}")
+        return np.stack(self._carry(idx, d), axis=-1).reshape(xa.shape + (2,))
 
 
 def _march(model: PiecewiseModel, init_state: np.ndarray) -> np.ndarray:
@@ -631,77 +617,35 @@ def route_b_sweep(theory: str, energy: float, shape: str, v0: float,
 # emergence of the matricial interface conditions from the smooth family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JumpDiagnostics:
-    """Interface jump of the lifted components, measured on a smooth mode.
-
-    The smooth mode is probed at +-delta (outside the smoothing window),
-    each one-sided state is carried to x = 0 along the exact plateau flow,
-    and the lifted two-component values are differenced there.  That jump
-    must reproduce (v0 / 2mc^2) [-1, +1] psi(0) as eps -> 0, while its
-    (tau3 + i tau2) projection, which measures the continuity of psi itself,
-    must die with eps.
-    """
-
-    jump_value: np.ndarray
-    jump_deriv: np.ndarray
-    projected_value: np.ndarray
-    projected_deriv: np.ndarray
-    expected_value: np.ndarray
-
-    @property
-    def projected_fraction_value(self) -> float:
-        denom = float(np.linalg.norm(self.jump_value))
-        if denom == 0.0:
-            return 0.0
-        return float(np.linalg.norm(self.projected_value)) / denom
-
-    @property
-    def projected_fraction_deriv(self) -> float:
-        denom = float(np.linalg.norm(self.jump_deriv))
-        if denom == 0.0:
-            return 0.0
-        return float(np.linalg.norm(self.projected_deriv)) / denom
-
-    @property
-    def component_ratio_value(self) -> complex:
-        if self.jump_value[1] == 0.0:
-            return complex("nan")
-        return complex(self.jump_value[0] / self.jump_value[1])
-
-
 def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
                             params: PhysicalParams,
-                            probe_offset: float = 0.2) -> JumpDiagnostics:
+                            probe_offset: float = 0.2) -> FVBoundary:
     """Measure the lifted-component jump of a smooth spin-0 mode.
 
-    ``probe_offset`` must clear the smoothing region (> 3 eps); the probes
-    are transported to the interface with the plateau propagators so the
-    smooth-side variation of the mode does not pollute the jump.
+    The mode's (u, u') at -probe_offset and at +probe_offset, each carried
+    to x = 0 along its exact plateau flow, are lifted there: the FVBoundary
+    of those one-sided values, with psi0 and psix0 their midpoints.  Its
+    jump must reproduce (v0 / 2mc^2) [-1, +1] psi(0) as eps -> 0, while its
+    (tau3 + i tau2) projection, the discontinuity of psi itself, must die
+    with eps.  ``probe_offset`` must clear the smoothing region (> 3 eps).
     """
     if probe_offset <= 3.0 * reg.eps:
         raise ProbeInsideSmoothing(
             f"probe offset {probe_offset} must exceed 3*eps = {3.0 * reg.eps}")
     nm = solve_smooth_mode("kfg", energy, reg, params)
-    p = params
 
-    def transported(side: int) -> np.ndarray:
-        x = side * probe_offset
+    def transported(x: float, phi: float):
         u, ux = nm.eval_scalar(x)
-        phi = reg.v0 if side > 0 else 0.0
-        k2 = complex(_k_squared("kfg", energy, phi, p))
+        k2 = complex(_k_squared("kfg", energy, phi, params))
         m00, m01, m10, m11 = _propagators(np.array([k2]), np.array([-x]))
-        return np.concatenate([m00 * u + m01 * ux, m10 * u + m11 * ux])
+        return (m00 * u + m01 * ux)[0], (m10 * u + m11 * ux)[0]
 
-    (u_l, ux_l) = transported(-1)
-    (u_r, ux_r) = transported(+1)
-    phi_l, phi_r = 0.0, reg.v0
-    jump_value = (_lift_pair(u_r, energy, phi_r, p)
-                  - _lift_pair(u_l, energy, phi_l, p))
-    jump_deriv = (_lift_pair(ux_r, energy, phi_r, p)
-                  - _lift_pair(ux_l, energy, phi_l, p))
-    return JumpDiagnostics(
-        jump_value=jump_value, jump_deriv=jump_deriv,
-        projected_value=_PROJECTOR @ jump_value,
-        projected_deriv=_PROJECTOR @ jump_deriv,
-        expected_value=_expected_jump(reg.v0, p.rest_energy, 0.5 * (u_l + u_r)))
+    (u_l, ux_l), (u_r, ux_r) = (transported(-probe_offset, 0.0),
+                                transported(probe_offset, reg.v0))
+    return FVBoundary(
+        psi0=0.5 * (u_l + u_r),
+        psix0=0.5 * (ux_l + ux_r),
+        Psi_left=_lift_pair(u_l, energy, 0.0, params),
+        Psi_right=_lift_pair(u_r, energy, reg.v0, params),
+        Psix_left=_lift_pair(ux_l, energy, 0.0, params),
+        Psix_right=_lift_pair(ux_r, energy, reg.v0, params))

@@ -157,7 +157,9 @@ def _cn_arrays(state: EvolutionState, dt: float):
     The matrix is constant over a run, so it is LU-factored once here
     (LAPACK ``zgttrf``) and every step only back-substitutes.  Returns the
     factors, the interior diagonal of the explicit half-step and the
-    off-diagonal coupling.
+    off-diagonal coupling.  dt must resolve both the kinetic scale,
+    dt <= m h^2/hbar, and the potential's phase per step,
+    dt <= hbar/max|phi|.
     """
     x = state.x
     h = state.dx
@@ -170,6 +172,11 @@ def _cn_arrays(state: EvolutionState, dt: float):
     _check_smoothing(state)
     phi = (np.zeros(n) if state.reg is None
            else np.asarray(state.reg.eval(x), dtype=float))
+    phi_max = float(np.max(np.abs(phi)))
+    if dt * phi_max > hbar:
+        raise UnderResolved(
+            f"time step {dt} exceeds the potential's phase bound "
+            f"hbar/max|phi| = {hbar / phi_max}")
 
     alpha = 1j * dt / (2.0 * hbar)
     kin = hbar**2 / (mass * h * h)
@@ -196,8 +203,8 @@ def _cn_arrays(state: EvolutionState, dt: float):
     return factors, diag_b[1:-1], off
 
 
-def _cn_steps(state: EvolutionState, dt: float, n_steps: int,
-              wall_tol: float) -> Iterator[tuple[int, np.ndarray]]:
+def _cn_steps(state: EvolutionState, dt: float,
+              n_steps: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (step, psi) after each of n_steps Crank-Nicolson steps.
 
     The steps take two (n, 1) buffers in turn: each builds the explicit
@@ -205,7 +212,7 @@ def _cn_steps(state: EvolutionState, dt: float, n_steps: int,
     is a view of its buffer, valid until the next-but-one step overwrites
     it; a caller that keeps psi must copy it.  Raises ``ValueError`` as
     soon as a step leaves psi not finite, and ``BoxTooSmall`` as soon as
-    one leaves more than ``wall_tol`` of amplitude next to a wall.
+    one leaves more than _WALL_TOL of amplitude next to a wall.
     """
     from scipy.linalg.lapack import zgttrs
 
@@ -234,18 +241,17 @@ def _cn_steps(state: EvolutionState, dt: float, n_steps: int,
         if not (math.isfinite(a1) and math.isfinite(a2)):
             raise ValueError(f"wave function is not finite at t = {t:g}")
         amp = max(a1, a2)
-        if amp > wall_tol:
+        if amp > _WALL_TOL:
             raise BoxTooSmall(
-                f"wall amplitude {amp:.3e} exceeds {wall_tol} at t = {t:g}")
+                f"wall amplitude {amp:.3e} exceeds {_WALL_TOL} at t = {t:g}")
         yield step, psi
         mid, left, right = inner, below, above
 
 
-def evolve(state: EvolutionState, dt: float, n_steps: int,
-           wall_tol: float = _WALL_TOL) -> EvolutionState:
+def evolve(state: EvolutionState, dt: float, n_steps: int) -> EvolutionState:
     """Advance the state by n_steps Crank-Nicolson steps.
 
-    Aborts if the wave function climbs the hard walls above ``wall_tol``:
+    Aborts if the wave function climbs the hard walls above _WALL_TOL:
     Dirichlet walls reflect silently, so contamination must be fatal.
     """
     if dt <= 0.0:
@@ -253,7 +259,7 @@ def evolve(state: EvolutionState, dt: float, n_steps: int,
     if n_steps < 0:
         raise ValueError(f"step count must be non-negative, got {n_steps}")
     psi = state.psi
-    for _, psi in _cn_steps(state, dt, n_steps, wall_tol):
+    for _, psi in _cn_steps(state, dt, n_steps):
         pass
     return replace(state, psi=psi.copy(), t=state.t + n_steps * dt)
 
@@ -336,7 +342,7 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
         norms.append(float(np.trapezoid(rho, x)))
 
     record(state)
-    for step, psi in _cn_steps(state, dt, n_steps, _WALL_TOL):
+    for step, psi in _cn_steps(state, dt, n_steps):
         if step % save_stride == 0:
             state = replace(state, psi=psi.copy(), t=step * dt)
             record(state)

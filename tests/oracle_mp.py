@@ -18,6 +18,11 @@ Written from the equations, not from the library's code:
 
 On the transmitted side a real root takes the sign of the group velocity
 (negative in the Klein regime, E - v0 < -mc^2), an imaginary one decays.
+
+It also gives, at ``RAMP_DIGITS`` digits, the Schrodinger reflection
+probability of the ramp, the step smoothed linearly across [-eps, eps]:
+there u'' = a (x - x_t) u with a = m v0 / (hbar^2 eps) and turning point
+x_t = eps (2E/v0 - 1), solved by Ai and Bi of a^(1/3) (x - x_t).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 import mpmath
 
 DIGITS = 50
+RAMP_DIGITS = 40
 
 
 @dataclass(frozen=True)
@@ -90,3 +96,36 @@ def sharp(theory: str, energy: float, v0: float, hbar: float = 1.0,
         return Sharp(k, q, r, t, rho_left, rho_right,
                      (rho_left + rho_right) / 2, (rho_right - rho_left) / 2,
                      route_a)
+
+
+def ramp_reflection_s(energy: float, v0: float, eps: float,
+                      hbar: float = 1.0, mass: float = 1.0) -> mpmath.mpf:
+    """|r|^2 of the left-incident Schrodinger mode on the ramp of height
+    ``v0`` and half-width ``eps``, to at least ``RAMP_DIGITS`` digits.
+
+    The transmitted wave t e^{iqx} (t = 1 first) fixes the Airy
+    combination at x = eps, through the Wronskian W(Ai, Bi) = 1/pi; at
+    x = -eps that combination splits into e^{ikx} and e^{-ikx}, whose
+    amplitudes give r."""
+    with mpmath.workdps(RAMP_DIGITS + 10):
+        energy, v0, eps, hbar, mass = map(mpmath.mpf,
+                                          (energy, v0, eps, hbar, mass))
+        k = _wavenumber("s", energy, 0, hbar, mass, 1)
+        q = _wavenumber("s", energy, v0, hbar, mass, 1)
+        a3 = mpmath.cbrt(mass * v0 / (hbar**2 * eps))
+        x_t = eps * (2 * energy / v0 - 1)
+
+        def airy(x):
+            z = a3 * (x - x_t)
+            return (mpmath.airyai(z), a3 * mpmath.airyai(z, derivative=1),
+                    mpmath.airybi(z), a3 * mpmath.airybi(z, derivative=1))
+
+        ai, dai, bi, dbi = airy(eps)
+        u, du = mpmath.exp(1j * q * eps), 1j * q * mpmath.exp(1j * q * eps)
+        alpha = mpmath.pi * (u * dbi - du * bi) / a3
+        beta = mpmath.pi * (du * ai - u * dai) / a3
+        ai, dai, bi, dbi = airy(-eps)
+        u, du = alpha * ai + beta * bi, alpha * dai + beta * dbi
+        incident = (u + du / (1j * k)) * mpmath.exp(1j * k * eps) / 2
+        reflected = (u - du / (1j * k)) * mpmath.exp(-1j * k * eps) / 2
+        return abs(reflected / incident) ** 2

@@ -189,7 +189,7 @@ def test_criterion_08_hard_wall_limit_and_weak_product():
         wall = -2.0 * mode.k.real ** 2
         assert mean_force_closed(mode) == pytest.approx(wall, rel=1e-12)
     sweep = infinite_step_sweep(1.0, (10.0, 100.0, 1000.0))
-    assert sweep.error_slope == pytest.approx(-1.0, abs=0.1)
+    assert sweep.slope == pytest.approx(-1.0, abs=0.1)
     deviations = []
     for eps in (0.004, 0.002, 0.001):
         reg = RegularizedPotential(v0=1.0e4, eps=eps, shape="logistic")

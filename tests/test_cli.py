@@ -1139,6 +1139,48 @@ def test_audits_keep_their_bits_through_handovers():
                 assert float(want).hex() == float(have).hex(), field.name
 
 
+def test_a_lane_job_runs_under_the_callers_floating_point_state():
+    # numpy's error state does not reach a new thread, so each lane enters
+    # the caller's; the costlier job runs on the calling thread, and the
+    # overflowing one on a worker
+    threads = {}
+
+    def overflow(checkpoint):
+        threads["job"] = threading.current_thread()
+        return np.ones(1) * 1e308 * 10.0
+
+    def caller():
+        threads["caller"] = threading.current_thread()
+        with np.errstate(over="raise"):
+            return cli._two_lanes([overflow, lambda checkpoint: 0.0],
+                                  [1.0, 2.0])
+
+    with pytest.raises(FloatingPointError,
+                       match="^overflow encountered in multiply$"):
+        _bounded(caller)
+    assert threads["job"] is not threads["caller"]
+
+
+def test_a_floating_point_exception_fails_the_run(monkeypatch, tmp_path,
+                                                  capsys):
+    # main runs a command with overflow, invalid operations and division
+    # by zero raising, and underflow quiet even where the caller's state
+    # raises on it
+    def overflowing(cfg, seed):
+        np.ones(1) * 1e-300 * 1e-300
+        return ["unreached"], {"mode.json": str(np.ones(1) * 1e308 * 10.0)}
+
+    monkeypatch.setitem(cli._COMMANDS, "mode", (overflowing, "stub"))
+    out = tmp_path / "out"
+    with np.errstate(under="raise"):
+        assert run(["mode", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: floating-point: mode: overflow "
+                            "encountered in multiply\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the output contract: a failed run prints nothing and creates nothing
 # ---------------------------------------------------------------------------
@@ -1312,7 +1354,11 @@ _FAILED_RUNS = [
     # refused before phi' is evaluated: (x / eps)^2 overflows in erf's
     (["ehrenfest", "--shape", "erf", "--eps", "1e-200"], 1,
      "under-resolved: grid spacing 0.020000000000003126 does not resolve "
-     "the smoothing width 1e-200; need eps >= 4*h\n", None)]
+     "the smoothing width 1e-200; need eps >= 4*h\n", None),
+    # the step turns the phase by v0 dt / hbar = 4e296 rad a step
+    (["ehrenfest", "--v0", "1e300", "--t-final", "0.1"], 1,
+     "under-resolved: time step 0.0004 exceeds the potential's phase bound "
+     "hbar/max|phi| = 1e-300\n", None)]
 
 
 @pytest.mark.parametrize("argv,code,message,stub", [

@@ -1,9 +1,16 @@
 """Parameters, smoothed step potentials, and grids."""
 
+import math
+import os
 import re
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from stepforce.core import (REG_SHAPES, GridSpec, PhysicalParams,
                             RegularizedPotential)
@@ -26,6 +33,46 @@ def test_rest_energy_scales_with_c_squared():
 def test_nonpositive_constants_rejected(bad):
     with pytest.raises(ValueError):
         PhysicalParams(**bad)
+
+
+# hypothesis caches the constants it reads from the source under the
+# temporary directory, not in the checkout
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(),
+                                     "stepforce-hypothesis"))
+
+# each edge of the doubles, either sign: zeros, subnormals, the normal
+# range's ends, NaN and the infinities
+_EDGES = [0.0, 5e-324, 1e-310, sys.float_info.min, 1e-308, 1e-154, 1.0,
+          1e154, 1e308, sys.float_info.max, math.inf, math.nan]
+_CONSTANT = st.one_of(st.sampled_from(_EDGES + [-x for x in _EDGES]),
+                      st.floats())
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(hbar=_CONSTANT, mass=_CONSTANT, c=_CONSTANT, v0=_CONSTANT)
+def test_params_take_exactly_the_positive_constants_of_finite_mc2(
+        hbar, mass, c, v0):
+    # mc^2 is the double the constructor forms, mass * c**2, where ** can
+    # overflow; v0 takes any value
+    try:
+        rest = mass * c**2
+    except OverflowError:
+        rest = math.inf
+    bad = [name for name, value in (("hbar", hbar), ("mass", mass), ("c", c))
+           if not value > 0]
+    if not bad and 0.0 < rest < math.inf:
+        pars = PhysicalParams(hbar=hbar, mass=mass, c=c, v0=v0)
+        assert pars.rest_energy == rest
+        return
+    with pytest.raises(ValueError) as refused:
+        PhysicalParams(hbar=hbar, mass=mass, c=c, v0=v0)
+    if bad:
+        value = {"hbar": hbar, "mass": mass, "c": c}[bad[0]]
+        assert str(refused.value) == f"{bad[0]} must be positive, got {value}"
+    else:
+        assert str(refused.value) == (
+            f"the rest energy mass * c^2 of mass {mass!r} and c {c!r} must "
+            f"be finite and positive")
 
 
 @pytest.mark.parametrize("name", ["hbar", "mass", "c"])

@@ -81,6 +81,18 @@ def test_sharp_mode_is_energy_covariant(theory, energy, v0):
     _close_forces(forces_s, forces, S)
 
 
+@pytest.mark.parametrize("theory,energy,v0", SHARP)
+def test_sharp_mode_keeps_its_bits_in_power_of_two_units(theory, energy, v0):
+    # hbar = 2, m = 4 and c = 1/2 keep hbar^2/2m, mc^2 and hbar c, and scale
+    # by powers of two alone: every route-C term keeps its bits, the
+    # rounding residue that is the kinetic term of s and kfg included
+    natural = boundary_terms(solve_step_mode(theory, energy,
+                                             PhysicalParams(v0=v0)))
+    scaled = boundary_terms(solve_step_mode(
+        theory, energy, PhysicalParams(hbar=2.0, mass=4.0, c=0.5, v0=v0)))
+    assert scaled == natural
+
+
 @pytest.mark.parametrize("theory,energy,v0,shape", ROUTE_B)
 def test_route_b_is_length_covariant(theory, energy, v0, shape):
     want = _sweep(theory, energy, v0, shape)

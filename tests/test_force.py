@@ -255,7 +255,7 @@ def test_hard_wall_sweep_hits_the_exact_value():
             # the one-sided-slope candidate misses by exactly energy / v0
             assert row.candidate_error == pytest.approx(1.0 / row.v0,
                                                         rel=1e-9)
-        assert report.error_slope == pytest.approx(-1.0, abs=1e-6)
+        assert report.slope == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_hard_wall_sweep_rejects_subcritical_heights():
@@ -263,7 +263,7 @@ def test_hard_wall_sweep_rejects_subcritical_heights():
     assert report.rows[0].tag == "rejected"
     assert report.rows[1].tag == "rejected"
     assert report.rows[2].tag == "ok"
-    assert math.isnan(report.error_slope)
+    assert math.isnan(report.slope)
 
 
 def test_weak_product_concentrates_on_the_wall_slope():

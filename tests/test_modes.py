@@ -287,15 +287,18 @@ def test_lift_reproduces_half_sum_half_difference_components():
 
 def test_lift_jump_is_the_matricial_interface_condition():
     rng = np.random.default_rng(99)
-    for _ in range(25):
-        mode = random_mode("kfg", rng)
-        b = fv_lift(mode)
-        res = bc_residuals(b, mode.params)
-        assert res.max() <= 1e-12
-        scale = mode.params.v0 / (2.0 * mode.params.rest_energy)
-        np.testing.assert_allclose(
-            b.jump_value, scale * np.array([-1.0, 1.0]) * mode.psi0,
-            atol=1e-12)
+    # natural units, then units where mc^2 = 18, so v0/2mc^2 and v0 mc^2/2
+    # differ
+    for base in (None, PhysicalParams(hbar=0.7, mass=2.0, c=3.0)):
+        for _ in range(25):
+            mode = random_mode("kfg", rng, base)
+            b = fv_lift(mode)
+            res = bc_residuals(b, mode.params)
+            assert res.max() <= 1e-12
+            scale = mode.params.v0 / (2.0 * mode.params.rest_energy)
+            np.testing.assert_allclose(
+                b.jump_value, scale * np.array([-1.0, 1.0]) * mode.psi0,
+                atol=1e-12)
     with pytest.raises(ValueError):
         fv_lift(solve_step_mode("s", 1.0, PARS))
 

@@ -1,16 +1,18 @@
 """The frozen sharp-step constants and the library's closed forms against
-the 50-digit oracle of ``oracle_mp``."""
+the 50-digit oracle of ``oracle_mp``, and the smooth solver against its
+closed-form ramp."""
 
 import math
 
 import mpmath
 import pytest
 
-from oracle_mp import DIGITS, sharp
-from stepforce.core import PhysicalParams
+from oracle_mp import DIGITS, RAMP_DIGITS, ramp_reflection_s, sharp
+from stepforce.core import PhysicalParams, RegularizedPotential
 from stepforce.force import (delta_conventions, kfg_density_jump,
                              mean_force_closed)
 from stepforce.modes import solve_step_mode
+from stepforce.regularized import solve_smooth_mode
 from test_acceptance import (D_FORCE, KFG_FORCE, KFG_JUMP,
                              KFG_MIDPOINT_CANDIDATE, S_FORCE)
 
@@ -88,3 +90,44 @@ def test_the_closed_forms_land_within_a_few_ulps_of_the_oracle(theory):
         assert max(dist.values()) <= ULPS, (case, dist)
     assert seen == ({"propagating", "evanescent"} if theory == "s"
                     else {"propagating", "evanescent", "klein"})
+
+
+# The Schrodinger ramp's relative miss |R_solver - R_exact| / R_exact at
+# resolutions 8, 16, 32 and 64, as the ROADMAP (item 17) tabulates it
+RAMP_RESOLUTIONS = (8, 16, 32, 64)
+RAMP_MISSES = [
+    (1.0, 0.5, 0.2, (5.89e-4, 1.47e-4, 3.68e-5, 9.21e-6)),
+    (1.0, 0.5, 0.05, (3.68e-5, 9.21e-6, 2.30e-6, 5.75e-7)),
+    (2.0, 1.5, 0.2, (8.32e-4, 2.08e-4, 5.20e-5, 1.30e-5)),
+    (2.0, 1.5, 0.05, (5.21e-5, 1.30e-5, 3.26e-6, 8.14e-7)),
+]
+
+
+@pytest.mark.parametrize("energy,v0,eps,table", RAMP_MISSES)
+def test_the_ramp_solver_converges_to_its_airy_form(energy, v0, eps, table):
+    exact = ramp_reflection_s(energy, v0, eps)
+    reg = RegularizedPotential(v0=v0, eps=eps, shape="ramp")
+    misses = []
+    with mpmath.workdps(RAMP_DIGITS):
+        for res in RAMP_RESOLUTIONS:
+            nm = solve_smooth_mode("s", energy, reg, PhysicalParams(v0=v0),
+                                   res)
+            misses.append(float(abs(abs(nm.r) ** 2 - exact) / exact))
+    # midpoint sampling is second order in eps/res: the miss falls 4x per
+    # doubling (3.9998 to 4.0000 measured)
+    for coarse, fine in zip(misses, misses[1:]):
+        assert 3.5 <= coarse / fine <= 4.5, misses
+    # 10 % headroom over the table, whose entries are rounded to 3 digits
+    for miss, listed in zip(misses, table):
+        assert miss <= 1.1 * listed, misses
+
+
+@pytest.mark.parametrize("hbar,mass", [(1.0, 1.0), (0.7, 2.0)])
+def test_the_ramp_form_tends_to_the_sharp_step(hbar, mass):
+    # R(eps) is even in eps: at eps = 1e-6 it is the sharp |r|^2 to
+    # about (k eps)^2
+    for energy, v0 in ((1.0, 0.5), (2.0, 1.5), (1.0, 3.0)):
+        step = sharp("s", energy, v0, hbar, mass)
+        with mpmath.workdps(RAMP_DIGITS):
+            ramp = ramp_reflection_s(energy, v0, 1e-6, hbar, mass)
+            assert abs(ramp - abs(step.r) ** 2) <= 1e-10 * abs(step.r) ** 2

@@ -227,6 +227,23 @@ def test_route_b_single_width_force():
     assert errors[1] < 0.5 * errors[0]
 
 
+@pytest.mark.parametrize("theory,energy,v0,shape", [
+    ("s", 1.0, 100.0, "erf"), ("kfg", 2.0, 60.0, "logistic")])
+def test_route_b_panels_resolve_the_local_wavelength(theory, energy, v0,
+                                                     shape):
+    # a decay length far below eps sets the panel width, 2 pi / (8 k_max):
+    # the quadrature then meets a 32x finer panelling within the 1e-8 it
+    # owes (5.3e-9 and 4.4e-9 measured; eps-wide panels miss by 2.7e-6 and
+    # 4.3e-7)
+    reg = RegularizedPotential(v0=v0, eps=0.2, shape=shape)
+    nm = solve_smooth_mode(theory, energy, reg, PhysicalParams(v0=v0))
+    width = 2.0 * math.pi / (8.0 * max(abs(nm.k), abs(nm.q)))
+    assert width < reg.eps
+    x, weights = regularized._gl_panels(nm.model.window, width / 32, 8, 12)
+    fine = -np.sum(weights * reg.deriv(x) * _smooth_density(nm, x))
+    assert abs(route_b_integral(nm) - fine) <= 1e-8 * abs(fine)
+
+
 def test_extrapolate_recovers_linear_and_quadratic_laws():
     eps = (0.2, 0.1, 0.05)
     limit, order, err = extrapolate(eps, [3.0 + 2.0 * e for e in eps])
@@ -433,8 +450,9 @@ def test_jump_diagnostics_reproduce_the_matricial_condition():
         diag = smooth_jump_diagnostics(2.0, reg, PARS, probe_offset=0.2)
         fractions_v.append(diag.projected_fraction_value)
         fractions_d.append(diag.projected_fraction_deriv)
-        rel = (np.linalg.norm(diag.jump_value - diag.expected_value)
-               / np.linalg.norm(diag.expected_value))
+        expected = modes._expected_jump(reg.v0, PARS.rest_energy, diag.psi0)
+        rel = (np.linalg.norm(diag.jump_value - expected)
+               / np.linalg.norm(expected))
         assert rel <= 0.05
     assert fractions_v[0] <= 0.005
     assert fractions_d[0] <= 0.01
@@ -444,17 +462,21 @@ def test_jump_diagnostics_reproduce_the_matricial_condition():
 
 def test_jump_fractions_and_ratio_read_the_stored_jumps():
     # each fraction is |projected| / |jump| and the ratio the first
-    # component over the second, on jumps whose norms are 5 and sqrt(20)
-    diag = regularized.JumpDiagnostics(
-        jump_value=np.array([2.0, 4.0], dtype=complex),
-        jump_deriv=np.array([3.0, 4.0], dtype=complex),
-        projected_value=np.array([0.0, 1.0], dtype=complex),
-        projected_deriv=np.array([0.0, 2.0], dtype=complex),
-        expected_value=np.zeros(2, dtype=complex))
+    # component over the second, on jumps whose norms are sqrt(20) and 5:
+    # tau3 + i tau2 maps [a, b] to (a + b) [1, -1]
+    zero = np.zeros(2, dtype=complex)
+    diag = modes.FVBoundary(
+        psi0=0j, psix0=0j, Psi_left=zero, Psix_left=zero,
+        Psi_right=np.array([2.0, 4.0], dtype=complex),
+        Psix_right=np.array([3.0, 4.0], dtype=complex))
     assert diag.projected_fraction_value == pytest.approx(
-        1.0 / math.sqrt(20.0), rel=1e-15)
-    assert diag.projected_fraction_deriv == 0.4
+        6.0 * math.sqrt(2.0) / math.sqrt(20.0), rel=1e-15)
+    assert diag.projected_fraction_deriv == pytest.approx(
+        7.0 * math.sqrt(2.0) / 5.0, rel=1e-15)
     assert diag.component_ratio_value == 0.5
+    still = replace(diag, Psi_right=zero, Psix_right=zero)
+    assert still.projected_fraction_value == still.projected_fraction_deriv == 0.0
+    assert cmath.isnan(still.component_ratio_value)
 
 
 # ---------------------------------------------------------------------------
@@ -545,23 +567,6 @@ def _ref_eval_scalar(mode, x):
     return (complex(v[0]), complex(v[1]))
 
 
-def _ref_eval_spinor(mode, x):
-    edges = mode.model.edges
-    p = mode.params
-    mc2 = p.rest_energy
-    if x <= edges[0]:
-        lam = p.hbar * p.c * mode.k / (mode.energy - 0.0 + mc2)
-        inc = np.array([1.0, lam], dtype=complex) * cmath.exp(1j * mode.k * x)
-        ref = np.array([1.0, -lam], dtype=complex) * cmath.exp(-1j * mode.k * x)
-        return inc + mode.r * ref
-    if x >= edges[-1]:
-        lamp = p.hbar * p.c * mode.q / (
-            mode.energy - mode.model.reg.v0 + mc2)
-        return (mode.t * np.array([1.0, lamp], dtype=complex)
-                * cmath.exp(1j * mode.q * x))
-    return _ref_inside(mode, x)
-
-
 def _ref_density(mode, x):
     if mode.theory == "s":
         return abs(_ref_eval_scalar(mode, x)[0]) ** 2
@@ -569,7 +574,7 @@ def _ref_density(mode, x):
         u = _ref_eval_scalar(mode, x)[0]
         return ((mode.energy - mode.model.reg.eval(x))
                 / mode.params.rest_energy * abs(u) ** 2)
-    psi = _ref_eval_spinor(mode, x)
+    psi = _ref_inside(mode, x)
     return float(np.real(np.vdot(psi, psi)))
 
 
@@ -725,14 +730,24 @@ def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
                         edges[1:-1:97], edges[1:-1:89] + 1e-13,
                         np.linspace(edges[0], edges[-1], 301)[1:-1]])
     if theory == "dirac":
-        psi = nm.eval_spinor(x)
-        assert psi.shape == (len(x), 2)
-        for j, xj in enumerate(x.tolist()):
+        # the spinor is evaluated inside the window only, where route B's
+        # nodes lie; each other point is refused by name
+        inside = x[(x > edges[0]) & (x < edges[-1])]
+        psi = nm.eval_spinor(inside)
+        assert psi.shape == (len(inside), 2)
+        for j, xj in enumerate(inside.tolist()):
             one = nm.eval_spinor(xj)
             assert isinstance(one, np.ndarray) and one.shape == (2,)
             assert np.array_equal(psi[j], one)
-            assert np.array_equal(one, _ref_eval_spinor(nm, xj))
-        assert nm.eval_spinor(x.reshape(-1, 2)).shape == (len(x) // 2, 2, 2)
+            assert np.array_equal(one, _ref_inside(nm, xj))
+        pairs = inside[:len(inside) // 2 * 2].reshape(-1, 2)
+        assert nm.eval_spinor(pairs).shape == pairs.shape + (2,)
+        window = re.escape(f"smoothing window ({-nm.model.window!r}, "
+                           f"{nm.model.window!r}) only")
+        for xj in (-20.0, float(edges[0]), float(edges[-1]), 20.0):
+            with pytest.raises(ValueError, match=window + ".*"
+                               + re.escape(f"got x = {xj!r}")):
+                nm.eval_spinor(np.array([0.0, xj]))
     else:
         u, ux = nm.eval_scalar(x)
         for j, xj in enumerate(x.tolist()):

@@ -166,7 +166,7 @@ def test_factored_kernel_matches_solve_banded_exactly(reg):
 def test_steps_solve_in_two_buffers_taken_in_turn():
     grid = GridSpec(x_min=-40.0, x_max=40.0, n_points=2001)
     state = gaussian_packet(PacketSpec(x0=-5.0, sigma=1.0, k0=2.0, grid=grid))
-    views = [psi for _, psi in timeevo._cn_steps(state, 1e-3, 4, 1e-6)]
+    views = [psi for _, psi in timeevo._cn_steps(state, 1e-3, 4)]
     # psi of step k is the buffer that step k + 2 solves in
     assert np.shares_memory(views[0], views[2])
     assert np.shares_memory(views[1], views[3])
@@ -208,7 +208,8 @@ def test_audit_saves_equal_evolve_to_their_times(save_stride):
         state.psi, _solve_banded_reference(start, dt, n_steps))
 
 
-def test_finite_rhs_with_an_overflowing_sum_is_stepped():
+def test_finite_rhs_with_an_overflowing_sum_is_stepped(monkeypatch):
+    monkeypatch.setattr(timeevo, "_WALL_TOL", np.inf)
     state = gaussian_packet(FREE_SPEC)
     psi = np.zeros_like(state.psi)
     psi[1:-1] = 1e306
@@ -223,7 +224,7 @@ def test_finite_rhs_with_an_overflowing_sum_is_stepped():
     with warnings.catch_warnings():
         # the step itself takes no sum that could overflow and warn
         warnings.simplefilter("error")
-        out = evolve(huge, dt, 1, wall_tol=np.inf)
+        out = evolve(huge, dt, 1)
     assert np.isfinite(out.psi).all()
     np.testing.assert_array_equal(out.psi,
                                   _solve_banded_reference(huge, dt, 1))
@@ -244,7 +245,9 @@ def test_non_finite_wave_function_is_rejected(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 @pytest.mark.parametrize("index", range(9))
-def test_non_finite_point_anywhere_is_rejected_at_the_first_step(index, bad):
+def test_non_finite_point_anywhere_is_rejected_at_the_first_step(index, bad,
+                                                                 monkeypatch):
+    monkeypatch.setattr(timeevo, "_WALL_TOL", np.inf)
     # the check reads only the two points next to the walls: a bad value
     # at any index must reach both within the step it enters
     psi = np.zeros(9, dtype=complex)
@@ -253,7 +256,7 @@ def test_non_finite_point_anywhere_is_rejected_at_the_first_step(index, bad):
                                    t=0.25)
     with np.errstate(invalid="ignore"), pytest.raises(
             ValueError, match=r"^wave function is not finite at t = 0\.26$"):
-        evolve(state, dt=0.01, n_steps=3, wall_tol=np.inf)
+        evolve(state, dt=0.01, n_steps=3)
 
 
 def test_non_finite_matrix_is_rejected():
@@ -371,6 +374,7 @@ def test_packet_weights_are_fractions_of_the_norm():
     assert rt["r_packet"] == r
     assert rt["rel_difference_smooth"] == pytest.approx(
         (r - smooth) / smooth, rel=1e-14)
+    assert rt["abs_difference_sharp"] == abs(r - rt["r_stationary_sharp"])
 
 
 def test_packet_norm_split_at_the_interface():
@@ -386,7 +390,9 @@ def test_packet_norm_split_at_the_interface():
 def test_rt_comparison_requires_narrow_momentum_spread():
     reg = RegularizedPotential(v0=0.5, eps=0.1, shape="logistic")
     state = gaussian_packet(FREE_SPEC, reg)
-    with pytest.raises(UnderResolved, match="k0\\*sigma"):
+    with pytest.raises(UnderResolved, match="^" + re.escape(
+            "under-resolved: momentum spread too broad for a single-momentum "
+            "comparison: k0*sigma = 2 < 10") + "$"):
         compare_packet_rt(state, FREE_SPEC)
 
 
@@ -434,7 +440,7 @@ def test_momentum_moves_by_the_lattice_force_of_each_midpoint_state():
     d4 = timeevo._derivative_4th
     p0 = expectation_momentum(state)
     prev, impulse, balance, gap = state.psi.copy(), 0.0, 0.0, 0.0
-    for _, psi in timeevo._cn_steps(state, dt, 6000, 1e-6):
+    for _, psi in timeevo._cn_steps(state, dt, 6000):
         mid = 0.5 * (prev + psi)
         force = h * np.vdot(mid, phi * d4(mid, h) - d4(phi * mid, h)).real
         impulse += dt * force
