@@ -52,18 +52,21 @@ class PhysicalParams:
             value = getattr(self, name)
             if not value > 0:       # false for NaN too
                 raise ValueError(f"{name} must be positive, got {value}")
-        try:
-            rest = self.rest_energy
-        except OverflowError:       # c**2 overflowed
-            rest = math.inf
-        if not 0.0 < rest < math.inf:     # 0 if c**2 underflowed
+        if not 0.0 < self.rest_energy < math.inf:
             raise ValueError(f"the rest energy mass * c^2 of mass "
                              f"{self.mass!r} and c {self.c!r} must be finite "
                              f"and positive")
 
     @property
     def rest_energy(self) -> float:
-        return self.mass * self.c**2
+        """mass * c**2 where that double is finite and positive, else
+        (mass * c) * c, which holds mc^2 where c**2 alone over- or
+        underflows (mass 1e300 with c 1e-200 gives 1e-100)."""
+        try:
+            rest = self.mass * self.c**2
+        except OverflowError:       # c**2 overflowed
+            rest = math.inf
+        return rest if 0.0 < rest < math.inf else (self.mass * self.c) * self.c
 
 
 @functools.cache

@@ -115,8 +115,10 @@ class PiecewiseModel:
         return (1j / (self.params.hbar * self.params.c)) * np.array(
             self._dirac_factors)
 
-    @property
+    @cached_property
     def _dirac_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """E - phi + mc^2 and E - phi - mc^2 per segment, which k2 and
+        generator share."""
         mc2 = self.params.rest_energy
         return (self.energy - self.values + mc2,
                 self.energy - self.values - mc2)
@@ -151,12 +153,22 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
             f"the bound is {_MAX_SEGMENTS:.0e}")
     # xs >= 5 eps, width <= eps/8: at least 80 segments, 79 in |x| < 5 eps
     n_seg = int(math.ceil(needed))
-    edges = np.linspace(-xs, xs, n_seg + 1)
+    edges = _linspace(-xs, xs, n_seg + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     values = np.asarray(reg.eval(mids), dtype=float)
     return PiecewiseModel(
         theory=theory, energy=float(energy), edges=edges, values=values,
         params=params, reg=reg)
+
+
+def _linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """np.linspace(start, stop, num) for num >= 2 without its Python-level
+    argument handling: numpy's own formula, so the same doubles."""
+    out = np.arange(num, dtype=float)
+    out *= (stop - start) / (num - 1)
+    out += start
+    out[-1] = stop
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +216,12 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
 #   component);
 # * the scalar route-B density carries u alone, c a + s_over_k b: the
 #   same products and sum as the first row m00 a + m01 b of the full carry,
-#   whose u' row it skips.
+#   whose u' row it skips;
+# * _linspace is np.linspace's formula, arange(num) * ((stop - start) /
+#   (num - 1)) + start with the last entry set to stop, as numpy 2.4
+#   computes it for a nonzero step; numpy divides first where that step
+#   rounds to zero, which no model reaches: its step is its segment width,
+#   and the build divides by that width before.
 
 def _complex(re, im) -> np.ndarray:
     """Complex array with exactly these real and imaginary parts."""
@@ -299,20 +316,25 @@ class NumericalMode:
     def params(self) -> PhysicalParams:
         return self.model.params
 
+    def _segments(self, x: np.ndarray):
+        """Each point's segment and its distance from the segment's left
+        edge, for points of a 1-D array inside the smoothing window."""
+        edges = self.model.edges
+        idx = np.minimum(np.searchsorted(edges, x, side="right") - 1,
+                         len(self.model.values) - 1)
+        return idx, x - edges[idx]
+
     def _locate(self, x: np.ndarray):
         """Masks of the left plateau, right plateau and window points (the
-        full slice when all points lie in the window, as route-B nodes do:
-        no gather, no scatter), plus each window point's segment and its
-        distance from the segment's left edge."""
+        full slice when all points lie in the window: no gather, no
+        scatter), plus _segments of the window points."""
         edges = self.model.edges
         left = x <= edges[0]
         right = ~left & (x >= edges[-1])
         inside = ~(left | right)
         if inside.all():
             inside = slice(None)
-        idx = np.minimum(np.searchsorted(edges, x[inside], side="right") - 1,
-                         len(self.model.values) - 1)
-        return left, right, inside, idx, x[inside] - edges[idx]
+        return (left, right, inside, *self._segments(x[inside]))
 
     def _carry(self, idx, d, value_only=False):
         """Segment states carried to the window points: the two components,
@@ -343,9 +365,8 @@ class NumericalMode:
             return complex(u[0]), complex(ux[0])
         return u.reshape(xa.shape), ux.reshape(xa.shape)
 
-    def _scalar(self, flat: np.ndarray, value_only=False):
-        """(u, u') at the points of a 1-D array, or with ``value_only`` u
-        alone, carried without u' across the window."""
+    def _scalar(self, flat: np.ndarray):
+        """(u, u') at the points of a 1-D array."""
         left, right, inside, idx, d = self._locate(flat)
         u = np.empty(flat.shape, dtype=complex)
         ux = np.empty(flat.shape, dtype=complex)
@@ -360,9 +381,6 @@ class NumericalMode:
             e_t = _cmul(self.t, np.exp(iq * flat[right]))
             u[right] = e_t
             ux[right] = iq * e_t
-        if value_only:
-            u[inside] = self._carry(idx, d, value_only=True)
-            return u
         u[inside], ux[inside] = self._carry(idx, d)
         return u, ux
 
@@ -373,12 +391,15 @@ class NumericalMode:
         if self.theory != "dirac":
             raise ValueError("spinor evaluation defined only for the spin-1/2 theory")
         xa = np.asarray(x, dtype=float)
-        left, right, _, idx, d = self._locate(xa.ravel())
-        if left.any() or right.any():
-            xs, outside = self.model.window, float(xa.ravel()[left | right][0])
+        flat, edges = xa.ravel(), self.model.edges
+        # two reductions; NaN fails them too
+        if flat.size and not (edges[0] < flat.min() and flat.max() < edges[-1]):
+            xs = self.model.window
+            outside = float(flat[~((edges[0] < flat) & (flat < edges[-1]))][0])
             raise ValueError(f"spinor evaluation covers the smoothing window "
                              f"({-xs!r}, {xs!r}) only, got x = {outside!r}")
-        return np.stack(self._carry(idx, d), axis=-1).reshape(xa.shape + (2,))
+        return np.stack(self._carry(*self._segments(flat)),
+                        axis=-1).reshape(xa.shape + (2,))
 
 
 def _march(model: PiecewiseModel, init_state: np.ndarray) -> np.ndarray:
@@ -476,11 +497,13 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
 # ---------------------------------------------------------------------------
 
 def _smooth_density(mode: NumericalMode, x: np.ndarray) -> np.ndarray:
-    """Density at the points x (a 1-D array)."""
+    """Density at the points x, a 1-D array inside the smoothing window, as
+    route B's nodes are: no plateau masks, and a scalar mode carries u
+    alone."""
     if mode.theory == "dirac":
         psi = mode.eval_spinor(x)
         return np.vecdot(psi, psi).real
-    u = mode._scalar(x, value_only=True)
+    u = mode._carry(*mode._segments(x), value_only=True)
     rho = np.float_power(np.hypot(u.real, u.imag), 2.0)
     if mode.theory == "s":
         return rho
@@ -499,7 +522,7 @@ def _gl_panels(half_width: float, width: float, min_panels: int,
     least ``min_panels`` of them, ordered panel by panel, node by node."""
     nodes, weights = _leggauss(n_nodes)
     n_panels = max(int(math.ceil(2.0 * half_width / width)), min_panels)
-    edges = np.linspace(-half_width, half_width, n_panels + 1)
+    edges = _linspace(-half_width, half_width, n_panels + 1)
     half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
     mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
     return (mid + half * nodes).ravel(), (weights * half).ravel()

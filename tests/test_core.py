@@ -52,12 +52,15 @@ _CONSTANT = st.one_of(st.sampled_from(_EDGES + [-x for x in _EDGES]),
 @given(hbar=_CONSTANT, mass=_CONSTANT, c=_CONSTANT, v0=_CONSTANT)
 def test_params_take_exactly_the_positive_constants_of_finite_mc2(
         hbar, mass, c, v0):
-    # mc^2 is the double the constructor forms, mass * c**2, where ** can
-    # overflow; v0 takes any value
+    # mc^2 is the double the constructor forms: mass * c**2 where that is
+    # finite and positive (** can overflow), else (mass * c) * c; v0 takes
+    # any value
     try:
         rest = mass * c**2
     except OverflowError:
         rest = math.inf
+    if not 0.0 < rest < math.inf:
+        rest = (mass * c) * c
     bad = [name for name, value in (("hbar", hbar), ("mass", mass), ("c", c))
            if not value > 0]
     if not bad and 0.0 < rest < math.inf:
@@ -79,6 +82,13 @@ def test_params_take_exactly_the_positive_constants_of_finite_mc2(
 def test_a_nan_constant_is_rejected_by_name_and_value(name):
     with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
         PhysicalParams(**{name: float("nan")})
+
+
+@pytest.mark.parametrize("mass,c,rest", [(1e300, 1e-200, 1e-100),
+                                         (1e-300, 1e200, 1e100)])
+def test_a_rest_energy_past_the_square_of_c_is_accepted(mass, c, rest):
+    # c**2 underflows to 0 or overflows, while mc^2 is a normal double
+    assert PhysicalParams(mass=mass, c=c).rest_energy == rest
 
 
 @pytest.mark.parametrize("mass,c", [(1.0, 1e200), (1e300, 1e10)])

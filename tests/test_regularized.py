@@ -10,13 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stepforce import modes, regularized
+from stepforce import cli, modes, regularized
 from stepforce.core import REG_SHAPES, PhysicalParams, RegularizedPotential
 from stepforce.errors import (BelowThreshold, InvalidWidth, NoConvergence,
                               ProbeInsideSmoothing, UnderResolved)
 from stepforce.force import weak_product_check
 from stepforce.modes import solve_step_mode
-from stepforce.regularized import (ConvergenceSeries, _march,
+from stepforce.regularized import (ConvergenceSeries, _linspace, _march,
                                    _propagators, _running_sum,
                                    _smooth_density, build_piecewise_model,
                                    extrapolate, route_b_integral, route_b_sweep,
@@ -260,6 +260,11 @@ def test_extrapolate_flat_series_short_circuits():
     assert limit == 0.7
     assert np.isnan(order)
     assert err == 0.0
+    # flat relative to its size: steps of 2.3e-13 on values near 1000,
+    # which would not shrink if they counted
+    vals = (1000.0, 1000.0 + 2.0**-42, 1000.0 + 2.0**-41)
+    limit, order, err = extrapolate((0.2, 0.1, 0.05), vals)
+    assert (limit, err) == (vals[-1], 0.0) and np.isnan(order)
 
 
 def test_extrapolate_rejects_nonmonotone_series():
@@ -494,6 +499,14 @@ def _bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
 
 
+def _window_points(mode, x):
+    """The points of x strictly inside the mode's smoothing window, where
+    the route-B density evaluates; eval_scalar's plateau values are
+    test_array_evaluation_equals_scalar_calls' to check."""
+    edges = mode.model.edges
+    return x[(edges[0] < x) & (x < edges[-1])]
+
+
 def _ref_scalar_propagator(k2, d):
     if k2 == 0.0:
         return np.array([[1.0, d], [0.0, 1.0]], dtype=complex)
@@ -667,7 +680,7 @@ def test_value_only_density_equals_the_per_node_reference(theory, energy,
                                                           v0, regime):
     """The scalar density carries u alone to the nodes, yet route B equals
     the per-node 2x2 reference, and u equals eval_scalar's to the bit on
-    the window and both plateaus."""
+    the window's points (route B evaluates no others)."""
     params = PhysicalParams(v0=v0)
     assert solve_step_mode(theory, energy, params).regime == regime
     for shape, eps in (("erf", 0.05), ("logistic", 0.0125), ("ramp", 0.025)):
@@ -675,9 +688,67 @@ def test_value_only_density_equals_the_per_node_reference(theory, energy,
             theory, energy, RegularizedPotential(v0=v0, eps=eps, shape=shape),
             params)
         assert route_b_integral(nm) == _ref_route_b_integral(nm)
-        x = np.linspace(-1.5, 1.5, 1001) * nm.model.window
+        x = _window_points(nm, np.linspace(-1.5, 1.5, 1001) * nm.model.window)
         u, _ = nm.eval_scalar(x)
-        assert np.array_equal(_bits(nm._scalar(x, value_only=True)), _bits(u))
+        value_only = nm._carry(*nm._segments(x), value_only=True)
+        assert np.array_equal(_bits(value_only), _bits(u))
+
+
+@pytest.fixture(scope="module")
+def report_route_b_calls():
+    """The (start, stop, num) of every _linspace call and the nodes of
+    every route-B density that the report's route-B and jump-diagnostic
+    stages make: 35 widths of seven sweeps, and three widths."""
+    spaces, densities = [], []
+    real_linspace, real_density = regularized._linspace, _smooth_density
+
+    def linspace(start, stop, num):
+        spaces.append((start, stop, num))
+        return real_linspace(start, stop, num)
+
+    def density(mode, x):
+        densities.append((mode.model.edges, x))
+        return real_density(mode, x)
+
+    cfg = cli.load_config(None)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(regularized, "_linspace", linspace)
+        patched.setattr(regularized, "_smooth_density", density)
+        cli._report_route_b(cfg)
+        cli._report_jump_diagnostics(cfg)
+    return spaces, densities
+
+
+def test_linspace_equals_numpy_on_every_report_grid(report_route_b_calls):
+    spaces, _ = report_route_b_calls
+    # per route-B width its fine edges and its panel edges, then the
+    # three jump-diagnostic models' fine edges
+    assert len(spaces) == 2 * 35 + 3
+    for start, stop, num in spaces:
+        assert np.array_equal(_linspace(start, stop, num).view(np.uint64),
+                              np.linspace(start, stop, num).view(np.uint64))
+
+
+def test_linspace_equals_numpy_on_random_ranges():
+    rng = np.random.default_rng(28)
+    for _ in range(2000):
+        start, stop = rng.normal(size=2) * 10.0 ** rng.integers(-300, 300,
+                                                                size=2)
+        num = int(rng.integers(2, 5000))
+        for a, b in ((start, stop), (-abs(start), abs(start))):
+            a, b = float(a), float(b)
+            assert np.array_equal(_linspace(a, b, num).view(np.uint64),
+                                  np.linspace(a, b, num).view(np.uint64))
+
+
+def test_every_route_b_node_lies_strictly_inside_its_window(
+        report_route_b_calls):
+    """_smooth_density locates its nodes without plateau masks, so route B
+    must place every node strictly between the window's edges."""
+    _, densities = report_route_b_calls
+    assert len(densities) == 35
+    for edges, x in densities:
+        assert edges[0] < x.min() and x.max() < edges[-1]
 
 
 @pytest.mark.parametrize("theory,params,energy", [
@@ -756,6 +827,14 @@ def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
             assert (u[j], ux[j]) == one == _ref_eval_scalar(nm, xj)
 
 
+def test_the_spinor_refuses_nan_and_takes_no_points():
+    nm = solve_smooth_mode("dirac", 2.0, RegularizedPotential(v0=0.5, eps=0.05),
+                           PARS)
+    with pytest.raises(ValueError, match="window .* only, got x = nan$"):
+        nm.eval_spinor(np.array([0.0, math.nan]))
+    assert nm.eval_spinor(np.empty((0, 3))).shape == (0, 3, 2)
+
+
 def test_each_evaluation_is_refused_for_the_other_kind_of_mode():
     reg = RegularizedPotential(v0=0.5, eps=0.05)
     dirac = solve_smooth_mode("dirac", 2.0, reg, PARS)
@@ -803,8 +882,8 @@ def test_density_equals_abs_squared_per_node():
         states = nm.seg_states.copy()
         states[j, 0] = POW_SQUARE_DIFFERS
         nm = replace(nm, seg_states=states)
-        x = np.concatenate([[nm.model.edges[j]],
-                            np.linspace(-2.5, 2.5, 257)])
+        x = _window_points(nm, np.concatenate([[nm.model.edges[j]],
+                                               np.linspace(-2.5, 2.5, 257)]))
         u, _ = nm.eval_scalar(x)
         assert u[0] == POW_SQUARE_DIFFERS
         weight = (energy - reg.eval(x)) / PARS.rest_energy
