@@ -97,22 +97,20 @@ class PiecewiseModel:
         """
         p, diff = self.params, self.energy - self.values
         if self.theory == "s":
-            k2 = 2.0 * p.mass * diff / p.hbar**2
-        elif self.theory == "kfg":
-            k2 = ((np.float_power(diff, 2.0) - p.rest_energy**2)
-                  / (p.hbar * p.c) ** 2)
-        else:
-            a, b = self._dirac_factors
-            k2 = a * b / (p.hbar * p.c) ** 2
-        return k2.astype(complex)
+            return 2.0 * p.mass * diff / p.hbar**2
+        if self.theory == "kfg":
+            return ((np.float_power(diff, 2.0) - p.rest_energy**2)
+                    / (p.hbar * p.c) ** 2)
+        a, b = self._dirac_factors
+        return a * b / (p.hbar * p.c) ** 2
 
     @cached_property
     def generator(self) -> np.ndarray | None:
-        """Per-segment off-diagonal entries (rows g01, g10) of the Dirac
-        generator; None for the scalar theories."""
+        """Per-segment g01, g10 of the Dirac generator's off-diagonal entries
+        i g01 and i g10; None for the scalar theories."""
         if self.theory != "dirac":
             return None
-        return (1j / (self.params.hbar * self.params.c)) * np.array(
+        return (1.0 / (self.params.hbar * self.params.c)) * np.array(
             self._dirac_factors)
 
     @cached_property
@@ -144,6 +142,9 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     kmax = max(abs(cmath.sqrt(_plateau_k2(theory, energy, phi, params)))
                for phi in (0.0, reg.v0))
     width = eps / resolution
+    if width == 0.0:
+        raise ValueError(f"the segment width eps / {resolution} rounds to 0 "
+                         f"at eps {eps!r}")
     if kmax > 0.0:
         width = min(width, 2.0 * math.pi / (20.0 * kmax))
     needed = 2.0 * xs / width
@@ -178,50 +179,49 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
 # The batched arithmetic below rounds exactly as the scalar complex formulas
 # it replaces:
 #
-# * k^2 is real, so k, k d, every propagator entry and the plateau ratios
-#   f (i k or the spinor ratio) lie on the real or the imaginary axis: one
-#   component of each is exactly zero (of either sign);
-# * on the real axis (k^2 >= 0) cos(k d) and sin(k d) come from the real
-#   np.cos and np.sin, which equal the parts of the complex exp(i k d),
-#   cos and sin bit for bit (10^6 seeded doubles with |x| <= 1e6, +-0,
-#   5e-324, DBL_MIN and the neighbours of +-1e-8), except that sin(-0.0)
-#   is -0.0 where the complex exp gives +0.0: that entry has |k d| < 1e-8,
-#   so the series overwrites it; on the imaginary axis they stay complex,
-#   as numpy's real cosh and sinh differ on 13-26 % of doubles;
-# * sin(k d) / k is CPython's by-real (imaginary axis: by-imaginary) complex
-#   quotient written out on real arrays, zero signs included;
-# * a product with an axis factor is numpy's own complex multiply: with one
-#   component zero the fused and the unfused formulas round alike (0 of
-#   8,000,000 products with parts over 1e-20 .. 1e20 differ, either sign of
-#   the zero); a product of two general factors (r or t times an
-#   exponential) goes through _cmul, component by component in CPython's
-#   order, because numpy's multiply fuses products (140,849 of 1,000,000
-#   general products differ);
+# * k^2 is real, so c = cos(k d), s_over_k = sin(k d) / k and each entry
+#   of a propagator are real, save Dirac's off-diagonal i g s_over_k, held
+#   over i ((1 / (hbar c)) f rounds as the imaginary part of (i / (hbar c))
+#   f).  The complex forms' other parts, signed zeros such as -0.0 sin or
+#   (0.0 cos - 0.0 sin) / |k|, are not formed: a complex product adds them
+#   as +-0 to its nonzero parts, which stay as they are.  Only an entry that
+#   is exactly 0 (k^2 = 0 or d = +-0) may take the other sign, which no
+#   output reads: the march and the carry add its products to nonzero ones;
+# * on the real axis np.cos and np.sin equal the parts of the complex
+#   exp(i k d), cos and sin bit for bit (10^6 seeded doubles with |x| <=
+#   1e6, +-0, 5e-324, DBL_MIN and the neighbours of +-1e-8), save sin(-0.0)
+#   = -0.0 where exp gives +0.0, an entry the |k d| < 1e-8 series
+#   overwrites; on the imaginary axis c and s_over_k are parts of the
+#   complex cos and sin of i kappa d, as numpy's real cosh and sinh differ
+#   on 13-26 % of doubles; over |k| (kappa) they are the nonzero part of
+#   CPython's complex quotient by k;
+# * a product of a state and a real or an imaginary entry is formed as the
+#   nonzero parts of numpy's complex multiply, which with one component
+#   zero rounds alike fused or unfused (0 of 8,000,000 products with parts
+#   over 1e-20 .. 1e20 differ); a product of two general factors (r or t
+#   times an exponential) goes through _cmul, in CPython's order, because
+#   numpy's multiply fuses products (140,849 of 1,000,000 differ);
 # * squares are np.float_power(x, 2.0), which calls the C library's pow per
 #   element as Python's x ** 2 does: of 3,000,006 doubles (uniform, negative,
-#   log-uniform over 1e-130 .. 1e130, +-0, 5e-324, 1e+-150) none
-#   differs, while numpy's power with an array exponent, which goes through
-#   a SIMD pow, differs on 106,399, and its square, x * x, on 2,489 (about
-#   0.08 %, e.g. 4.68625888565849, by one ulp);
+#   log-uniform over 1e-130 .. 1e130, +-0, 5e-324, 1e+-150) none differs,
+#   while numpy's SIMD pow with an array exponent differs on 106,399, and
+#   x * x on 2,489 (about 0.08 %, e.g. 4.68625888565849, by one ulp);
 # * np.hypot(re, im) is CPython's complex abs bit for bit (both call the C
 #   library's hypot), while numpy's complex abs rounds differently;
 # * np.add.accumulate adds strictly left to right, like a running loop,
-#   whereas np.sum adds pairwise;
+#   whereas np.sum adds pairwise; route B's terms where phi' is exactly 0
+#   are +-0 and left out: the sum starts at +0.0 and is never -0;
 # * the march's BLAS ztbsv rounds as the per-segment 2x2 products (the
-#   argument is in _march's docstring): the band's zero entries add +-0,
-#   which leaves every nonzero value as it is, and with one factor on an
-#   axis a fused multiply-add rounds as the unfused product (0 of 897,600
-#   float words differ from the per-segment loop over 495 marches: every
-#   theory, shape and regime, k^2 < 0 segments, and inits with a zero
-#   component);
+#   argument is in _march's docstring): the band's zero entries and parts
+#   add +-0, which leaves every nonzero value as it is, and with one factor
+#   on an axis a fused multiply-add rounds as the unfused product (0 of
+#   897,600 float words differ from the per-segment loop over 495 marches:
+#   every theory, shape and regime, k^2 < 0 segments, zero init components);
 # * the scalar route-B density carries u alone, c a + s_over_k b: the
-#   same products and sum as the first row m00 a + m01 b of the full carry,
-#   whose u' row it skips;
-# * _linspace is np.linspace's formula, arange(num) * ((stop - start) /
-#   (num - 1)) + start with the last entry set to stop, as numpy 2.4
-#   computes it for a nonzero step; numpy divides first where that step
-#   rounds to zero, which no model reaches: its step is its segment width,
-#   and the build divides by that width before.
+#   first row m00 a + m01 b of the full carry, whose u' row it skips;
+# * _linspace is numpy 2.4's np.linspace for a nonzero step, arange(num) *
+#   ((stop - start) / (num - 1)) + start with the last entry set to stop;
+#   the build divides by its step, the segment width, before.
 
 def _complex(re, im) -> np.ndarray:
     """Complex array with exactly these real and imaginary parts."""
@@ -238,34 +238,29 @@ def _cmul(a, b) -> np.ndarray:
 
 
 def _cos_sinc(k2: np.ndarray, d: np.ndarray):
-    """c = cos(k d) and s_over_k = sin(k d) / k, elementwise over the arrays
-    ``k2`` and ``d``.
+    """c = cos(k d) and s_over_k = sin(k d) / k, elementwise over the float
+    arrays ``k2`` and ``d``.
 
     Both are taken by their series when |k d| < 1e-8, which keeps them
-    smooth through k2 ~ 0: there the series round to c = 1 + 0j and
-    s_over_k = d + 0j to the bit, k2 = 0 included, and overwrite the 0/0
+    smooth through k2 ~ 0: there the series round to c = 1 and
+    s_over_k = d to the bit, k2 = 0 included, and overwrite the 0/0
     quotient taken there.
     """
-    k2r = k2.real
-    kabs = np.sqrt(np.abs(k2r))
+    kabs = np.sqrt(np.abs(k2))
     kd = kabs * d                                 # |k| d
-    imag = k2r < 0.0
+    imag = k2 < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # real axis, taken everywhere, zero parts signed as ccos and csin
-        cos, sin = np.cos(kd), np.sin(kd)
-        c = _complex(cos, -0.0 * sin)
-        s_over_k = _complex(sin / kabs, (0.0 * cos - 0.0 * sin) / kabs)
+        c, s_over_k = np.cos(kd), np.sin(kd) / kabs
         if imag.any():
-            # imaginary axis: complex cos and sin, by-imaginary quotient
-            z = np.sqrt(k2[imag]) * d[imag]
-            sin, kappa = np.sin(z), kabs[imag]
-            c[imag] = np.cos(z)
-            s_over_k[imag] = _complex(sin.imag / kappa,
-                                      (0.0 * sin.imag - sin.real) / kappa)
+            # imaginary axis: the complex cos and sin of i kappa d
+            z = np.sqrt(k2[imag].astype(complex)) * d[imag]
+            c[imag] = np.cos(z).real
+            s_over_k[imag] = np.sin(z).imag / kabs[imag]
     # below |k d| = 1e-8 the series' (k d)^2 terms are under half an ulp
     series = np.abs(kd) < 1e-8
-    c[series] = 1.0
-    s_over_k[series] = d[series]
+    if series.any():
+        c[series] = 1.0
+        s_over_k[series] = d[series]
     return c, s_over_k
 
 
@@ -275,9 +270,9 @@ def _propagators(k2: np.ndarray, d: np.ndarray, generator=None):
     Elementwise over the arrays ``k2`` and ``d``: the matrix that carries a
     state across distance d where the local wavenumber squared is k2.  For
     the scalar theories the state is (u, u') with u'' = -k2 u; for Dirac,
-    ``generator`` holds the off-diagonal generator entries (g01, g10) and
-    k2 is q^2.  In both cases M = c + s_over_k * G with _cos_sinc's c and
-    s_over_k.
+    ``generator`` holds g01, g10 of the off-diagonal generator entries i g
+    and k2 is q^2, and m01, m10 come over i.  In both cases
+    M = c + s_over_k * G with _cos_sinc's c and s_over_k.
     """
     c, s_over_k = _cos_sinc(k2, d)
     if generator is None:
@@ -340,15 +335,20 @@ class NumericalMode:
         """Segment states carried to the window points: the two components,
         or with ``value_only`` (scalar theories) u = c a + (sin kd / k) b
         alone, the first row of the propagator, rounded as the full carry
-        rounds it."""
-        a, b = self.seg_states[idx, 0], self.seg_states[idx, 1]
+        rounds it.  Each part is formed from real products."""
+        ar, ai, br, bi = self.seg_states[idx].view(float).T
+        k2, gen = self.model.k2[idx], self.model.generator
         if value_only:
-            c, s_over_k = _cos_sinc(self.model.k2[idx], d)
-            return c * a + s_over_k * b
-        gen = self.model.generator
-        m00, m01, m10, m11 = _propagators(
-            self.model.k2[idx], d, None if gen is None else gen[:, idx])
-        return m00 * a + m01 * b, m10 * a + m11 * b
+            c, s_over_k = _cos_sinc(k2, d)
+            return _complex(c * ar + s_over_k * br, c * ai + s_over_k * bi)
+        m00, m01, m10, _ = _propagators(
+            k2, d, None if gen is None else gen[:, idx])
+        if gen is None:
+            return (_complex(m00 * ar + m01 * br, m00 * ai + m01 * bi),
+                    _complex(m10 * ar + m00 * br, m10 * ai + m00 * bi))
+        # the off-diagonal entries are i m01 and i m10
+        return (_complex(m00 * ar - m01 * bi, m00 * ai + m01 * br),
+                _complex(m00 * br - m10 * ai, m00 * bi + m10 * ar))
 
     # -- scalar reconstruction -------------------------------------------
     def eval_scalar(self, x: float | np.ndarray):
@@ -430,10 +430,12 @@ def _march(model: PiecewiseModel, init_state: np.ndarray) -> np.ndarray:
     # transposed (2n + 2, 4) view is the Fortran-ordered band that ztbsv
     # reads without a copy
     band = np.zeros((n + 1, 2, 4), dtype=complex)
-    np.negative(m01, out=band[:n, 1, 1])
-    np.negative(m00, out=band[:n, 0, 2])
-    np.negative(m00, out=band[:n, 1, 2])          # m11 = m00
-    np.negative(m10, out=band[:n, 0, 3])
+    # the scalar entries are real, Dirac's off-diagonal ones imaginary
+    off = band.real if gen is None else band.imag
+    np.negative(m01, out=off[:n, 1, 1])
+    np.negative(m00, out=band.real[:n, 0, 2])
+    np.negative(m00, out=band.real[:n, 1, 2])     # m11 = m00
+    np.negative(m10, out=off[:n, 0, 3])
     x = np.zeros(2 * n + 2, dtype=complex)
     x[:2] = init_state
     x = ztbsv(3, band.reshape(-1, 4).T, x, lower=1, diag=1, overwrite_x=1)
@@ -534,15 +536,18 @@ def route_b_integral(mode: NumericalMode) -> float:
     The integrand's support is the smoothing window; panel widths resolve
     both the smoothing scale and the local wavelength, so twelve-point
     panels are far below the 1e-8 relative tolerance this quadrature owes.
-    All nodes are evaluated in one batch and summed panel by panel, node by
-    node.
+    The nodes where phi_eps' is not exactly 0 (elsewhere a term is +-0 for
+    a finite density) are evaluated in one batch and summed panel by panel,
+    node by node.
     """
     model = mode.model
     reg = model.reg
     kmax = max(abs(mode.k), abs(mode.q), 1e-6)
     width = min(reg.eps, 2.0 * math.pi / (8.0 * kmax))
     x, weights = _gl_panels(model.window, width, 8, 12)
-    return -_running_sum(weights * reg.deriv(x) * _smooth_density(mode, x))
+    slope = reg.deriv(x)
+    on = slope != 0.0
+    return -_running_sum((weights * slope)[on] * _smooth_density(mode, x[on]))
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +664,7 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
 
     def transported(x: float, phi: float):
         u, ux = nm.eval_scalar(x)
-        k2 = complex(_k_squared("kfg", energy, phi, params))
+        k2 = _k_squared("kfg", energy, phi, params)
         m00, m01, m10, m11 = _propagators(np.array([k2]), np.array([-x]))
         return (m00 * u + m01 * ux)[0], (m10 * u + m11 * ux)[0]
 

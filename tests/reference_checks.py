@@ -2,8 +2,8 @@
 
 Each rebuilds a quantity the package computes by a second route: the
 spin-1/2 observables in another matrix representation, the coupled
-two-component spin-0 equations and density, and the imaginary part of the
-packet momentum.  No command prints them, so they live here rather than in
+two-component spin-0 equations and density, the imaginary part of the
+packet momentum, and the smooth-step propagators in complex arithmetic.  No command prints them, so they live here rather than in
 ``src/``.
 """
 
@@ -16,6 +16,7 @@ import numpy as np
 from stepforce.core import PhysicalParams
 from stepforce.errors import UndefinedAtOrigin
 from stepforce.modes import ScatterMode, _lift_pair, dispersion, solve_step_mode
+from stepforce.regularized import PiecewiseModel, _complex
 from stepforce.timeevo import EvolutionState, _momentum_integral
 
 _I2 = np.eye(2, dtype=complex)
@@ -224,3 +225,82 @@ def momentum_imag_residue(state: EvolutionState) -> float:
     """Imaginary leakage of the momentum average (hermiticity check)."""
     p = _momentum_integral(state)
     return abs(p.imag) / max(abs(p.real), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# smooth-step propagators in complex arithmetic
+# ---------------------------------------------------------------------------
+#
+# The complex propagator body the real entries replaced: k^2 + 0j, the
+# Dirac generator's entries i g, and CPython's complex quotient.  Each real
+# entry must equal the nonzero part of its complex entry bit for bit.
+
+def _cdiv_by_real(a, b):
+    ratio = b.imag / b.real
+    denom = b.real + b.imag * ratio
+    return _complex((a.real + a.imag * ratio) / denom,
+                    (a.imag - a.real * ratio) / denom)
+
+
+def _cdiv_by_imag(a, b):
+    ratio = b.real / b.imag
+    denom = b.real * ratio + b.imag
+    return _complex((a.real * ratio + a.imag) / denom,
+                    (a.imag * ratio - a.real) / denom)
+
+
+def cdiv(a, b):
+    """a / b rounded as CPython rounds a complex quotient (b nonzero)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    a, b, by_real = np.broadcast_arrays(a, b, by_real)
+    out = np.empty(a.shape, dtype=complex)
+    for mask, branch in ((by_real, _cdiv_by_real), (~by_real, _cdiv_by_imag)):
+        out[mask] = branch(a[mask], b[mask])
+    return out
+
+
+def complex_propagators(k2, d, generator=None):
+    """Entries (m00, m01, m10, m11) from the complex k2 and generator."""
+    kk = np.sqrt(k2)
+    z = kk * d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c, s_over_k = np.cos(z), cdiv(np.sin(z), kk)
+    series = np.hypot(z.real, z.imag) < 1e-8
+    if series.any():
+        z2 = z[series] * z[series]
+        c[series] = 1.0 - cdiv(z2, 2.0)
+        s_over_k[series] = d[series] * (1.0 - cdiv(z2, 6.0))
+    if generator is None:
+        return c, s_over_k, -k2 * s_over_k, c
+    g01, g10 = generator
+    return c, s_over_k * g01, s_over_k * g10, c
+
+
+def complex_model(model: PiecewiseModel):
+    """The model's k^2 and Dirac generator as complex arrays: k^2 + 0j and
+    (i / (hbar c)) (E - phi + mc^2, E - phi - mc^2), None for a scalar."""
+    if model.theory != "dirac":
+        return model.k2.astype(complex), None
+    p = model.params
+    return (model.k2.astype(complex),
+            (1j / (p.hbar * p.c)) * np.array(model._dirac_factors))
+
+
+def assert_complex_parts(got, entries, dirac: bool):
+    """Assert that the real entries ``got`` (m00, m01, m10, m11) carry the
+    parts of the complex ``entries``: the real parts, and for Dirac's
+    off-diagonal entries, which are i times a real number, the imaginary
+    parts; bit for bit, save the sign of an entry that is exactly 0.  The
+    complex product takes that sign from the zero parts of s_over_k and of
+    the generator, which the real entries no longer form.  The other parts
+    must be +-0."""
+    for j, (g, m) in enumerate(zip(got, entries)):
+        part, other = (m.imag, m.real) if dirac and j in (1, 2) else (m.real,
+                                                                      m.imag)
+        assert g.dtype == np.float64
+        nonzero = part != 0.0
+        assert np.array_equal(np.ascontiguousarray(g[nonzero]).view(np.int64),
+                              np.ascontiguousarray(part[nonzero]).view(np.int64))
+        assert np.array_equal(g == 0.0, ~nonzero)
+        assert not other.any()

@@ -1251,6 +1251,10 @@ _FAILED_RUNS = [
      "'tunneling'\n", None),
     (["converge", "--theory", "s", "--energy", "1e12"], 2,
      "config: the model needs ", None),
+    # v0 / eps is finite at v0 = 1e-300, but eps / 8 rounds to 0
+    (["converge", "--v0", "1e-300", "--theory", "s", "--energy", "1.0",
+      "--epsilons", "1.5e-323,1e-323,5e-324"], 2,
+     "config: the segment width eps / 8 rounds to 0 at eps 1.5e-323\n", None),
     # exp(-kappa x_s) underflows at eps = 0.2 (kappa x_s = 1131 and 3578)
     (["converge", "--theory", "s", "--energy", "1", "--v0", "1e4"], 2,
      "config: the smooth-step march leaves the double range at eps 0.2, "

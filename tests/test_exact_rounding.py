@@ -10,9 +10,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference_checks import (assert_complex_parts, cdiv, complex_model,
+                              complex_propagators)
 from stepforce.core import PhysicalParams, RegularizedPotential
-from stepforce.regularized import (_cmul, _complex, _propagators,
-                                   build_piecewise_model)
+from stepforce.regularized import _cmul, _propagators, build_piecewise_model
 
 
 def bits(a) -> np.ndarray:
@@ -73,8 +74,9 @@ def test_general_products_need_cmul():
 @pytest.mark.parametrize("theory,energy", [("s", 1.0), ("kfg", 2.0),
                                            ("dirac", 2.0)])
 def test_propagators_at_zero_k2_are_the_free_propagator(theory, energy):
-    """The |k d| < 1e-8 series gives c = 1 + 0j and s_over_k = d + 0j at
-    k^2 = 0, whatever the sign of d, and nothing else moves."""
+    """The |k d| < 1e-8 series gives c = 1 and s_over_k = d at k^2 = 0,
+    whatever the sign of d, and nothing else moves: the entries carry the
+    parts of the complex free propagator and of the complex body."""
     params = PhysicalParams(v0=0.5)
     model = build_piecewise_model(
         theory, energy, RegularizedPotential(v0=0.5, eps=0.05), params)
@@ -88,8 +90,9 @@ def test_propagators_at_zero_k2_are_the_free_propagator(theory, energy):
     dists = np.array([-0.3, 0.7, -2.0, 1e-12, -1e-12, 0.0, -0.0])
     idx = np.repeat(np.arange(len(values)), len(dists))
     d = np.tile(dists, len(values))
-    k2, gen = model.k2[idx], model.generator
-    gen = None if gen is None else gen[:, idx]
+    (k2, gen), (ck2, cgen) = (model.k2, model.generator), complex_model(model)
+    k2, ck2 = k2[idx], ck2[idx]
+    gen, cgen = (None, None) if gen is None else (gen[:, idx], cgen[:, idx])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         entries = _propagators(k2, d, gen)
@@ -97,14 +100,16 @@ def test_propagators_at_zero_k2_are_the_free_propagator(theory, energy):
     assert zero.tolist() == (idx == 0).tolist()
     one, free = np.ones(zero.sum(), dtype=complex), d[zero].astype(complex)
     if gen is None:
-        expected = (one, free, -k2[zero] * free, one)
+        expected = (one, free, -ck2[zero] * free, one)
     else:
-        expected = (one, free * gen[0, zero], free * gen[1, zero], one)
+        expected = (one, free * cgen[0, zero], free * cgen[1, zero], one)
+    assert_complex_parts([m[zero] for m in entries], expected,
+                         gen is not None)
     nonzero = _propagators(k2[~zero], d[~zero],
                            None if gen is None else gen[:, ~zero])
-    for got, want, rest in zip(entries, expected, nonzero):
-        assert np.array_equal(bits(got[zero]), bits(want))
+    for got, rest in zip(entries, nonzero):
         assert np.array_equal(bits(got[~zero]), bits(rest))
+    _assert_same_entries(k2, d, gen, cgen)
 
 
 def test_one_exp_gives_the_complex_cos_and_sin():
@@ -143,50 +148,6 @@ def test_real_cos_and_sin_equal_the_parts_of_one_exp():
     assert bits(e.imag[differs]).tolist() == bits([0.0]).tolist()
 
 
-# The complex propagator body the real-axis code replaced: the reference
-# the new entries must equal bit for bit.
-
-def _cdiv_by_real(a, b):
-    ratio = b.imag / b.real
-    denom = b.real + b.imag * ratio
-    return _complex((a.real + a.imag * ratio) / denom,
-                    (a.imag - a.real * ratio) / denom)
-
-
-def _cdiv_by_imag(a, b):
-    ratio = b.real / b.imag
-    denom = b.real * ratio + b.imag
-    return _complex((a.real * ratio + a.imag) / denom,
-                    (a.imag * ratio - a.real) / denom)
-
-
-def _cdiv(a, b):
-    """a / b rounded as CPython rounds a complex quotient (b nonzero)."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    by_real = np.abs(b.real) >= np.abs(b.imag)
-    a, b, by_real = np.broadcast_arrays(a, b, by_real)
-    out = np.empty(a.shape, dtype=complex)
-    for mask, branch in ((by_real, _cdiv_by_real), (~by_real, _cdiv_by_imag)):
-        out[mask] = branch(a[mask], b[mask])
-    return out
-
-
-def _complex_propagators(k2, d, generator=None):
-    kk = np.sqrt(k2)
-    z = kk * d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c, s_over_k = np.cos(z), _cdiv(np.sin(z), kk)
-    series = np.hypot(z.real, z.imag) < 1e-8
-    if series.any():
-        z2 = z[series] * z[series]
-        c[series] = 1.0 - _cdiv(z2, 2.0)
-        s_over_k[series] = d[series] * (1.0 - _cdiv(z2, 6.0))
-    if generator is None:
-        return c, s_over_k, -k2 * s_over_k, c
-    g01, g10 = generator
-    return c, s_over_k * g01, s_over_k * g10, c
-
-
 def test_cdiv_reference_equals_the_python_quotient():
     rng = np.random.default_rng(11)
     a = rng.normal(size=600) + 1j * rng.normal(size=600)
@@ -195,17 +156,34 @@ def test_cdiv_reference_equals_the_python_quotient():
     for divisor in (b, b.real + 0.1j * b.real, 0.1 * b.imag + 1j * b.imag,
                     b.real + 0j, 1j * b.imag):
         ref = np.array([x / y for x, y in zip(a.tolist(), divisor.tolist())])
-        assert np.array_equal(bits(_cdiv(a, divisor)), bits(ref))
+        assert np.array_equal(bits(cdiv(a, divisor)), bits(ref))
     ref = np.array([x / 6.0 for x in a.tolist()])
-    assert np.array_equal(bits(_cdiv(a, 6.0)), bits(ref))
+    assert np.array_equal(bits(cdiv(a, 6.0)), bits(ref))
 
 
-def _assert_same_entries(k2, d, gen):
+def test_the_real_generator_is_the_imaginary_part_of_the_complex_one():
+    """(1 / (hbar c)) f rounds as the imaginary part of (i / (hbar c)) f,
+    whose real part is +-0, on the report's Dirac models and on odd
+    units."""
+    odd = PhysicalParams(hbar=0.7, mass=2.0, c=3.0, v0=0.5)
+    for params, energy in ((PhysicalParams(v0=0.5), 2.0),
+                           (odd, odd.rest_energy + 1.3)):
+        for eps in (0.2, 0.0125):
+            model = build_piecewise_model(
+                "dirac", energy, RegularizedPotential(v0=0.5, eps=eps),
+                params)
+            ck2, cgen = complex_model(model)
+            assert np.array_equal(bits(model.generator), bits(cgen.imag))
+            assert not cgen.real.any()
+            assert np.array_equal(bits(model.k2), bits(ck2.real))
+
+
+def _assert_same_entries(k2, d, gen, cgen):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _propagators(k2, d, gen)
-    for g, want in zip(got, _complex_propagators(k2, d, gen)):
-        assert np.array_equal(bits(g), bits(want))
+    assert_complex_parts(got, complex_propagators(k2.astype(complex), d, cgen),
+                         gen is not None)
 
 
 ROUTE_B_SWEEPS = [("s", 1.0, "logistic"), ("s", 1.0, "erf"),
@@ -224,8 +202,10 @@ def test_route_b_march_propagators_equal_the_complex_body(theory, energy,
             theory, energy, RegularizedPotential(v0=0.5, eps=eps,
                                                  shape=shape), params)
         edges, gen = model.edges[::-1], model.generator
+        cgen = complex_model(model)[1]
         _assert_same_entries(model.k2[::-1], edges[1:] - edges[:-1],
-                             None if gen is None else gen[:, ::-1])
+                             *((None, None) if gen is None
+                               else (gen[:, ::-1], cgen[:, ::-1])))
 
 
 @pytest.mark.parametrize("theory,energy", [("s", 1.0), ("kfg", 2.0),
@@ -246,10 +226,10 @@ def test_real_and_imaginary_axis_propagators_equal_the_complex_body(
     model = replace(model, values=values,
                     edges=np.linspace(-1.0, 1.0, len(values) + 1))
     k2 = model.k2
-    assert (k2.real > 0.0).any() and (k2.real < 0.0).any()
+    assert (k2 > 0.0).any() and (k2 < 0.0).any()
     if theory == "dirac":
-        assert bits(k2.real[:2]).tolist() == bits([0.0, -0.0]).tolist()
-    kabs = np.sqrt(np.abs(k2.real))
+        assert bits(k2[:2]).tolist() == bits([0.0, -0.0]).tolist()
+    kabs = np.sqrt(np.abs(k2))
     moving = np.flatnonzero(kabs > 0.0)
     edge = 1e-8 / kabs[moving]          # d where |k d| reaches 1e-8
     steps = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf),
@@ -261,8 +241,9 @@ def test_real_and_imaginary_axis_propagators_equal_the_complex_body(
                           np.tile(moving, 2 * len(steps))])
     series = np.abs(kabs[idx] * d) < 1e-8
     assert series.any() and (~series & (np.abs(d) < 1e-6)).any()
-    gen = model.generator
-    for part in (np.full(len(idx), True), k2.real[idx] >= 0.0,
-                 k2.real[idx] < 0.0):
-        _assert_same_entries(k2[idx[part]], d[part],
-                             None if gen is None else gen[:, idx[part]])
+    gen, cgen = model.generator, complex_model(model)[1]
+    for part in (np.full(len(idx), True), k2[idx] >= 0.0, k2[idx] < 0.0):
+        at = idx[part]
+        _assert_same_entries(k2[at], d[part], *((None, None) if gen is None
+                                                else (gen[:, at],
+                                                      cgen[:, at])))

@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference_checks import (assert_complex_parts, complex_model,
+                              complex_propagators)
 from stepforce import cli, modes, regularized
 from stepforce.core import REG_SHAPES, PhysicalParams, RegularizedPotential
 from stepforce.errors import (BelowThreshold, InvalidWidth, NoConvergence,
@@ -465,6 +467,22 @@ def test_jump_diagnostics_reproduce_the_matricial_condition():
     assert fractions_d[0] > fractions_d[1] > fractions_d[2]
 
 
+def test_smooth_derivative_jump_reproduces_the_matricial_condition():
+    """The lifted derivative jump tends to (v0 / 2mc^2) [-1, +1] psi_x(0),
+    psi_x(0) the midpoint of the two transported derivatives, at first
+    order in eps."""
+    misses = []
+    for eps in (0.01, 0.005, 0.0025):
+        diag = smooth_jump_diagnostics(
+            2.0, RegularizedPotential(v0=0.5, eps=eps), PARS, probe_offset=0.2)
+        expected = modes._expected_jump(0.5, PARS.rest_energy, diag.psix0)
+        misses.append(np.linalg.norm(diag.jump_deriv - expected)
+                      / np.linalg.norm(expected))
+    assert misses[0] <= 0.01
+    for a, b in zip(misses, misses[1:]):
+        assert 1.8 <= a / b <= 2.2
+
+
 def test_jump_fractions_and_ratio_read_the_stored_jumps():
     # each fraction is |projected| / |jump| and the ratio the first
     # component over the second, on jumps whose norms are sqrt(20) and 5:
@@ -751,6 +769,45 @@ def test_every_route_b_node_lies_strictly_inside_its_window(
         assert edges[0] < x.min() and x.max() < edges[-1]
 
 
+@pytest.mark.parametrize("theory,energy,v0,shape", [
+    ("s", 1.0, 0.5, "logistic"), ("kfg", 2.0, 0.5, "erf"),
+    ("s", 1.0, 0.5, "ramp"), ("dirac", 2.0, 0.5, "erf"),
+    ("kfg", 2.0, 5.0, "ramp")])
+def test_route_b_skips_exactly_the_nodes_of_zero_slope(theory, energy, v0,
+                                                       shape, monkeypatch):
+    """A node where phi' is exactly 0 adds w 0 rho = +-0 to a sum that
+    starts at +0.0: the sum over the other nodes has the bits of the sum
+    over all of them, also where a Klein density turns that term into -0."""
+    params = PhysicalParams(v0=v0)
+    skipped = []
+    for eps in (0.2, 0.0125):
+        nm = solve_smooth_mode(
+            theory, energy, RegularizedPotential(v0=v0, eps=eps, shape=shape),
+            params)
+        seen = []
+
+        def density(mode, x):
+            seen.append(x)
+            return _smooth_density(mode, x)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(regularized, "_smooth_density", density)
+            value = route_b_integral(nm)
+        kmax = max(abs(nm.k), abs(nm.q), 1e-6)
+        x, weights = regularized._gl_panels(
+            nm.model.window, min(eps, 2.0 * math.pi / (8.0 * kmax)), 8, 12)
+        slope = nm.model.reg.deriv(x)
+        terms = weights * slope * _smooth_density(nm, x)
+        assert np.array_equal(_bits(value), _bits(-_running_sum(terms)))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], x[slope != 0.0])
+        skipped.append(int((slope == 0.0).sum()))
+        if v0 > energy:
+            # the Klein density is negative right of the step: -0 terms
+            assert np.signbit(terms[slope == 0.0]).any()
+    assert min(skipped) > 0
+
+
 @pytest.mark.parametrize("theory,params,energy", [
     ("s", PARS, 1.0), ("kfg", PARS, 2.0), ("dirac", PARS, 2.0),
     ("s", ODD_UNITS, 1.0), ("kfg", ODD_UNITS, ODD_UNITS.rest_energy + 1.0),
@@ -771,14 +828,20 @@ def test_batched_propagators_cover_every_branch(theory, params, energy):
     gen = model.generator
     entries = _propagators(model.k2[idx], d,
                            None if gen is None else gen[:, idx])
+    # Dirac's off-diagonal entries come over i
+    off = 1.0 if gen is None else 1j
     for j, (i, dj) in enumerate(zip(idx.tolist(), d.tolist())):
         ref = _ref_propagator(model, i, np.float64(dj))
-        got = np.array([[entries[0][j], entries[1][j]],
-                        [entries[2][j], entries[3][j]]])
+        got = np.array([[entries[0][j], off * entries[1][j]],
+                        [off * entries[2][j], entries[3][j]]])
         # by value: where one component is zero, its sign may differ from
         # the reference's (its literal k^2 = 0 matrix has +0 where
         # -k^2 sin(kd)/k is -0j); the march below holds to the bit
         assert np.array_equal(got, ref), (i, dj)
+    # to the bit, the parts of the batched complex body's entries
+    ck2, cgen = complex_model(model)
+    assert_complex_parts(entries, complex_propagators(
+        ck2[idx], d, None if cgen is None else cgen[:, idx]), gen is not None)
     for init in ([0.3 - 0.2j, 1.1 + 0.4j], [1.0, 0.0], [0.0, 1j]):
         init = np.array(init, dtype=complex)
         assert np.array_equal(_bits(_march(model, init)),

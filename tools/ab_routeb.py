@@ -7,8 +7,10 @@ Copies each tree's ``src/stepforce`` to a temporary directory under a
 package name of its own, so that both load side by side and neither tree
 gets a ``__pycache__``.  It first checks that the report's seven route-B
 sweeps give the same ``values``, ``defects`` and limits (extrapolated
-value, order and error estimate) in both trees, bit for bit; it exits 1
-naming the first sweep that differs.  Then it runs N full passes of the
+value, order and error estimate) in both trees, bit for bit, and that
+each width's mode has the same float words of ``r``, ``t``, ``defect``
+and ``seg_states``, zero signs included; it exits 1 naming the first
+sweep or width that differs.  Then it runs N full passes of the
 seven sweeps on each side, alternating which side goes first, and prints
 each side's median pass time, the median change/parent ratio of the paired
 passes with its quartiles, and the passes the change wins.
@@ -29,6 +31,8 @@ import statistics
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 # the report's seven route-B sweeps, (theory, energy, shape), at v0 = 0.5
 # in natural units
@@ -61,12 +65,21 @@ class Side:
     """One tree's sweeps."""
 
     def __init__(self, tree: str, name: str, folder: str):
-        self.regularized, core = load(tree, name, folder)
-        self.pars = core.PhysicalParams(v0=V0)
+        self.regularized, self.core = load(tree, name, folder)
+        self.pars = self.core.PhysicalParams(v0=V0)
 
     def sweep(self, theory: str, energy: float, shape: str):
         return self.regularized.route_b_sweep(theory, energy, shape, V0,
                                               self.pars)
+
+    def modes(self, theory: str, energy: float, shape: str):
+        """The smooth mode of each of the sweep's widths."""
+        reg = self.regularized
+        return [reg.solve_smooth_mode(theory, energy,
+                                      self.core.RegularizedPotential(
+                                          v0=V0, eps=eps, shape=shape),
+                                      self.pars)
+                for eps in reg.DEFAULT_EPSILONS]
 
     def timed_pass(self) -> float:
         started = time.perf_counter()
@@ -78,6 +91,12 @@ class Side:
 def outputs(series) -> str:
     # repr rounds a float back to itself: equal strings, equal bits
     return repr(tuple(getattr(series, name) for name in FIELDS))
+
+
+def words(mode) -> bytes:
+    """The float words of a mode's r, t, defect and seg_states."""
+    return (np.array([mode.r, mode.t, mode.defect], dtype=complex).tobytes()
+            + np.ascontiguousarray(mode.seg_states).tobytes())
 
 
 def main(argv=None) -> int:
@@ -96,6 +115,12 @@ def main(argv=None) -> int:
             if outputs(parent.sweep(*case)) != outputs(change.sweep(*case)):
                 print(f"outputs differ: sweep {case}", file=sys.stderr)
                 return 1
+            for eps, a, b in zip(change.regularized.DEFAULT_EPSILONS,
+                                 parent.modes(*case), change.modes(*case)):
+                if words(a) != words(b):
+                    print(f"modes differ: sweep {case}, eps {eps}",
+                          file=sys.stderr)
+                    return 1
         times = {"parent": [], "change": []}
         for i in range(args.passes):
             order = ((parent, "parent"), (change, "change"))
