@@ -56,6 +56,8 @@ DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.025, 0.0125)
 # it bounds the march's memory: its band holds 4 (2n + 2) complex numbers,
 # 128 MB at n = 10^6
 _MAX_SEGMENTS = 10**6
+# the narrowest width a model is rescaled to (see the exact-rounding notes)
+_RESCALE_FLOOR = 2.0**-950
 
 # Gauss-Legendre nodes and weights by node count (callers only read them)
 _leggauss = cache(np.polynomial.legendre.leggauss)
@@ -83,10 +85,40 @@ class PiecewiseModel:
     values: np.ndarray         # potential per fine segment (midpoint samples)
     params: PhysicalParams
     reg: RegularizedPotential
+    resolution: int = 8
 
     @property
     def window(self) -> float:
         return float(self.edges[-1])
+
+    def _segments(self, x: np.ndarray):
+        """Each point's segment and its distance from the segment's left
+        edge, for points of a 1-D array inside the smoothing window."""
+        idx = np.minimum(np.searchsorted(self.edges, x, side="right") - 1,
+                         len(self.values) - 1)
+        return idx, x - self.edges[idx]
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """Route B's Gauss-Legendre nodes, weights and panel width: panels
+        of twelve nodes over the window, at least 8, none wider than eps or
+        a quarter of the shortest plateau wavelength (or decay length)."""
+        kmax = max(abs(dispersion(self.theory, self.energy, phi, self.params))
+                   for phi in (0.0, self.reg.v0))
+        width = min(self.reg.eps, 2.0 * math.pi / (8.0 * max(kmax, 1e-6)))
+        return (*_gl_panels(self.window, width, 8, 12), width)
+
+    def _sites(self, x: np.ndarray) -> tuple:
+        """What a scalar density needs of the points x: _segments, and
+        kfg's charge weight there (None for s)."""
+        return (*self._segments(x), _charge_weight(
+            self.energy, self.reg.eval(x), self.params)
+            if self.theory == "kfg" else None)
+
+    @cached_property
+    def node_sites(self) -> tuple:
+        """_sites of route B's nodes."""
+        return self._sites(self.nodes[0])
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -159,7 +191,35 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     values = np.asarray(reg.eval(mids), dtype=float)
     return PiecewiseModel(
         theory=theory, energy=float(energy), edges=edges, values=values,
-        params=params, reg=reg)
+        params=params, reg=reg, resolution=resolution)
+
+
+def _rescaled(prev: PiecewiseModel, theory: str, energy: float,
+              reg: RegularizedPotential, params: PhysicalParams,
+              resolution: int) -> PiecewiseModel | None:
+    """build_piecewise_model's model for these arguments, rescaled from
+    ``prev``, or None where the two might differ in a bit (the
+    exact-rounding notes give the conditions)."""
+    p = prev.reg
+    (m, e), (m0, e0) = math.frexp(reg.eps), math.frexp(p.eps)
+    if not (m == m0 and e <= e0 and reg.eps >= _RESCALE_FLOOR
+            and prev.nodes[2] == p.eps
+            and (theory, float(energy).hex(), reg.shape, float(reg.v0).hex(),
+                 params, resolution)
+            == (prev.theory, prev.energy.hex(), p.shape, float(p.v0).hex(),
+                prev.params, prev.resolution)):
+        return None
+    s = math.ldexp(1.0, e - e0)
+    model = PiecewiseModel(theory, float(energy), prev.edges * s,
+                           prev.values, params, reg, resolution)
+    cached, known = model.__dict__, prev.__dict__
+    cached.update((name, known[name]) for name in
+                  ("k2", "generator", "_dirac_factors") if name in known)
+    cached["nodes"] = tuple(a * s for a in prev.nodes)
+    if "node_sites" in known:
+        idx, d, charge = prev.node_sites
+        cached["node_sites"] = idx, d * s, charge
+    return model
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
@@ -221,7 +281,18 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
 #   first row m00 a + m01 b of the full carry, whose u' row it skips;
 # * _linspace is numpy 2.4's np.linspace for a nonzero step, arange(num) *
 #   ((stop - start) / (num - 1)) + start with the last entry set to stop;
-#   the build divides by its step, the segment width, before.
+#   the build divides by its step, the segment width, before;
+# * the model at eps = 2**j eps_prev (j <= 0) is the one at eps_prev with
+#   its edges and route B's nodes, weights, panel width and node offsets
+#   times 2**j: scaling normal doubles by 2**j commutes with each rounding,
+#   so every ratio (segment and panel counts, u = x / eps) keeps its bits
+#   and the arrays of u alone carry over (values, k2, the Dirac generator
+#   and factors, node segments, kfg's charge weight).  Not phi': 18 erf
+#   nodes a width have a subnormal phi'.  Each length formed is a multiple
+#   of a power of two >= eps 2**-71 (the segment width is over 10 eps /
+#   _MAX_SEGMENTS), so normal for eps >= 2**-950.  No width cap may bind:
+#   the segment cap 2 pi / (20 k_max) binds at resolution >= 8 only where
+#   the panel cap 2 pi / (8 k_max) does, so the panel width must be eps.
 
 def _complex(re, im) -> np.ndarray:
     """Complex array with exactly these real and imaginary parts."""
@@ -312,12 +383,7 @@ class NumericalMode:
         return self.model.params
 
     def _segments(self, x: np.ndarray):
-        """Each point's segment and its distance from the segment's left
-        edge, for points of a 1-D array inside the smoothing window."""
-        edges = self.model.edges
-        idx = np.minimum(np.searchsorted(edges, x, side="right") - 1,
-                         len(self.model.values) - 1)
-        return idx, x - edges[idx]
+        return self.model._segments(x)
 
     def _locate(self, x: np.ndarray):
         """Masks of the left plateau, right plateau and window points (the
@@ -452,10 +518,14 @@ def _out_of_range(model: PiecewiseModel) -> ValueError:
 
 
 def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
-                      params: PhysicalParams,
-                      resolution: int = 8) -> NumericalMode:
-    """Solve the left-incidence scattering problem for the smoothed step."""
-    model = build_piecewise_model(theory, energy, reg, params, resolution)
+                      params: PhysicalParams, resolution: int = 8, *,
+                      previous: NumericalMode | None = None) -> NumericalMode:
+    """Solve the left-incidence scattering problem for the smoothed step;
+    a ``previous`` mode at a wider eps may lend its model (_rescaled)."""
+    model = None if previous is None else _rescaled(
+        previous.model, theory, energy, reg, params, resolution)
+    if model is None:
+        model = build_piecewise_model(theory, energy, reg, params, resolution)
     _check_incidence(theory, energy, params)
 
     k = dispersion(theory, energy, 0.0, params)
@@ -498,18 +568,21 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
 # route B: force from the smooth profile
 # ---------------------------------------------------------------------------
 
-def _smooth_density(mode: NumericalMode, x: np.ndarray) -> np.ndarray:
+def _smooth_density(mode: NumericalMode, x: np.ndarray,
+                    on: np.ndarray | None = None) -> np.ndarray:
     """Density at the points x, a 1-D array inside the smoothing window, as
     route B's nodes are: no plateau masks, and a scalar mode carries u
-    alone."""
+    alone.  With the mask ``on``, x are the model's route-B nodes and the
+    density is taken where ``on``, a scalar mode's from the nodes' sites."""
     if mode.theory == "dirac":
-        psi = mode.eval_spinor(x)
+        psi = mode.eval_spinor(x if on is None else x[on])
         return np.vecdot(psi, psi).real
-    u = mode._carry(*mode._segments(x), value_only=True)
+    idx, d, charge = (mode.model._sites(x) if on is None else
+                      (a if a is None else a[on]
+                       for a in mode.model.node_sites))
+    u = mode._carry(idx, d, value_only=True)
     rho = np.float_power(np.hypot(u.real, u.imag), 2.0)
-    if mode.theory == "s":
-        return rho
-    return _charge_weight(mode.energy, mode.model.reg.eval(x), mode.params) * rho
+    return rho if charge is None else charge * rho
 
 
 def _running_sum(terms: np.ndarray, start: float | complex = 0.0):
@@ -540,14 +613,10 @@ def route_b_integral(mode: NumericalMode) -> float:
     a finite density) are evaluated in one batch and summed panel by panel,
     node by node.
     """
-    model = mode.model
-    reg = model.reg
-    kmax = max(abs(mode.k), abs(mode.q), 1e-6)
-    width = min(reg.eps, 2.0 * math.pi / (8.0 * kmax))
-    x, weights = _gl_panels(model.window, width, 8, 12)
-    slope = reg.deriv(x)
+    x, weights, _ = mode.model.nodes
+    slope = mode.model.reg.deriv(x)
     on = slope != 0.0
-    return -_running_sum((weights * slope)[on] * _smooth_density(mode, x[on]))
+    return -_running_sum((weights * slope)[on] * _smooth_density(mode, x, on))
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +696,11 @@ def route_b_sweep(theory: str, energy: float, shape: str, v0: float,
     The widths are checked before the first solve, which checks the
     theory and the shape; the series records both as given."""
     _check_widths(epsilons)
-    values, defects = [], []
+    values, defects, nm = [], [], None
     for eps in epsilons:
         reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)
-        nm = solve_smooth_mode(theory, energy, reg, params, resolution)
+        nm = solve_smooth_mode(theory, energy, reg, params, resolution,
+                               previous=nm)
         values.append(route_b_integral(nm))
         defects.append(nm.defect)
     limit, order, err = extrapolate(epsilons, values)

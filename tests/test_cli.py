@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -1050,10 +1051,16 @@ def test_a_report_of_no_draws_writes_empty_regime_counts(monkeypatch,
 
 def test_two_lanes_run_each_job_once_under_fast_thread_switching():
     log, ran = _Log(), []
+    # the first two jobs to start meet while they count as computing, so
+    # two jobs compute at once whatever the host's scheduling: two permits
+    # let both reach the barrier, one permit breaks it
+    meet, starts = threading.Barrier(2, timeout=10.0), itertools.count()
 
     def job(i, checkpoint):
         pause = log.paused(checkpoint)
         with log.job(i):
+            if next(starts) < 2:
+                meet.wait()
             for part in range(200, 0, -1):
                 pause((i + 1) * part)
         ran.append(i)       # one atomic append per run, so no run is lost

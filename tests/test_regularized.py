@@ -713,38 +713,62 @@ def test_value_only_density_equals_the_per_node_reference(theory, energy,
 
 
 @pytest.fixture(scope="module")
-def report_route_b_calls():
-    """The (start, stop, num) of every _linspace call and the nodes of
-    every route-B density that the report's route-B and jump-diagnostic
-    stages make: 35 widths of seven sweeps, and three widths."""
-    spaces, densities = [], []
-    real_linspace, real_density = regularized._linspace, _smooth_density
+def report_route_b_widths():
+    """What the report's route-B and jump-diagnostic stages solve and
+    evaluate: the mode of each width (35 widths of seven sweeps, then three
+    widths), each route-B value with its mode, and the (mode, nodes, mask)
+    of each route-B density."""
+    solves, integrals, densities = [], [], []
+    real_solve, real_integral = solve_smooth_mode, route_b_integral
 
-    def linspace(start, stop, num):
-        spaces.append((start, stop, num))
-        return real_linspace(start, stop, num)
+    def solve(*args, **kwargs):
+        solves.append(real_solve(*args, **kwargs))
+        return solves[-1]
 
-    def density(mode, x):
-        densities.append((mode.model.edges, x))
-        return real_density(mode, x)
+    def integral(mode):
+        integrals.append((mode, real_integral(mode)))
+        return integrals[-1][1]
+
+    def density(mode, x, on=None):
+        densities.append((mode, x, on))
+        return _smooth_density(mode, x, on)
 
     cfg = cli.load_config(None)
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(regularized, "_linspace", linspace)
+        patched.setattr(regularized, "solve_smooth_mode", solve)
+        patched.setattr(regularized, "route_b_integral", integral)
         patched.setattr(regularized, "_smooth_density", density)
         cli._report_route_b(cfg)
         cli._report_jump_diagnostics(cfg)
-    return spaces, densities
+    return solves, integrals, densities
 
 
-def test_linspace_equals_numpy_on_every_report_grid(report_route_b_calls):
-    spaces, _ = report_route_b_calls
-    # per route-B width its fine edges and its panel edges, then the
-    # three jump-diagnostic models' fine edges
-    assert len(spaces) == 2 * 35 + 3
-    for start, stop, num in spaces:
-        assert np.array_equal(_linspace(start, stop, num).view(np.uint64),
-                              np.linspace(start, stop, num).view(np.uint64))
+def _np_panels(window: float, n_panels: int):
+    """Twelve-point Gauss-Legendre panels over np.linspace's edges."""
+    edges = np.linspace(-window, window, n_panels + 1)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    return (mid + half * nodes).ravel(), (weights * half).ravel()
+
+
+def test_linspace_equals_numpy_on_every_report_grid(report_route_b_widths):
+    """Each width's fine edges, rescaled or built, and its route-B panels
+    are np.linspace's grids bit for bit."""
+    solves, integrals, _ = report_route_b_widths
+    assert len(solves) == 35 + 3 and len(integrals) == 35
+    # the sweeps rescale every width after the first
+    assert sum(b.model.values is a.model.values
+               for a, b in zip(solves, solves[1:])) == 7 * 4
+    for nm in solves:
+        edges, xs = nm.model.edges, nm.model.window
+        assert np.array_equal(edges.view(np.uint64),
+                              np.linspace(-xs, xs, len(edges)).view(np.uint64))
+    for nm, _ in integrals:
+        x, weights, _ = nm.model.nodes
+        ref_x, ref_weights = _np_panels(nm.model.window, len(x) // 12)
+        assert np.array_equal(_bits(x), _bits(ref_x))
+        assert np.array_equal(_bits(weights), _bits(ref_weights))
 
 
 def test_linspace_equals_numpy_on_random_ranges():
@@ -759,14 +783,31 @@ def test_linspace_equals_numpy_on_random_ranges():
                                   np.linspace(a, b, num).view(np.uint64))
 
 
+def _assert_skips_exactly_the_zero_slope_nodes(nm, value, x, on):
+    """The route-B density of a width took exactly its nodes where phi' is
+    not 0, and its value has the bits of the sum over all nodes; returns
+    the terms of all nodes."""
+    model = nm.model
+    assert x is model.nodes[0]
+    slope = model.reg.deriv(x)
+    assert np.array_equal(on, slope != 0.0)
+    terms = model.nodes[1] * slope * _smooth_density(nm, x)
+    assert np.array_equal(_bits(value), _bits(-_running_sum(terms)))
+    return terms
+
+
 def test_every_route_b_node_lies_strictly_inside_its_window(
-        report_route_b_calls):
+        report_route_b_widths):
     """_smooth_density locates its nodes without plateau masks, so route B
-    must place every node strictly between the window's edges."""
-    _, densities = report_route_b_calls
+    must place every node strictly between the window's edges; each width
+    evaluates its density once, at the nodes of nonzero slope."""
+    _, integrals, densities = report_route_b_widths
     assert len(densities) == 35
-    for edges, x in densities:
+    for (nm, value), (mode, x, on) in zip(integrals, densities):
+        assert mode is nm
+        edges = nm.model.edges
         assert edges[0] < x.min() and x.max() < edges[-1]
+        _assert_skips_exactly_the_zero_slope_nodes(nm, value, x, on)
 
 
 @pytest.mark.parametrize("theory,energy,v0,shape", [
@@ -777,30 +818,30 @@ def test_route_b_skips_exactly_the_nodes_of_zero_slope(theory, energy, v0,
                                                        shape, monkeypatch):
     """A node where phi' is exactly 0 adds w 0 rho = +-0 to a sum that
     starts at +0.0: the sum over the other nodes has the bits of the sum
-    over all of them, also where a Klein density turns that term into -0."""
+    over all of them, also where a Klein density turns that term into -0.
+    The narrower width is rescaled from the wider one."""
     params = PhysicalParams(v0=v0)
-    skipped = []
+    skipped, wide = [], None
     for eps in (0.2, 0.0125):
         nm = solve_smooth_mode(
             theory, energy, RegularizedPotential(v0=v0, eps=eps, shape=shape),
-            params)
+            params, previous=wide)
+        if wide is not None:
+            assert nm.model.values is wide.model.values
+        wide = nm
         seen = []
 
-        def density(mode, x):
-            seen.append(x)
-            return _smooth_density(mode, x)
+        def density(mode, x, on=None):
+            seen.append((x, on))
+            return _smooth_density(mode, x, on)
 
         with monkeypatch.context() as patched:
             patched.setattr(regularized, "_smooth_density", density)
             value = route_b_integral(nm)
-        kmax = max(abs(nm.k), abs(nm.q), 1e-6)
-        x, weights = regularized._gl_panels(
-            nm.model.window, min(eps, 2.0 * math.pi / (8.0 * kmax)), 8, 12)
-        slope = nm.model.reg.deriv(x)
-        terms = weights * slope * _smooth_density(nm, x)
-        assert np.array_equal(_bits(value), _bits(-_running_sum(terms)))
         assert len(seen) == 1
-        assert np.array_equal(seen[0], x[slope != 0.0])
+        terms = _assert_skips_exactly_the_zero_slope_nodes(nm, value,
+                                                           *seen[0])
+        slope = nm.model.reg.deriv(seen[0][0])
         skipped.append(int((slope == 0.0).sum()))
         if v0 > energy:
             # the Klein density is negative right of the step: -0 terms

@@ -8,12 +8,15 @@ package name of its own, so that both load side by side and neither tree
 gets a ``__pycache__``.  It first checks that the report's seven route-B
 sweeps give the same ``values``, ``defects`` and limits (extrapolated
 value, order and error estimate) in both trees, bit for bit, and that
-each width's mode has the same float words of ``r``, ``t``, ``defect``
-and ``seg_states``, zero signs included; it exits 1 naming the first
-sweep or width that differs.  Then it runs N full passes of the
-seven sweeps on each side, alternating which side goes first, and prints
-each side's median pass time, the median change/parent ratio of the paired
-passes with its quartiles, and the passes the change wins.
+each width's mode, as the sweep solves it, has the same float words of
+``r``, ``t``, ``defect`` and ``seg_states``, zero signs included: the
+loaded copy's ``solve_smooth_mode`` is wrapped, as perfbench's tracer
+wraps it, so a model the sweep rescales from the width before is the
+one compared.  It exits 1 naming the first sweep or width that differs.
+Then it runs N full passes of the seven sweeps on each side, alternating
+which side goes first, and prints each side's median pass time, the
+median change/parent ratio of the paired passes with its quartiles, and
+the passes the change wins.
 
 Paired passes in one process share the host's drift, so a ratio of a few
 tenths of a per cent shows after a few hundred passes, where separate
@@ -72,14 +75,20 @@ class Side:
         return self.regularized.route_b_sweep(theory, energy, shape, V0,
                                               self.pars)
 
-    def modes(self, theory: str, energy: float, shape: str):
-        """The smooth mode of each of the sweep's widths."""
-        reg = self.regularized
-        return [reg.solve_smooth_mode(theory, energy,
-                                      self.core.RegularizedPotential(
-                                          v0=V0, eps=eps, shape=shape),
-                                      self.pars)
-                for eps in reg.DEFAULT_EPSILONS]
+    def solved(self, theory: str, energy: float, shape: str):
+        """The sweep, and the mode of each width that its solves return."""
+        reg, modes = self.regularized, []
+        solve = reg.solve_smooth_mode
+
+        def recorded(*args, **kwargs):
+            modes.append(solve(*args, **kwargs))
+            return modes[-1]
+
+        reg.solve_smooth_mode = recorded
+        try:
+            return self.sweep(theory, energy, shape), modes
+        finally:
+            reg.solve_smooth_mode = solve
 
     def timed_pass(self) -> float:
         started = time.perf_counter()
@@ -112,11 +121,12 @@ def main(argv=None) -> int:
         parent = Side(args.parent, "stepforce_ab_parent", folder)
         change = Side(args.change, "stepforce_ab_change", folder)
         for case in SWEEPS:
-            if outputs(parent.sweep(*case)) != outputs(change.sweep(*case)):
+            (old, old_modes), (new, new_modes) = (parent.solved(*case),
+                                                  change.solved(*case))
+            if outputs(old) != outputs(new):
                 print(f"outputs differ: sweep {case}", file=sys.stderr)
                 return 1
-            for eps, a, b in zip(change.regularized.DEFAULT_EPSILONS,
-                                 parent.modes(*case), change.modes(*case)):
+            for eps, a, b in zip(new.epsilons, old_modes, new_modes):
                 if words(a) != words(b):
                     print(f"modes differ: sweep {case}, eps {eps}",
                           file=sys.stderr)
