@@ -455,12 +455,14 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
     ``UnresolvedWindow``.
     ``params`` supplies hbar and mass; the step height is that of ``reg``.
     """
-    from .regularized import _gl_panels, _running_sum, solve_smooth_mode
+    from .regularized import (_gl_panels, _running_sum,
+                              build_piecewise_model, solve_smooth_mode)
 
     if params is None:
         params = PhysicalParams()
+    _check_incidence("s", energy, params)
     hbar, mass, v0 = params.hbar, params.mass, reg.v0
-    if v0 != 0.0 and v0 < 100.0 * energy:
+    if not v0 >= 100.0 * energy:
         raise ValueError(
             f"weak-product regime needs v0/energy >= 100; got {v0 / energy:g}")
     k = math.sqrt(2.0 * mass * energy) / hbar
@@ -470,7 +472,7 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
             f"window {window} does not clear the smoothing width {reg.eps}")
 
     pars = replace(params, v0=v0)
-    nm = solve_smooth_mode("s", energy, reg, pars)
+    nm = solve_smooth_mode(build_piecewise_model("s", energy, reg, pars))
 
     kappa = math.sqrt(2.0 * mass * (v0 - energy)) / hbar
     width = min(reg.eps, 0.25 / kappa)

@@ -85,7 +85,6 @@ class PiecewiseModel:
     values: np.ndarray         # potential per fine segment (midpoint samples)
     params: PhysicalParams
     reg: RegularizedPotential
-    resolution: int = 8
 
     @property
     def window(self) -> float:
@@ -108,17 +107,14 @@ class PiecewiseModel:
         width = min(self.reg.eps, 2.0 * math.pi / (8.0 * max(kmax, 1e-6)))
         return (*_gl_panels(self.window, width, 8, 12), width)
 
-    def _sites(self, x: np.ndarray) -> tuple:
-        """What a scalar density needs of the points x: _segments, and
+    @cached_property
+    def node_sites(self) -> tuple:
+        """What a scalar density needs of route B's nodes: _segments, and
         kfg's charge weight there (None for s)."""
+        x = self.nodes[0]
         return (*self._segments(x), _charge_weight(
             self.energy, self.reg.eval(x), self.params)
             if self.theory == "kfg" else None)
-
-    @cached_property
-    def node_sites(self) -> tuple:
-        """_sites of route B's nodes."""
-        return self._sites(self.nodes[0])
 
     @cached_property
     def k2(self) -> np.ndarray:
@@ -189,29 +185,21 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     edges = _linspace(-xs, xs, n_seg + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     values = np.asarray(reg.eval(mids), dtype=float)
-    return PiecewiseModel(
-        theory=theory, energy=float(energy), edges=edges, values=values,
-        params=params, reg=reg, resolution=resolution)
+    return PiecewiseModel(theory, float(energy), edges, values, params, reg)
 
 
-def _rescaled(prev: PiecewiseModel, theory: str, energy: float,
-              reg: RegularizedPotential, params: PhysicalParams,
-              resolution: int) -> PiecewiseModel | None:
-    """build_piecewise_model's model for these arguments, rescaled from
-    ``prev``, or None where the two might differ in a bit (the
-    exact-rounding notes give the conditions)."""
-    p = prev.reg
-    (m, e), (m0, e0) = math.frexp(reg.eps), math.frexp(p.eps)
-    if not (m == m0 and e <= e0 and reg.eps >= _RESCALE_FLOOR
-            and prev.nodes[2] == p.eps
-            and (theory, float(energy).hex(), reg.shape, float(reg.v0).hex(),
-                 params, resolution)
-            == (prev.theory, prev.energy.hex(), p.shape, float(p.v0).hex(),
-                prev.params, prev.resolution)):
+def _rescaled(prev: PiecewiseModel,
+              reg: RegularizedPotential) -> PiecewiseModel | None:
+    """build_piecewise_model's model of route_b_sweep's next, narrower width
+    ``reg``, rescaled from the width before, or None where the two might
+    differ in a bit (the exact-rounding notes give the conditions)."""
+    (m, e), (m0, e0) = math.frexp(reg.eps), math.frexp(prev.reg.eps)
+    if not (m == m0 and reg.eps >= _RESCALE_FLOOR
+            and prev.nodes[2] == prev.reg.eps):
         return None
     s = math.ldexp(1.0, e - e0)
-    model = PiecewiseModel(theory, float(energy), prev.edges * s,
-                           prev.values, params, reg, resolution)
+    model = PiecewiseModel(prev.theory, prev.energy, prev.edges * s,
+                           prev.values, prev.params, reg)
     cached, known = model.__dict__, prev.__dict__
     cached.update((name, known[name]) for name in
                   ("k2", "generator", "_dirac_factors") if name in known)
@@ -282,14 +270,15 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
 # * _linspace is numpy 2.4's np.linspace for a nonzero step, arange(num) *
 #   ((stop - start) / (num - 1)) + start with the last entry set to stop;
 #   the build divides by its step, the segment width, before;
-# * the model at eps = 2**j eps_prev (j <= 0) is the one at eps_prev with
-#   its edges and route B's nodes, weights, panel width and node offsets
-#   times 2**j: scaling normal doubles by 2**j commutes with each rounding,
-#   so every ratio (segment and panel counts, u = x / eps) keeps its bits
-#   and the arrays of u alone carry over (values, k2, the Dirac generator
-#   and factors, node segments, kfg's charge weight).  Not phi': 18 erf
-#   nodes a width have a subnormal phi'.  Each length formed is a multiple
-#   of a power of two >= eps 2**-71 (the segment width is over 10 eps /
+# * the model at eps = 2**j eps_prev is the one at eps_prev with its edges
+#   and route B's nodes, weights, panel width and node offsets times 2**j:
+#   route_b_sweep solves one problem at strictly decreasing widths (j < 0).
+#   Scaling normal doubles by 2**j commutes with each rounding, so every
+#   ratio (segment and panel counts, u = x / eps) keeps its bits and the
+#   arrays of u alone carry over (values, k2, the Dirac generator and
+#   factors, node segments, kfg's charge weight).  Not phi': 18 erf nodes a
+#   width have a subnormal phi'.  Each length formed is a multiple of a
+#   power of two >= eps 2**-71 (the segment width is over 10 eps /
 #   _MAX_SEGMENTS), so normal for eps >= 2**-950.  No width cap may bind:
 #   the segment cap 2 pi / (20 k_max) binds at resolution >= 8 only where
 #   the panel cap 2 pi / (8 k_max) does, so the panel width must be eps.
@@ -382,9 +371,6 @@ class NumericalMode:
     def params(self) -> PhysicalParams:
         return self.model.params
 
-    def _segments(self, x: np.ndarray):
-        return self.model._segments(x)
-
     def _locate(self, x: np.ndarray):
         """Masks of the left plateau, right plateau and window points (the
         full slice when all points lie in the window: no gather, no
@@ -395,7 +381,7 @@ class NumericalMode:
         inside = ~(left | right)
         if inside.all():
             inside = slice(None)
-        return (left, right, inside, *self._segments(x[inside]))
+        return (left, right, inside, *self.model._segments(x[inside]))
 
     def _carry(self, idx, d, value_only=False):
         """Segment states carried to the window points: the two components,
@@ -464,7 +450,7 @@ class NumericalMode:
             outside = float(flat[~((edges[0] < flat) & (flat < edges[-1]))][0])
             raise ValueError(f"spinor evaluation covers the smoothing window "
                              f"({-xs!r}, {xs!r}) only, got x = {outside!r}")
-        return np.stack(self._carry(*self._segments(flat)),
+        return np.stack(self._carry(*self.model._segments(flat)),
                         axis=-1).reshape(xa.shape + (2,))
 
 
@@ -517,19 +503,14 @@ def _out_of_range(model: PiecewiseModel) -> ValueError:
         f"{model.reg.eps!r}, energy {model.energy!r}, v0 {model.reg.v0!r}")
 
 
-def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
-                      params: PhysicalParams, resolution: int = 8, *,
-                      previous: NumericalMode | None = None) -> NumericalMode:
-    """Solve the left-incidence scattering problem for the smoothed step;
-    a ``previous`` mode at a wider eps may lend its model (_rescaled)."""
-    model = None if previous is None else _rescaled(
-        previous.model, theory, energy, reg, params, resolution)
-    if model is None:
-        model = build_piecewise_model(theory, energy, reg, params, resolution)
+def solve_smooth_mode(model: PiecewiseModel) -> NumericalMode:
+    """Solve the left-incidence scattering problem for the smoothed step
+    that ``model`` samples."""
+    theory, energy, params = model.theory, model.energy, model.params
     _check_incidence(theory, energy, params)
 
     k = dispersion(theory, energy, 0.0, params)
-    q = dispersion(theory, energy, reg.v0, params)
+    q = dispersion(theory, energy, model.reg.v0, params)
     xs = model.window
     # the transmitted wave at the window edge, which the march starts from:
     # on an evanescent right side it decays as exp(-kappa xs), and below the
@@ -541,7 +522,7 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
     # f: a plane wave's second over first component, ik or the spinor ratio
     if theory == "dirac":
         lams = (_spinor_ratio(k, energy, 0.0, params),
-                _spinor_ratio(q, energy, reg.v0, params))
+                _spinor_ratio(q, energy, model.reg.v0, params))
         f_l, f_r = lams
     else:
         f_l, f_r, lams = 1j * k, 1j * q, None
@@ -559,7 +540,7 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
     flux_residual = abs(1.0 - abs(r) ** 2 - w_t) / (1.0 + abs(r) ** 2 + abs(w_t))
 
     return NumericalMode(
-        theory=theory, energy=float(energy), r=complex(r), t=complex(t),
+        theory=theory, energy=energy, r=complex(r), t=complex(t),
         defect=float(flux_residual), model=model, k=k, q=q,
         seg_states=states)
 
@@ -568,18 +549,15 @@ def solve_smooth_mode(theory: str, energy: float, reg: RegularizedPotential,
 # route B: force from the smooth profile
 # ---------------------------------------------------------------------------
 
-def _smooth_density(mode: NumericalMode, x: np.ndarray,
-                    on: np.ndarray | None = None) -> np.ndarray:
-    """Density at the points x, a 1-D array inside the smoothing window, as
-    route B's nodes are: no plateau masks, and a scalar mode carries u
-    alone.  With the mask ``on``, x are the model's route-B nodes and the
-    density is taken where ``on``, a scalar mode's from the nodes' sites."""
+def _smooth_density(mode: NumericalMode, on: np.ndarray) -> np.ndarray:
+    """Density at the model's route-B nodes where the mask ``on``: they lie
+    inside the smoothing window, so no plateau masks, and a scalar mode
+    carries u alone from the nodes' sites."""
     if mode.theory == "dirac":
-        psi = mode.eval_spinor(x if on is None else x[on])
+        psi = mode.eval_spinor(mode.model.nodes[0][on])
         return np.vecdot(psi, psi).real
-    idx, d, charge = (mode.model._sites(x) if on is None else
-                      (a if a is None else a[on]
-                       for a in mode.model.node_sites))
+    idx, d, charge = (a if a is None else a[on]
+                      for a in mode.model.node_sites)
     u = mode._carry(idx, d, value_only=True)
     rho = np.float_power(np.hypot(u.real, u.imag), 2.0)
     return rho if charge is None else charge * rho
@@ -616,7 +594,7 @@ def route_b_integral(mode: NumericalMode) -> float:
     x, weights, _ = mode.model.nodes
     slope = mode.model.reg.deriv(x)
     on = slope != 0.0
-    return -_running_sum((weights * slope)[on] * _smooth_density(mode, x, on))
+    return -_running_sum((weights * slope)[on] * _smooth_density(mode, on))
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +671,16 @@ def route_b_sweep(theory: str, energy: float, shape: str, v0: float,
                   resolution: int = 8) -> ConvergenceSeries:
     """Sweep route B over a family of widths and extrapolate to zero width.
 
-    The widths are checked before the first solve, which checks the
-    theory and the shape; the series records both as given."""
+    The widths are checked before the first model is built, which checks
+    the theory and the shape; the series records both as given.  A width
+    may be rescaled from the one before (_rescaled)."""
     _check_widths(epsilons)
-    values, defects, nm = [], [], None
+    values, defects, model = [], [], None
     for eps in epsilons:
         reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)
-        nm = solve_smooth_mode(theory, energy, reg, params, resolution,
-                               previous=nm)
+        model = (model and _rescaled(model, reg)) or build_piecewise_model(
+            theory, energy, reg, params, resolution)
+        nm = solve_smooth_mode(model)
         values.append(route_b_integral(nm))
         defects.append(nm.defect)
     limit, order, err = extrapolate(epsilons, values)
@@ -730,7 +710,7 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
     if probe_offset <= 3.0 * reg.eps:
         raise ProbeInsideSmoothing(
             f"probe offset {probe_offset} must exceed 3*eps = {3.0 * reg.eps}")
-    nm = solve_smooth_mode("kfg", energy, reg, params)
+    nm = solve_smooth_mode(build_piecewise_model("kfg", energy, reg, params))
 
     def transported(x: float, phi: float):
         u, ux = nm.eval_scalar(x)

@@ -385,7 +385,7 @@ def compare_packet_rt(state: EvolutionState, spec: PacketSpec) -> dict:
     stationary probability at the carrier momentum (same potential the
     packet actually scattered on) and the sharp-step one (its limit).
     """
-    from .regularized import solve_smooth_mode
+    from .regularized import build_piecewise_model, solve_smooth_mode
 
     if state.reg is None:
         raise ValueError("compare_packet_rt needs a state with a step, "
@@ -397,7 +397,7 @@ def compare_packet_rt(state: EvolutionState, spec: PacketSpec) -> dict:
     r_packet, t_packet = packet_rt(state)
     pars = replace(state.params, v0=state.reg.v0)
     energy = (pars.hbar * spec.k0) ** 2 / (2.0 * pars.mass)
-    nm = solve_smooth_mode("s", energy, state.reg, pars)
+    nm = solve_smooth_mode(build_piecewise_model("s", energy, state.reg, pars))
     sharp = solve_step_mode("s", energy, pars)
     r_smooth = float(abs(nm.r) ** 2)
     r_sharp = float(abs(sharp.r) ** 2)

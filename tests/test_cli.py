@@ -1049,6 +1049,29 @@ def test_a_report_of_no_draws_writes_empty_regime_counts(monkeypatch,
     assert text.count('"regime_counts": {}') == 3
 
 
+def test_an_exact_half_dt_audit_reads_an_infinite_dt_halving_ratio(
+        monkeypatch, tmp_path, capsys):
+    # the ratio is the coarse over the half-dt max_deviation, "inf" when
+    # the latter is 0
+    _stub_audits(monkeypatch, lambda stage: None)
+    stub = cli._audit
+
+    def audit(blk, dt, pars, checkpoint):
+        report = stub(blk, dt, pars, checkpoint)
+        if blk is cli.DEFAULTS["ehrenfest"] and dt != blk["dt"]:
+            report.max_deviation = 0.0
+        return report
+
+    monkeypatch.setattr(cli, "_audit", audit)
+    assert run(["report", "--n-random", "0", "--out", str(tmp_path)]) == 0
+    assert "\nehrenfest dt-halving ratio: inf\n" in capsys.readouterr().out
+    text = (tmp_path / "report.json").read_text()
+    assert '"dt_halving_ratio": "inf"' in text
+    eh = json.loads(text)["ehrenfest"]
+    assert eh["scattering"]["max_deviation"] == 2.0
+    assert eh["scattering_half_dt"]["max_deviation"] == 0.0
+
+
 def test_two_lanes_run_each_job_once_under_fast_thread_switching():
     log, ran = _Log(), []
     # the first two jobs to start meet while they count as computing, so

@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from stepforce.core import PhysicalParams, RegularizedPotential
-from stepforce.errors import UndefinedAtOrigin, UnresolvedWindow
+from stepforce.errors import (BelowThreshold, UndefinedAtOrigin,
+                              UnresolvedWindow)
 from stepforce.force import (boundary_terms, delta_conventions, density,
                              infinite_step_sweep, interface_probe,
                              kfg_density_jump, mean_force_closed,
@@ -308,6 +309,17 @@ def test_weak_product_guards_its_regime():
     with pytest.raises(ValueError, match=re.escape(
             "weak-product regime needs v0/energy >= 100; got 50")):
         weak_product_check(2.0, RegularizedPotential(v0=100.0, eps=0.001))
+    # no wall at v0 = 0, nor at a NaN energy: refused by the regime, by name
+    for energy, v0 in ((1.0, 0.0), (math.nan, 1.0e4)):
+        with pytest.raises(ValueError, match="regime needs v0/energy"):
+            weak_product_check(energy, RegularizedPotential(v0=v0, eps=0.004))
+    # no incident wave at E <= 0: BelowThreshold, not a ZeroDivisionError or
+    # a math domain error
+    for energy in (0.0, -1.0):
+        with pytest.raises(BelowThreshold, match=re.escape(
+                f"incidence needs E > 0, got E = {energy}")):
+            weak_product_check(energy, RegularizedPotential(v0=1.0e4,
+                                                            eps=0.004))
     # the window 0.1/k is 0.0707 at E = 1, inside the width 0.1
     with pytest.raises(UnresolvedWindow, match="window 0.0707"):
         weak_product_check(1.0, RegularizedPotential(v0=1.0e4, eps=0.1))

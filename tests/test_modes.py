@@ -25,8 +25,7 @@ from stepforce.errors import (BelowThreshold, CrossCheckFailed,
                               UndefinedAtOrigin)
 from stepforce.modes import (THEORIES, bc_residuals, dispersion, fv_lift,
                              random_mode, solve_step_mode)
-from stepforce.regularized import (build_piecewise_model, route_b_sweep,
-                                   solve_smooth_mode)
+from stepforce.regularized import build_piecewise_model, route_b_sweep
 
 from reference_checks import (DEFAULT_MATRICES, MatrixSet, fv_components,
                               fv_system_residual, representation_swap_check)
@@ -101,7 +100,6 @@ def test_theories_outside_theories_are_refused():
         lambda theory: dispersion(theory, 2.0, 0.0, PARS),
         lambda theory: random_mode(theory, np.random.default_rng(0), PARS),
         lambda theory: build_piecewise_model(theory, 2.0, reg, PARS),
-        lambda theory: solve_smooth_mode(theory, 2.0, reg, PARS),
         lambda theory: route_b_sweep(theory, 2.0, "logistic", 0.5, PARS)]
     for theory in ("KFG", "kg", "schrodinger", "d", "Dirac", "tachyon"):
         for call in entry_points:

@@ -12,7 +12,7 @@ from stepforce.core import PhysicalParams, RegularizedPotential
 from stepforce.force import (delta_conventions, kfg_density_jump,
                              mean_force_closed)
 from stepforce.modes import solve_step_mode
-from stepforce.regularized import solve_smooth_mode
+from stepforce.regularized import build_piecewise_model, solve_smooth_mode
 from test_acceptance import (D_FORCE, KFG_FORCE, KFG_JUMP,
                              KFG_MIDPOINT_CANDIDATE, S_FORCE)
 
@@ -110,8 +110,8 @@ def test_the_ramp_solver_converges_to_its_airy_form(energy, v0, eps, table):
     misses = []
     with mpmath.workdps(RAMP_DIGITS):
         for res in RAMP_RESOLUTIONS:
-            nm = solve_smooth_mode("s", energy, reg, PhysicalParams(v0=v0),
-                                   res)
+            nm = solve_smooth_mode(build_piecewise_model(
+                "s", energy, reg, PhysicalParams(v0=v0), res))
             misses.append(float(abs(abs(nm.r) ** 2 - exact) / exact))
     # midpoint sampling is second order in eps/res: the miss falls 4x per
     # doubling (3.9998 to 4.0000 measured)

@@ -32,6 +32,11 @@ KFG_MIDPOINT_CANDIDATE = -1.2926285272888564
 KFG_SHARP_CLOSED = 0.18466121818412234
 
 
+def _solve(*args) -> regularized.NumericalMode:
+    """The smooth mode of build_piecewise_model(*args)."""
+    return solve_smooth_mode(build_piecewise_model(*args))
+
+
 def test_model_builder_guards():
     reg = RegularizedPotential(v0=0.5, eps=0.05)
     with pytest.raises(UnderResolved, match="resolution"):
@@ -78,7 +83,7 @@ def test_a_march_that_leaves_the_double_range_is_refused_by_name():
         with pytest.raises(ValueError, match=r"^the smooth-step march leaves "
                            r"the double range at eps 0\.2, energy 1\.0, "
                            r"v0 10000\.0$"):
-            solve_smooth_mode("s", 1.0, reg, PhysicalParams(v0=1e4))
+            _solve("s", 1.0, reg, PhysicalParams(v0=1e4))
         # a state that grows past the largest double
         with pytest.raises(ValueError, match=r"at eps 0\.05, energy 1\.0, "
                                              r"v0 2\.0$"):
@@ -121,8 +126,7 @@ def test_smooth_mode_approaches_the_sharp_mode():
     sharp = solve_step_mode("s", 1.0, PARS)
     errs = []
     for eps in (0.1, 0.05, 0.025):
-        nm = solve_smooth_mode("s", 1.0,
-                               RegularizedPotential(v0=0.5, eps=eps), PARS)
+        nm = _solve("s", 1.0, RegularizedPotential(v0=0.5, eps=eps), PARS)
         assert nm.defect <= 1e-12
         errs.append(abs(nm.r - sharp.r))
     assert errs[0] > errs[1] > errs[2]
@@ -133,13 +137,13 @@ def test_smooth_mode_approaches_the_sharp_mode():
                                            ("dirac", 2.0)])
 def test_smooth_mode_conserves_flux(theory, energy):
     reg = RegularizedPotential(v0=0.5, eps=0.05)
-    nm = solve_smooth_mode(theory, energy, reg, PARS)
+    nm = _solve(theory, energy, reg, PARS)
     assert nm.defect <= 1e-12
 
 
 def test_smooth_evanescent_mode_keeps_unit_reflection():
     reg = RegularizedPotential(v0=2.0, eps=0.05)
-    nm = solve_smooth_mode("s", 1.0, reg, PhysicalParams(v0=2.0))
+    nm = _solve("s", 1.0, reg, PhysicalParams(v0=2.0))
     assert abs(abs(nm.r) - 1.0) <= 1e-12
 
 
@@ -150,8 +154,7 @@ def test_smooth_strong_step_overreflects():
     # over-reflection and a strictly shrinking defect against the sharp mode
     errors = []
     for eps in (0.05, 0.025, 0.0125, 0.00625):
-        nm = solve_smooth_mode("kfg", 2.0, RegularizedPotential(v0=5.0,
-                                                                eps=eps), pars)
+        nm = _solve("kfg", 2.0, RegularizedPotential(v0=5.0, eps=eps), pars)
         assert nm.defect <= 1e-12
         assert abs(nm.r) > 1.0
         errors.append(abs(nm.r - sharp.r) / abs(sharp.r))
@@ -161,7 +164,7 @@ def test_smooth_strong_step_overreflects():
 
 def test_smooth_mode_profile_is_consistent():
     reg = RegularizedPotential(v0=0.5, eps=0.05)
-    nm = solve_smooth_mode("s", 1.0, reg, PARS)
+    nm = _solve("s", 1.0, reg, PARS)
     # derivative channel against a finite difference of the value channel
     for x in (-1.0, 0.02, 1.3):
         h = 1e-5
@@ -180,7 +183,7 @@ def test_smooth_mode_profile_is_consistent():
 def test_smooth_solver_rejects_below_threshold():
     reg = RegularizedPotential(v0=0.5, eps=0.05)
     with pytest.raises(BelowThreshold):
-        solve_smooth_mode("kfg", 0.5, reg, PARS)
+        _solve("kfg", 0.5, reg, PARS)
 
 
 @pytest.mark.parametrize("shape,min_order,tol", [("logistic", 1.0, 1e-3),
@@ -223,7 +226,7 @@ def test_route_b_single_width_force():
     errors = []
     for eps in (0.1, 0.05):
         reg = RegularizedPotential(v0=0.5, eps=eps, shape="erf")
-        value = route_b_integral(solve_smooth_mode("s", 1.0, reg, PARS))
+        value = route_b_integral(_solve("s", 1.0, reg, PARS))
         errors.append(abs(value - S_FORCE) / abs(S_FORCE))
     assert errors[0] <= 1e-2
     assert errors[1] < 0.5 * errors[0]
@@ -238,11 +241,16 @@ def test_route_b_panels_resolve_the_local_wavelength(theory, energy, v0,
     # owes (5.3e-9 and 4.4e-9 measured; eps-wide panels miss by 2.7e-6 and
     # 4.3e-7)
     reg = RegularizedPotential(v0=v0, eps=0.2, shape=shape)
-    nm = solve_smooth_mode(theory, energy, reg, PhysicalParams(v0=v0))
+    nm = _solve(theory, energy, reg, PhysicalParams(v0=v0))
     width = 2.0 * math.pi / (8.0 * max(abs(nm.k), abs(nm.q)))
     assert width < reg.eps
     x, weights = regularized._gl_panels(nm.model.window, width / 32, 8, 12)
-    fine = -np.sum(weights * reg.deriv(x) * _smooth_density(nm, x))
+    # the density at the finer nodes from the mode's own evaluation
+    u, _ = nm.eval_scalar(x)
+    rho = np.abs(u) ** 2
+    if theory == "kfg":
+        rho *= modes._charge_weight(energy, reg.eval(x), nm.params)
+    fine = -np.sum(weights * reg.deriv(x) * rho)
     assert abs(route_b_integral(nm) - fine) <= 1e-8 * abs(fine)
 
 
@@ -630,7 +638,7 @@ def _ref_route_b_integral(mode):
 def _ref_solve(monkeypatch, *args):
     with monkeypatch.context() as patched:
         patched.setattr(regularized, "_march", _ref_march)
-        return solve_smooth_mode(*args)
+        return _solve(*args)
 
 
 ODD_UNITS = PhysicalParams(hbar=2.0, mass=3.0, c=1.5, v0=0.5)
@@ -667,7 +675,7 @@ def test_batched_solve_and_route_b_equal_the_reference(case, monkeypatch):
     theory, energy, v0, shape, params = case
     for eps in (0.05, 0.0125):
         reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)
-        nm = solve_smooth_mode(theory, energy, reg, params)
+        nm = _solve(theory, energy, reg, params)
         ref = _ref_solve(monkeypatch, theory, energy, reg, params)
         assert np.array_equal(_bits(nm.seg_states), _bits(ref.seg_states))
         assert (nm.r, nm.t, nm.defect) == (ref.r, ref.t, ref.defect)
@@ -702,13 +710,12 @@ def test_value_only_density_equals_the_per_node_reference(theory, energy,
     params = PhysicalParams(v0=v0)
     assert solve_step_mode(theory, energy, params).regime == regime
     for shape, eps in (("erf", 0.05), ("logistic", 0.0125), ("ramp", 0.025)):
-        nm = solve_smooth_mode(
-            theory, energy, RegularizedPotential(v0=v0, eps=eps, shape=shape),
-            params)
+        nm = _solve(theory, energy,
+                    RegularizedPotential(v0=v0, eps=eps, shape=shape), params)
         assert route_b_integral(nm) == _ref_route_b_integral(nm)
         x = _window_points(nm, np.linspace(-1.5, 1.5, 1001) * nm.model.window)
         u, _ = nm.eval_scalar(x)
-        value_only = nm._carry(*nm._segments(x), value_only=True)
+        value_only = nm._carry(*nm.model._segments(x), value_only=True)
         assert np.array_equal(_bits(value_only), _bits(u))
 
 
@@ -716,8 +723,8 @@ def test_value_only_density_equals_the_per_node_reference(theory, energy,
 def report_route_b_widths():
     """What the report's route-B and jump-diagnostic stages solve and
     evaluate: the mode of each width (35 widths of seven sweeps, then three
-    widths), each route-B value with its mode, and the (mode, nodes, mask)
-    of each route-B density."""
+    widths), each route-B value with its mode, and the (mode, mask) of each
+    route-B density."""
     solves, integrals, densities = [], [], []
     real_solve, real_integral = solve_smooth_mode, route_b_integral
 
@@ -729,9 +736,9 @@ def report_route_b_widths():
         integrals.append((mode, real_integral(mode)))
         return integrals[-1][1]
 
-    def density(mode, x, on=None):
-        densities.append((mode, x, on))
-        return _smooth_density(mode, x, on)
+    def density(mode, on):
+        densities.append((mode, on))
+        return _smooth_density(mode, on)
 
     cfg = cli.load_config(None)
     with pytest.MonkeyPatch.context() as patched:
@@ -783,15 +790,14 @@ def test_linspace_equals_numpy_on_random_ranges():
                                   np.linspace(a, b, num).view(np.uint64))
 
 
-def _assert_skips_exactly_the_zero_slope_nodes(nm, value, x, on):
+def _assert_skips_exactly_the_zero_slope_nodes(nm, value, on):
     """The route-B density of a width took exactly its nodes where phi' is
-    not 0, and its value has the bits of the sum over all nodes; returns
-    the terms of all nodes."""
-    model = nm.model
-    assert x is model.nodes[0]
-    slope = model.reg.deriv(x)
+    not 0, and its value has the bits of the sum over all nodes (an
+    all-true mask); returns the terms of all nodes."""
+    x, weights, _ = nm.model.nodes
+    slope = nm.model.reg.deriv(x)
     assert np.array_equal(on, slope != 0.0)
-    terms = model.nodes[1] * slope * _smooth_density(nm, x)
+    terms = weights * slope * _smooth_density(nm, np.full(len(x), True))
     assert np.array_equal(_bits(value), _bits(-_running_sum(terms)))
     return terms
 
@@ -803,11 +809,11 @@ def test_every_route_b_node_lies_strictly_inside_its_window(
     evaluates its density once, at the nodes of nonzero slope."""
     _, integrals, densities = report_route_b_widths
     assert len(densities) == 35
-    for (nm, value), (mode, x, on) in zip(integrals, densities):
+    for (nm, value), (mode, on) in zip(integrals, densities):
         assert mode is nm
-        edges = nm.model.edges
+        x, edges = nm.model.nodes[0], nm.model.edges
         assert edges[0] < x.min() and x.max() < edges[-1]
-        _assert_skips_exactly_the_zero_slope_nodes(nm, value, x, on)
+        _assert_skips_exactly_the_zero_slope_nodes(nm, value, on)
 
 
 @pytest.mark.parametrize("theory,energy,v0,shape", [
@@ -819,29 +825,29 @@ def test_route_b_skips_exactly_the_nodes_of_zero_slope(theory, energy, v0,
     """A node where phi' is exactly 0 adds w 0 rho = +-0 to a sum that
     starts at +0.0: the sum over the other nodes has the bits of the sum
     over all of them, also where a Klein density turns that term into -0.
-    The narrower width is rescaled from the wider one."""
+    The narrower width is rescaled from the wider one, as in a sweep."""
     params = PhysicalParams(v0=v0)
-    skipped, wide = [], None
+    skipped, model = [], None
     for eps in (0.2, 0.0125):
-        nm = solve_smooth_mode(
-            theory, energy, RegularizedPotential(v0=v0, eps=eps, shape=shape),
-            params, previous=wide)
-        if wide is not None:
-            assert nm.model.values is wide.model.values
-        wide = nm
+        reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)
+        if model is None:
+            model = build_piecewise_model(theory, energy, reg, params)
+        else:
+            model = regularized._rescaled(model, reg)
+            assert model is not None
+        nm = solve_smooth_mode(model)
         seen = []
 
-        def density(mode, x, on=None):
-            seen.append((x, on))
-            return _smooth_density(mode, x, on)
+        def density(mode, on):
+            seen.append(on)
+            return _smooth_density(mode, on)
 
         with monkeypatch.context() as patched:
             patched.setattr(regularized, "_smooth_density", density)
             value = route_b_integral(nm)
         assert len(seen) == 1
-        terms = _assert_skips_exactly_the_zero_slope_nodes(nm, value,
-                                                           *seen[0])
-        slope = nm.model.reg.deriv(seen[0][0])
+        terms = _assert_skips_exactly_the_zero_slope_nodes(nm, value, seen[0])
+        slope = reg.deriv(model.nodes[0])
         skipped.append(int((slope == 0.0).sum()))
         if v0 > energy:
             # the Klein density is negative right of the step: -0 terms
@@ -897,7 +903,7 @@ def test_batched_propagators_cover_every_branch(theory, params, energy):
                                               ("dirac", 2.0, 1.5)])
 def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
     reg = RegularizedPotential(v0=v0, eps=0.05, shape="erf")
-    nm = solve_smooth_mode(theory, energy, reg, PhysicalParams(v0=v0))
+    nm = _solve(theory, energy, reg, PhysicalParams(v0=v0))
     edges = nm.model.edges
     # plateaus, both window edges, segment edges (|k d| = 0), points just
     # past a segment edge (the series branch) and generic window points
@@ -932,8 +938,7 @@ def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
 
 
 def test_the_spinor_refuses_nan_and_takes_no_points():
-    nm = solve_smooth_mode("dirac", 2.0, RegularizedPotential(v0=0.5, eps=0.05),
-                           PARS)
+    nm = _solve("dirac", 2.0, RegularizedPotential(v0=0.5, eps=0.05), PARS)
     with pytest.raises(ValueError, match="window .* only, got x = nan$"):
         nm.eval_spinor(np.array([0.0, math.nan]))
     assert nm.eval_spinor(np.empty((0, 3))).shape == (0, 3, 2)
@@ -941,11 +946,11 @@ def test_the_spinor_refuses_nan_and_takes_no_points():
 
 def test_each_evaluation_is_refused_for_the_other_kind_of_mode():
     reg = RegularizedPotential(v0=0.5, eps=0.05)
-    dirac = solve_smooth_mode("dirac", 2.0, reg, PARS)
+    dirac = _solve("dirac", 2.0, reg, PARS)
     with pytest.raises(ValueError, match="undefined for the spin-1/2"):
         dirac.eval_scalar(0.01)
     for theory, energy in (("s", 1.0), ("kfg", 2.0)):
-        scalar = solve_smooth_mode(theory, energy, reg, PARS)
+        scalar = _solve(theory, energy, reg, PARS)
         with pytest.raises(ValueError, match="only for the spin-1/2"):
             scalar.eval_spinor(0.01)
 
@@ -979,19 +984,23 @@ def test_batched_k2_equals_the_scalar_formula(theory, energy):
 def test_density_equals_abs_squared_per_node():
     reg = RegularizedPotential(v0=0.5, eps=0.05)
     for theory, energy in (("s", 1.0), ("kfg", 2.0)):
-        nm = solve_smooth_mode(theory, energy, reg, PARS)
-        # a segment state whose |u| is the pow-sensitive value: at the
-        # segment's left edge the mode equals that state exactly
-        j = len(nm.model.values) // 3
+        nm = _solve(theory, energy, reg, PARS)
+        x = nm.model.nodes[0]
+        # a segment state (a, 0) whose u at one route-B node is the
+        # pow-sensitive value: there u = cos(k d) a, which a double next to
+        # POW_SQUARE_DIFFERS / cos(k d) rounds to exactly
+        i = len(x) // 3
+        j, d = (a[i] for a in nm.model.node_sites[:2])
+        (c,), _ = regularized._cos_sinc(nm.model.k2[[j]], np.array([d]))
+        start = POW_SQUARE_DIFFERS / c
         states = nm.seg_states.copy()
-        states[j, 0] = POW_SQUARE_DIFFERS
+        states[j] = next(a for a in start + np.spacing(start) * np.arange(-4, 5)
+                         if c * a == POW_SQUARE_DIFFERS), 0.0
         nm = replace(nm, seg_states=states)
-        x = _window_points(nm, np.concatenate([[nm.model.edges[j]],
-                                               np.linspace(-2.5, 2.5, 257)]))
         u, _ = nm.eval_scalar(x)
-        assert u[0] == POW_SQUARE_DIFFERS
+        assert u[i] == POW_SQUARE_DIFFERS
         weight = (energy - reg.eval(x)) / PARS.rest_energy
-        rho = _smooth_density(nm, x)
+        rho = _smooth_density(nm, np.full(len(x), True))
         for j, v in enumerate(u.tolist()):
             ref = abs(v) ** 2
             assert rho[j] == (ref if theory == "s" else weight[j] * ref)
@@ -1018,22 +1027,26 @@ def test_running_sum_equals_the_scalar_loop():
 
 
 def test_weak_product_equals_the_per_node_reference():
-    hbar, mass, energy, v0 = 2.0, 3.0, 1.0, 500.0
-    reg = RegularizedPotential(v0=v0, eps=0.0025)
-    got = weak_product_check(energy, reg, PhysicalParams(hbar=hbar, mass=mass))
-    nm = solve_smooth_mode("s", energy, reg,
-                           PhysicalParams(hbar=hbar, mass=mass, v0=v0))
-    kappa = math.sqrt(2.0 * mass * (v0 - energy)) / hbar
-    width = min(reg.eps, 0.25 / kappa)
-    n_panels = max(int(math.ceil(2.0 * got.window / width)), 16)
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(-got.window, got.window, n_panels + 1)
-    total = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        for node, wgt in zip(nodes, weights):
-            x = mid + half * node
-            u, _ = _ref_eval_scalar(nm, x)
-            total += wgt * half * reg.eval(x) * u
-    assert got.integral == complex(total)
+    hbar, mass, energy = 2.0, 3.0, 1.0
+    # at v0 = 1e4, kappa = 122 > 0.25 / eps: the panels are 0.25 / kappa
+    # wide, narrower than eps, and mass 3 tells 2 m from 2 / m in kappa
+    for v0 in (500.0, 1.0e4):
+        reg = RegularizedPotential(v0=v0, eps=0.0025)
+        got = weak_product_check(energy, reg,
+                                 PhysicalParams(hbar=hbar, mass=mass))
+        nm = _solve("s", energy, reg,
+                    PhysicalParams(hbar=hbar, mass=mass, v0=v0))
+        kappa = math.sqrt(2.0 * mass * (v0 - energy)) / hbar
+        width = min(reg.eps, 0.25 / kappa)
+        n_panels = max(int(math.ceil(2.0 * got.window / width)), 16)
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        edges = np.linspace(-got.window, got.window, n_panels + 1)
+        total = 0.0 + 0.0j
+        for a, b in zip(edges[:-1], edges[1:]):
+            half = 0.5 * (b - a)
+            mid = 0.5 * (a + b)
+            for node, wgt in zip(nodes, weights):
+                x = mid + half * node
+                u, _ = _ref_eval_scalar(nm, x)
+                total += wgt * half * reg.eval(x) * u
+        assert got.integral == complex(total)

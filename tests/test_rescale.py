@@ -1,6 +1,7 @@
 """A width of a power-of-two eps ladder rescales the previous width's model
-and route-B nodes: every width must equal its direct build bit for bit, and
-each guard must send the widths it covers to the direct build."""
+and route-B nodes, as route_b_sweep does: every width must equal its direct
+build bit for bit, and each guard must send the widths it covers to the
+direct build."""
 
 import math
 import os
@@ -15,7 +16,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from stepforce import regularized
 from stepforce.core import REG_SHAPES, PhysicalParams, RegularizedPotential
 from stepforce.modes import solve_step_mode
-from stepforce.regularized import (_RESCALE_FLOOR, route_b_integral,
+from stepforce.regularized import (_RESCALE_FLOOR, _rescaled,
+                                   build_piecewise_model, route_b_integral,
                                    route_b_sweep, solve_smooth_mode)
 
 # hypothesis's cache under the temporary directory, not in the checkout
@@ -35,19 +37,21 @@ def _words(mode, value) -> bytes:
         mode.seg_states, model.edges, model.values, *model.nodes[:2]))
 
 
-def _ladder(theory, energy, shape, v0, params, epsilons, previous=None):
-    """Per width: (whether it was rescaled from the width before, whether
-    it equals the direct per-width path bit for bit)."""
-    out = []
+def _ladder(theory, energy, shape, v0, params, epsilons):
+    """Per width of route_b_sweep's loop: (whether it was rescaled from the
+    width before, whether it equals the direct per-width path bit for
+    bit)."""
+    out, model = [], None
     for eps in epsilons:
         reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)
-        nm = solve_smooth_mode(theory, energy, reg, params, previous=previous)
-        direct = solve_smooth_mode(theory, energy, reg, params)
+        rescaled = model and _rescaled(model, reg)
+        model = rescaled or build_piecewise_model(theory, energy, reg, params)
+        nm = solve_smooth_mode(model)
+        direct = solve_smooth_mode(
+            build_piecewise_model(theory, energy, reg, params))
         same = (_words(nm, route_b_integral(nm))
                 == _words(direct, route_b_integral(direct)))
-        out.append((previous is not None
-                    and nm.model.values is previous.model.values, same))
-        previous = nm
+        out.append((rescaled is not None, same))
     return out
 
 
@@ -130,30 +134,3 @@ def test_each_guard_sends_its_widths_to_the_direct_build(case):
     widths = _ladder(theory, energy, shape, v0, PhysicalParams(v0=v0),
                      epsilons)
     assert widths == [(r, True) for r in rescaled]
-
-
-@pytest.mark.parametrize("base,change", [
-    ({}, {"theory": "dirac"}), ({}, {"energy": 2.5}), ({}, {"shape": "ramp"}),
-    ({}, {"v0": 0.75}), ({"v0": 0.0}, {"v0": -0.0}),
-    ({}, {"params": PhysicalParams(hbar=2.0)}), ({}, {"resolution": 16}),
-    # wider than the previous width, where the panel cap binds
-    ({}, {"eps": 0.8})])
-def test_a_previous_mode_of_another_problem_is_not_rescaled(base, change):
-    """Only a mode of the same step, energy, units and resolution (zero
-    signs included) at a wider power-of-two width lends its model."""
-    case = {"theory": "kfg", "energy": 2.0, "shape": "logistic", "v0": 0.5,
-            "params": PARS, "resolution": 8, "eps": 0.05, **base}
-    old = RegularizedPotential(v0=case["v0"], eps=0.1, shape=case["shape"])
-    previous = solve_smooth_mode(case["theory"], case["energy"], old,
-                                 case["params"], case["resolution"])
-    route_b_integral(previous)
-    case.update(change)
-    reg = RegularizedPotential(v0=case["v0"], eps=case["eps"],
-                               shape=case["shape"])
-    args = (case["theory"], case["energy"], reg, case["params"],
-            case["resolution"])
-    nm = solve_smooth_mode(*args, previous=previous)
-    direct = solve_smooth_mode(*args)
-    assert nm.model.values is not previous.model.values
-    assert _words(nm, route_b_integral(nm)) == _words(
-        direct, route_b_integral(direct))
