@@ -107,7 +107,7 @@ class RegularizedPotential:
                              f"{self.v0!r} and eps {self.eps!r} must be finite")
 
     def eval(self, x):
-        """Potential value; accepts scalars or arrays."""
+        """Potential value; numpy's result, an array for an array."""
         u = np.asarray(x, dtype=float) / self.eps
         if self.shape == "logistic":
             out = self.v0 * _special().expit(u)
@@ -115,10 +115,10 @@ class RegularizedPotential:
             out = self.v0 * 0.5 * (1.0 + _special().erf(u))
         else:  # ramp
             out = self.v0 * np.clip((u + 1.0) / 2.0, 0.0, 1.0)
-        return out if isinstance(x, np.ndarray) else float(out)
+        return out
 
     def deriv(self, x):
-        """d(phi_eps)/dx; nonnegative, integrates to v0."""
+        """d(phi_eps)/dx, numpy's result; nonnegative, integrates to v0."""
         u = np.asarray(x, dtype=float) / self.eps
         if self.shape == "logistic":
             s = _special().expit(u)
@@ -127,7 +127,7 @@ class RegularizedPotential:
             out = self.v0 / (self.eps * np.sqrt(np.pi)) * np.exp(-(u**2))
         else:  # ramp
             out = np.where(np.abs(u) <= 1.0, self.v0 / (2.0 * self.eps), 0.0)
-        return out if isinstance(x, np.ndarray) else float(out)
+        return out
 
     def support_halfwidth(self) -> float:
         """Half-width outside which the profile equals its plateaus to 1 ulp."""

@@ -452,10 +452,11 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
     dead, only the left-edge slope survives).  The window is 0.1/k, small
     against the wavelength so the sharp-side lobe of psi does not re-enter
     the integral; a smoothing width it does not exceed raises
-    ``UnresolvedWindow``.
+    ``UnresolvedWindow``, and more than 10^6 quadrature panels (2 window
+    over the panel width, which grows without bound as E -> 0) ``ValueError``.
     ``params`` supplies hbar and mass; the step height is that of ``reg``.
     """
-    from .regularized import (_gl_panels, _running_sum,
+    from .regularized import (_MAX_SEGMENTS, _gl_panels, _running_sum,
                               build_piecewise_model, solve_smooth_mode)
 
     if params is None:
@@ -471,11 +472,15 @@ def weak_product_check(energy: float, reg: RegularizedPotential,
         raise UnresolvedWindow(
             f"window {window} does not clear the smoothing width {reg.eps}")
 
-    pars = replace(params, v0=v0)
-    nm = solve_smooth_mode(build_piecewise_model("s", energy, reg, pars))
-
     kappa = math.sqrt(2.0 * mass * (v0 - energy)) / hbar
     width = min(reg.eps, 0.25 / kappa)
+    needed = 2.0 * window / width
+    if not needed <= _MAX_SEGMENTS:
+        raise ValueError(
+            f"the quadrature needs {needed:.3g} panels at energy {energy!r}; "
+            f"the bound is {_MAX_SEGMENTS:.0e}")
+    pars = replace(params, v0=v0)
+    nm = solve_smooth_mode(build_piecewise_model("s", energy, reg, pars))
     x, weights = _gl_panels(window, width, 16, 10)
     u, _ = nm.eval_scalar(x)
     total = _running_sum(weights * reg.eval(x) * u, 0.0j)

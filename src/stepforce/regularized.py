@@ -184,7 +184,7 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     n_seg = int(math.ceil(needed))
     edges = _linspace(-xs, xs, n_seg + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    values = np.asarray(reg.eval(mids), dtype=float)
+    values = reg.eval(mids)
     return PiecewiseModel(theory, float(energy), edges, values, params, reg)
 
 
@@ -367,22 +367,6 @@ class NumericalMode:
     q: complex
     seg_states: np.ndarray     # state at each fine segment's left edge
 
-    @property
-    def params(self) -> PhysicalParams:
-        return self.model.params
-
-    def _locate(self, x: np.ndarray):
-        """Masks of the left plateau, right plateau and window points (the
-        full slice when all points lie in the window: no gather, no
-        scatter), plus _segments of the window points."""
-        edges = self.model.edges
-        left = x <= edges[0]
-        right = ~left & (x >= edges[-1])
-        inside = ~(left | right)
-        if inside.all():
-            inside = slice(None)
-        return (left, right, inside, *self.model._segments(x[inside]))
-
     def _carry(self, idx, d, value_only=False):
         """Segment states carried to the window points: the two components,
         or with ``value_only`` (scalar theories) u = c a + (sin kd / k) b
@@ -403,55 +387,45 @@ class NumericalMode:
                 _complex(m00 * br - m10 * ai, m00 * bi + m10 * ar))
 
     # -- scalar reconstruction -------------------------------------------
-    def eval_scalar(self, x: float | np.ndarray):
-        """(u, u') at x for the scalar theories.
-
-        ``x`` may be a float, which returns a pair of complex numbers, or an
-        array, which returns a pair of complex arrays of its shape.
-        """
+    def eval_scalar(self, x: np.ndarray):
+        """(u, u') of a scalar theory at the points of the 1-D float array
+        ``x``, on either plateau or in the window: two complex arrays."""
         if self.theory == "dirac":
             raise ValueError("scalar evaluation undefined for the spin-1/2 theory")
-        xa = np.asarray(x, dtype=float)
-        u, ux = self._scalar(xa.ravel())
-        if xa.ndim == 0:
-            return complex(u[0]), complex(ux[0])
-        return u.reshape(xa.shape), ux.reshape(xa.shape)
-
-    def _scalar(self, flat: np.ndarray):
-        """(u, u') at the points of a 1-D array."""
-        left, right, inside, idx, d = self._locate(flat)
-        u = np.empty(flat.shape, dtype=complex)
-        ux = np.empty(flat.shape, dtype=complex)
+        edges = self.model.edges
+        left = x <= edges[0]
+        right = ~left & (x >= edges[-1])
+        inside = ~(left | right)
+        u = np.empty(x.shape, dtype=complex)
+        ux = np.empty(x.shape, dtype=complex)
         if left.any():
             ik = 1j * self.k
-            e_p = np.exp(ik * flat[left])
-            r_e_m = _cmul(self.r, np.exp(-1j * self.k * flat[left]))
+            e_p = np.exp(ik * x[left])
+            r_e_m = _cmul(self.r, np.exp(-1j * self.k * x[left]))
             u[left] = e_p + r_e_m
             ux[left] = ik * (e_p - r_e_m)
         if right.any():
             iq = 1j * self.q
-            e_t = _cmul(self.t, np.exp(iq * flat[right]))
+            e_t = _cmul(self.t, np.exp(iq * x[right]))
             u[right] = e_t
             ux[right] = iq * e_t
-        u[inside], ux[inside] = self._carry(idx, d)
+        u[inside], ux[inside] = self._carry(*self.model._segments(x[inside]))
         return u, ux
 
     # -- spinor reconstruction ---------------------------------------------
-    def eval_spinor(self, x: float | np.ndarray) -> np.ndarray:
-        """Spinor at x inside the smoothing window, where route B's nodes
-        lie: shape (2,) for a float, x.shape + (2,) for an array."""
+    def eval_spinor(self, x: np.ndarray) -> np.ndarray:
+        """Spinor at the points of the 1-D float array ``x``, all inside the
+        smoothing window, where route B's nodes lie: shape x.shape + (2,)."""
         if self.theory != "dirac":
             raise ValueError("spinor evaluation defined only for the spin-1/2 theory")
-        xa = np.asarray(x, dtype=float)
-        flat, edges = xa.ravel(), self.model.edges
+        edges = self.model.edges
         # two reductions; NaN fails them too
-        if flat.size and not (edges[0] < flat.min() and flat.max() < edges[-1]):
+        if x.size and not (edges[0] < x.min() and x.max() < edges[-1]):
             xs = self.model.window
-            outside = float(flat[~((edges[0] < flat) & (flat < edges[-1]))][0])
+            outside = float(x[~((edges[0] < x) & (x < edges[-1]))][0])
             raise ValueError(f"spinor evaluation covers the smoothing window "
                              f"({-xs!r}, {xs!r}) only, got x = {outside!r}")
-        return np.stack(self._carry(*self.model._segments(flat)),
-                        axis=-1).reshape(xa.shape + (2,))
+        return np.stack(self._carry(*self.model._segments(x)), axis=-1)
 
 
 def _march(model: PiecewiseModel, init_state: np.ndarray) -> np.ndarray:
@@ -713,7 +687,7 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
     nm = solve_smooth_mode(build_piecewise_model("kfg", energy, reg, params))
 
     def transported(x: float, phi: float):
-        u, ux = nm.eval_scalar(x)
+        u, ux = nm.eval_scalar(np.array([x]))
         k2 = _k_squared("kfg", energy, phi, params)
         m00, m01, m10, m11 = _propagators(np.array([k2]), np.array([-x]))
         return (m00 * u + m01 * ux)[0], (m10 * u + m11 * ux)[0]

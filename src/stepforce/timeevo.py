@@ -138,7 +138,7 @@ def expectation_force(state: EvolutionState) -> float:
     """Mean of the force density -phi'(x) in the current packet."""
     if state.reg is None:
         return 0.0
-    dphi = np.asarray(state.reg.deriv(state.x), dtype=float)
+    dphi = state.reg.deriv(state.x)
     return float(-np.trapezoid(dphi * np.abs(state.psi) ** 2, state.x))
 
 
@@ -170,8 +170,7 @@ def _cn_arrays(state: EvolutionState, dt: float):
         raise UnderResolved(
             f"time step {dt} exceeds the resolution bound {bound}")
     _check_smoothing(state)
-    phi = (np.zeros(n) if state.reg is None
-           else np.asarray(state.reg.eval(x), dtype=float))
+    phi = np.zeros(n) if state.reg is None else state.reg.eval(x)
     phi_max = float(np.max(np.abs(phi)))
     if dt * phi_max > hbar:
         raise UnderResolved(
@@ -329,7 +328,7 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     # phi' only on a grid that resolves it, as unresolved it can overflow
     x = state.x
     _check_smoothing(state)
-    dphi = None if reg is None else np.asarray(reg.deriv(x), dtype=float)
+    dphi = None if reg is None else reg.deriv(x)
 
     def record(cur: EvolutionState):
         nonlocal wall_max

@@ -23,9 +23,10 @@ import warnings
 import numpy as np
 import pytest
 
+from stepforce import regularized
 from stepforce.core import PhysicalParams, RegularizedPotential
-from stepforce.errors import (BelowThreshold, UndefinedAtOrigin,
-                              UnresolvedWindow)
+from stepforce.errors import (BelowThreshold, CrossCheckFailed,
+                              UndefinedAtOrigin, UnresolvedWindow)
 from stepforce.force import (boundary_terms, delta_conventions, density,
                              infinite_step_sweep, interface_probe,
                              kfg_density_jump, mean_force_closed,
@@ -150,6 +151,18 @@ def test_jump_identity_and_route_agreement_over_random_sweep():
         restated = (p.v0**2 / (2.0 * p.rest_energy)) * abs(mode.psi0) ** 2
         assert abs(force - restated) <= 1e-12 * max(abs(restated),
                                                     0.5 * p.v0 * scale)
+
+
+def test_a_failed_half_jump_check_names_the_difference(monkeypatch):
+    # a jump off by 1e-6 moves the half-jump force off its restatement by
+    # (v0/2) |jump| 1e-6, which the refusal prints
+    mode = solve_step_mode("kfg", 2.0, PARS)
+    jump = kfg_density_jump(mode)
+    monkeypatch.setattr("stepforce.force.kfg_density_jump",
+                        lambda m: jump * (1.0 + 1e-6))
+    with pytest.raises(CrossCheckFailed, match=re.escape(
+            f"difference {0.5 * PARS.v0 * abs(jump) * 1e-6:.3e} exceeds")):
+        mean_force_closed(mode)
 
 
 def test_jump_functions_are_specific_to_the_two_component_theory():
@@ -303,7 +316,7 @@ def test_weak_product_window_is_a_tenth_of_one_over_k_at_any_hbar():
         0.1 * hbar / math.sqrt(2.0 * mass * energy), rel=1e-15)
 
 
-def test_weak_product_guards_its_regime():
+def test_weak_product_guards_its_regime(monkeypatch):
     with pytest.raises(ValueError, match="v0/energy"):
         weak_product_check(1.0, RegularizedPotential(v0=50.0, eps=0.001))
     with pytest.raises(ValueError, match=re.escape(
@@ -323,6 +336,20 @@ def test_weak_product_guards_its_regime():
     # the window 0.1/k is 0.0707 at E = 1, inside the width 0.1
     with pytest.raises(UnresolvedWindow, match="window 0.0707"):
         weak_product_check(1.0, RegularizedPotential(v0=1.0e4, eps=0.1))
+    # 0.1/k grows without bound as E -> 0, and so does the panel count 2
+    # window / width: above 10^6 panels it is refused by name before the
+    # smooth solve, not left to numpy's "Maximum allowed size exceeded"
+    def solve(model):
+        raise AssertionError("solved past the panel bound")
+
+    monkeypatch.setattr(regularized, "solve_smooth_mode", solve)
+    for energy, panels in ((1e-300, "8e+151"), (1e-12, "8e+07"),
+                           (1e-10, "8e+06")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the quadrature needs {panels} panels at energy {energy!r}; "
+                f"the bound is 1e+06")):
+            weak_product_check(energy,
+                               RegularizedPotential(v0=1.0e4, eps=0.004))
 
 
 def test_route_c_runs_where_its_largest_product_still_fits():

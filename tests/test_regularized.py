@@ -165,18 +165,24 @@ def test_smooth_strong_step_overreflects():
 def test_smooth_mode_profile_is_consistent():
     reg = RegularizedPotential(v0=0.5, eps=0.05)
     nm = _solve("s", 1.0, reg, PARS)
+
+    def at(x):
+        """(u, u') at the one point x."""
+        u, ux = nm.eval_scalar(np.array([x]))
+        return u[0], ux[0]
+
     # derivative channel against a finite difference of the value channel
     for x in (-1.0, 0.02, 1.3):
         h = 1e-5
-        up, _ = nm.eval_scalar(x + h)
-        um, _ = nm.eval_scalar(x - h)
-        _, ux = nm.eval_scalar(x)
+        up, _ = at(x + h)
+        um, _ = at(x - h)
+        _, ux = at(x)
         assert ux == pytest.approx((up - um) / (2.0 * h), rel=1e-7)
     # continuity across the window-plateau handoff
     edge = reg.support_halfwidth()
     for x0 in (edge, -edge):
-        inner, _ = nm.eval_scalar(x0 - 1e-9)
-        outer, _ = nm.eval_scalar(x0 + 1e-9)
+        inner, _ = at(x0 - 1e-9)
+        outer, _ = at(x0 + 1e-9)
         assert abs(inner - outer) <= 1e-8
 
 
@@ -249,7 +255,7 @@ def test_route_b_panels_resolve_the_local_wavelength(theory, energy, v0,
     u, _ = nm.eval_scalar(x)
     rho = np.abs(u) ** 2
     if theory == "kfg":
-        rho *= modes._charge_weight(energy, reg.eval(x), nm.params)
+        rho *= modes._charge_weight(energy, reg.eval(x), nm.model.params)
     fine = -np.sum(weights * reg.deriv(x) * rho)
     assert abs(route_b_integral(nm) - fine) <= 1e-8 * abs(fine)
 
@@ -612,7 +618,7 @@ def _ref_density(mode, x):
     if mode.theory == "kfg":
         u = _ref_eval_scalar(mode, x)[0]
         return ((mode.energy - mode.model.reg.eval(x))
-                / mode.params.rest_energy * abs(u) ** 2)
+                / mode.model.params.rest_energy * abs(u) ** 2)
     psi = _ref_inside(mode, x)
     return float(np.real(np.vdot(psi, psi)))
 
@@ -917,12 +923,9 @@ def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
         psi = nm.eval_spinor(inside)
         assert psi.shape == (len(inside), 2)
         for j, xj in enumerate(inside.tolist()):
-            one = nm.eval_spinor(xj)
-            assert isinstance(one, np.ndarray) and one.shape == (2,)
+            (one,) = nm.eval_spinor(np.array([xj]))
             assert np.array_equal(psi[j], one)
             assert np.array_equal(one, _ref_inside(nm, xj))
-        pairs = inside[:len(inside) // 2 * 2].reshape(-1, 2)
-        assert nm.eval_spinor(pairs).shape == pairs.shape + (2,)
         window = re.escape(f"smoothing window ({-nm.model.window!r}, "
                            f"{nm.model.window!r}) only")
         for xj in (-20.0, float(edges[0]), float(edges[-1]), 20.0):
@@ -932,27 +935,26 @@ def test_array_evaluation_equals_scalar_calls(theory, energy, v0):
     else:
         u, ux = nm.eval_scalar(x)
         for j, xj in enumerate(x.tolist()):
-            one = nm.eval_scalar(xj)
-            assert all(type(v) is complex for v in one)
-            assert (u[j], ux[j]) == one == _ref_eval_scalar(nm, xj)
+            (one_u,), (one_ux,) = nm.eval_scalar(np.array([xj]))
+            assert (u[j], ux[j]) == (one_u, one_ux) == _ref_eval_scalar(nm, xj)
 
 
 def test_the_spinor_refuses_nan_and_takes_no_points():
     nm = _solve("dirac", 2.0, RegularizedPotential(v0=0.5, eps=0.05), PARS)
     with pytest.raises(ValueError, match="window .* only, got x = nan$"):
         nm.eval_spinor(np.array([0.0, math.nan]))
-    assert nm.eval_spinor(np.empty((0, 3))).shape == (0, 3, 2)
+    assert nm.eval_spinor(np.empty(0)).shape == (0, 2)
 
 
 def test_each_evaluation_is_refused_for_the_other_kind_of_mode():
     reg = RegularizedPotential(v0=0.5, eps=0.05)
     dirac = _solve("dirac", 2.0, reg, PARS)
     with pytest.raises(ValueError, match="undefined for the spin-1/2"):
-        dirac.eval_scalar(0.01)
+        dirac.eval_scalar(np.array([0.01]))
     for theory, energy in (("s", 1.0), ("kfg", 2.0)):
         scalar = _solve(theory, energy, reg, PARS)
         with pytest.raises(ValueError, match="only for the spin-1/2"):
-            scalar.eval_spinor(0.01)
+            scalar.eval_spinor(np.array([0.01]))
 
 
 # A double whose square the C library's pow rounds one ulp away from x * x

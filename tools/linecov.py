@@ -80,19 +80,24 @@ def unreached(folder: str, hits: set) -> dict:
     return out
 
 
-def main(argv: list) -> int:
-    import pytest
-
-    code, hits = trace(lambda: pytest.main(argv), PACKAGE)
-    missed = unreached(PACKAGE, hits)
+def listing(missed: dict) -> list:
+    """The report of ``unreached``'s result: each line as ``path:line:
+    text``, then a count per file, with paths relative to the repo."""
+    out = []
     for path, lines in missed.items():
         rel = os.path.relpath(path, ROOT)
         with open(path) as fh:
             text = fh.read().splitlines()
-        for line in lines:
-            print(f"{rel}:{line}: {text[line - 1].strip()}")
-    for path, lines in missed.items():
-        print(f"{os.path.relpath(path, ROOT)}: {len(lines)} unreached")
+        out += [f"{rel}:{line}: {text[line - 1].strip()}" for line in lines]
+    return out + [f"{os.path.relpath(path, ROOT)}: {len(lines)} unreached"
+                  for path, lines in missed.items()]
+
+
+def main(argv: list) -> int:
+    import pytest
+
+    code, hits = trace(lambda: pytest.main(argv), PACKAGE)
+    print("\n".join(listing(unreached(PACKAGE, hits))))
     return int(code)
 
 
