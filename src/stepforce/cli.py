@@ -26,7 +26,7 @@ import re
 import sys
 import threading
 import time
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 
@@ -376,42 +376,38 @@ def cmd_ehrenfest(cfg: dict, seed: int) -> tuple:
 
 def _sweep_residuals(theory: str, rng, n: int, pars: PhysicalParams) -> dict:
     """Worst-case identity residuals over n random admissible modes."""
-    worst = {
-        "continuity": 0.0,
-        "flux": 0.0,
-        "evanescent_reflection": 0.0,
-        "identity_residual_rel": 0.0,
-    }
+    names = ["continuity", "flux", "evanescent_reflection",
+             "identity_residual_rel"]
     if theory == "kfg":
-        worst["density_jump_identity"] = 0.0
-        worst["route_agreement"] = 0.0
+        names += ["density_jump_identity", "route_agreement"]
+    worst = dict.fromkeys(names, 0.0)
+
+    def bump(name: str, value: float):
+        worst[name] = max(worst[name], value)
+
     regimes: dict = {}
     for _ in range(n):
         mode = random_mode(theory, rng, pars)
         regimes[mode.regime] = regimes.get(mode.regime, 0) + 1
         mp = mode.params
         cont, flux = matching_residuals(mode)
-        worst["continuity"] = max(worst["continuity"], cont)
-        worst["flux"] = max(worst["flux"], flux)
+        bump("continuity", cont)
+        bump("flux", flux)
         if mode.regime == "evanescent":
-            worst["evanescent_reflection"] = max(
-                worst["evanescent_reflection"], abs(abs(mode.r) - 1.0))
+            bump("evanescent_reflection", abs(abs(mode.r) - 1.0))
         rep = boundary_terms(mode)
         scale = max(abs(rep.route_a), abs(rep.potential_term),
                     abs(rep.mass_term), 1e-300)
-        worst["identity_residual_rel"] = max(
-            worst["identity_residual_rel"], abs(rep.identity_residual) / scale)
+        bump("identity_residual_rel", abs(rep.identity_residual) / scale)
         if theory == "kfg":
             jump = kfg_density_jump(mode)
             closed = -(mp.v0 / mp.rest_energy) * abs(mode.psi0) ** 2
-            worst["density_jump_identity"] = max(
-                worst["density_jump_identity"],
-                abs(jump - closed) / max(abs(closed), 1e-300))
+            bump("density_jump_identity",
+                 abs(jump - closed) / max(abs(closed), 1e-300))
             half = mean_force_closed(mode)
             restated = (mp.v0**2 / (2.0 * mp.rest_energy)) * abs(mode.psi0) ** 2
-            worst["route_agreement"] = max(
-                worst["route_agreement"],
-                abs(half - restated) / max(abs(restated), 1e-300))
+            bump("route_agreement",
+                 abs(half - restated) / max(abs(restated), 1e-300))
     return {"n_draws": n, "regime_counts": regimes, "worst": worst}
 
 
@@ -420,9 +416,8 @@ _SERIES_FIELDS = ("epsilons", "values", "defects", "extrapolated", "order",
                   "error_estimate")
 
 
-def _report_route_b(cfg: dict) -> dict:
+def _report_route_b(pars: PhysicalParams) -> dict:
     out = {}
-    pars = build_params(cfg, 0.5)
     for theory in THEORIES:
         energy = FLAGSHIP_ENERGY[theory]
         shapes = REG_SHAPES if theory == "kfg" else REG_SHAPES[:2]
@@ -445,8 +440,8 @@ def _report_route_b(cfg: dict) -> dict:
     return out
 
 
-def _report_limits(cfg: dict) -> dict:
-    pars = build_params(cfg, 0.05)
+def _report_limits(pars: PhysicalParams) -> dict:
+    pars = replace(pars, v0=0.05)
     nonrel = nonrel_residuals(0.1, (10.0, 100.0, 1000.0), pars)
     infinite = infinite_step_sweep(1.0, (10.0, 100.0, 1000.0), pars)
     a3 = []
@@ -472,8 +467,7 @@ def _report_limits(cfg: dict) -> dict:
     }
 
 
-def _report_jump_diagnostics(cfg: dict) -> dict:
-    pars = build_params(cfg, 0.5)
+def _report_jump_diagnostics(pars: PhysicalParams) -> dict:
     rows = []
     for eps in (0.01, 0.005, 0.0025):
         reg = RegularizedPotential(v0=0.5, eps=eps, shape="logistic")
@@ -585,8 +579,7 @@ def _two_lanes(jobs: list, costs: list) -> list:
     return results
 
 
-def _report_ehrenfest(cfg: dict) -> dict:
-    pars = build_params(cfg, 0.5)
+def _report_ehrenfest(pars: PhysicalParams) -> dict:
     blk = DEFAULTS["ehrenfest"]
     # in stage order; same stride count at half the step, so the save
     # interval halves with it and every second-order-in-time error term
@@ -627,10 +620,10 @@ def run_report(cfg: dict, seed: int) -> dict:
         "resolved_config": cfg,
         "flagships": flagships,
         "random_sweeps": sweeps,
-        "route_b": _report_route_b(cfg),
-        "limits": _report_limits(cfg),
-        "jump_diagnostics": _report_jump_diagnostics(cfg),
-        "ehrenfest": _report_ehrenfest(cfg),
+        "route_b": _report_route_b(pars),
+        "limits": _report_limits(pars),
+        "jump_diagnostics": _report_jump_diagnostics(pars),
+        "ehrenfest": _report_ehrenfest(pars),
     }
 
 

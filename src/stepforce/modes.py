@@ -85,8 +85,14 @@ def _plateau_k2(theory: str, energy: float, phi: float,
 
 
 def _spinor_ratio(k, energy: float, phi, params: PhysicalParams):
-    """Spin-1/2 component ratio hbar c k / ((E - phi) + mc^2) on plateau phi."""
-    return params.hbar * params.c * k / (energy - phi + params.rest_energy)
+    """Spin-1/2 component ratio hbar c k / ((E - phi) + mc^2) on plateau phi;
+    ValueError at the Klein edge E - phi = -mc^2, where it is 0/0."""
+    denom = energy - phi + params.rest_energy
+    if denom == 0.0:
+        raise ValueError(
+            f"the spinor ratio hbar c k / (E - phi + mc^2) is 0/0 at E = "
+            f"{energy!r}, phi = {phi!r} and mc^2 = {params.rest_energy!r}")
+    return params.hbar * params.c * k / denom
 
 
 def _charge_weight(energy: float, phi, params: PhysicalParams):
@@ -271,10 +277,10 @@ def matching_residuals(mode: ScatterMode) -> tuple[float, float]:
 class FVBoundary:
     """One-sided interface data of the lifted two-component spin-0 mode.
 
-    psi0 / psix0 are the scalar boundary values (for a smooth mode, the
-    midpoints of its two one-sided values); the Psi vectors are the lifted
-    components evaluated from each side.  Their difference is the physical
-    discontinuity the matricial interface conditions describe.
+    psi0 / psix0 are the scalar boundary values, the midpoints of the two
+    one-sided values (which a sharp mode shares); the Psi vectors are the
+    lifted components evaluated from each side.  Their difference is the
+    physical discontinuity the matricial interface conditions describe.
     """
 
     psi0: complex
@@ -304,6 +310,16 @@ class FVBoundary:
     def component_ratio_value(self) -> complex:
         upper, lower = self.jump_value
         return complex("nan") if lower == 0.0 else complex(upper / lower)
+
+    @classmethod
+    def lift(cls, left, right, energy: float, v0: float,
+             params: PhysicalParams) -> FVBoundary:
+        """The lift of the one-sided (u, u') pairs at 0- and 0+, where the
+        potential is 0 and v0; psi0 and psix0 are their midpoints."""
+        (u_l, ux_l), (u_r, ux_r) = left, right
+        return cls(0.5 * (u_l + u_r), 0.5 * (ux_l + ux_r),
+                   *(_lift_pair(value, energy, phi, params) for value, phi in
+                     ((u_l, 0.0), (u_r, v0), (ux_l, 0.0), (ux_r, v0))))
 
 
 def _projected_fraction(jump: np.ndarray) -> float:
@@ -340,14 +356,7 @@ def fv_lift(mode: ScatterMode) -> FVBoundary:
             raise ValueError(
                 f"the spin-0 lift of {name} = {value!r} by the charge weight "
                 f"|E - phi|/mc^2 = {w!r} leaves the double range")
-    return FVBoundary(
-        psi0=psi0,
-        psix0=psix0,
-        Psi_left=_lift_pair(psi0, E, 0.0, p),
-        Psi_right=_lift_pair(psi0, E, v0, p),
-        Psix_left=_lift_pair(psix0, E, 0.0, p),
-        Psix_right=_lift_pair(psix0, E, v0, p),
-    )
+    return FVBoundary.lift((psi0, psix0), (psi0, psix0), E, v0, p)
 
 
 def _expected_jump(v0: float, mc2: float, value) -> np.ndarray:

@@ -35,7 +35,7 @@ from .core import PhysicalParams, RegularizedPotential
 from .errors import (InvalidWidth, NoConvergence, ProbeInsideSmoothing,
                      UnderResolved)
 from .modes import (FVBoundary, _charge_weight, _check_incidence, _check_theory,
-                    _k_squared, _lift_pair, _plateau_k2, _spinor_ratio,
+                    _k_squared, _plateau_k2, _spinor_ratio,
                     _transmitted_weight, dispersion)
 
 __all__ = [
@@ -129,8 +129,8 @@ class PiecewiseModel:
         if self.theory == "kfg":
             return ((np.float_power(diff, 2.0) - p.rest_energy**2)
                     / (p.hbar * p.c) ** 2)
-        a, b = self._dirac_factors
-        return a * b / (p.hbar * p.c) ** 2
+        return ((diff + p.rest_energy) * (diff - p.rest_energy)
+                / (p.hbar * p.c) ** 2)
 
     @cached_property
     def generator(self) -> np.ndarray | None:
@@ -138,16 +138,9 @@ class PiecewiseModel:
         i g01 and i g10; None for the scalar theories."""
         if self.theory != "dirac":
             return None
-        return (1.0 / (self.params.hbar * self.params.c)) * np.array(
-            self._dirac_factors)
-
-    @cached_property
-    def _dirac_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """E - phi + mc^2 and E - phi - mc^2 per segment, which k2 and
-        generator share."""
-        mc2 = self.params.rest_energy
-        return (self.energy - self.values + mc2,
-                self.energy - self.values - mc2)
+        p, diff = self.params, self.energy - self.values
+        return (1.0 / (p.hbar * p.c)) * np.array(
+            (diff + p.rest_energy, diff - p.rest_energy))
 
 
 def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
@@ -201,8 +194,8 @@ def _rescaled(prev: PiecewiseModel,
     model = PiecewiseModel(prev.theory, prev.energy, prev.edges * s,
                            prev.values, prev.params, reg)
     cached, known = model.__dict__, prev.__dict__
-    cached.update((name, known[name]) for name in
-                  ("k2", "generator", "_dirac_factors") if name in known)
+    cached.update((name, known[name]) for name in ("k2", "generator")
+                  if name in known)
     cached["nodes"] = tuple(a * s for a in prev.nodes)
     if "node_sites" in known:
         idx, d, charge = prev.node_sites
@@ -275,13 +268,13 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
 #   route_b_sweep solves one problem at strictly decreasing widths (j < 0).
 #   Scaling normal doubles by 2**j commutes with each rounding, so every
 #   ratio (segment and panel counts, u = x / eps) keeps its bits and the
-#   arrays of u alone carry over (values, k2, the Dirac generator and
-#   factors, node segments, kfg's charge weight).  Not phi': 18 erf nodes a
-#   width have a subnormal phi'.  Each length formed is a multiple of a
-#   power of two >= eps 2**-71 (the segment width is over 10 eps /
-#   _MAX_SEGMENTS), so normal for eps >= 2**-950.  No width cap may bind:
-#   the segment cap 2 pi / (20 k_max) binds at resolution >= 8 only where
-#   the panel cap 2 pi / (8 k_max) does, so the panel width must be eps.
+#   arrays of u alone carry over (values, k2, the Dirac generator, node
+#   segments, kfg's charge weight).  Not phi': 18 erf nodes a width have a
+#   subnormal phi'.  Each length formed is a multiple of a power of two
+#   >= eps 2**-71 (the segment width is over 10 eps / _MAX_SEGMENTS), so
+#   normal for eps >= 2**-950.  No width cap may bind: the segment cap
+#   2 pi / (20 k_max) binds at resolution >= 8 only where the panel cap
+#   2 pi / (8 k_max) does, so the panel width must be eps.
 
 def _complex(re, im) -> np.ndarray:
     """Complex array with exactly these real and imaginary parts."""
@@ -675,11 +668,11 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
     """Measure the lifted-component jump of a smooth spin-0 mode.
 
     The mode's (u, u') at -probe_offset and at +probe_offset, each carried
-    to x = 0 along its exact plateau flow, are lifted there: the FVBoundary
-    of those one-sided values, with psi0 and psix0 their midpoints.  Its
-    jump must reproduce (v0 / 2mc^2) [-1, +1] psi(0) as eps -> 0, while its
-    (tau3 + i tau2) projection, the discontinuity of psi itself, must die
-    with eps.  ``probe_offset`` must clear the smoothing region (> 3 eps).
+    to x = 0 along its exact plateau flow, are lifted there
+    (FVBoundary.lift).  Its jump must reproduce (v0 / 2mc^2) [-1, +1] psi(0)
+    as eps -> 0, while its (tau3 + i tau2) projection, the discontinuity of
+    psi itself, must die with eps.  ``probe_offset`` must clear the
+    smoothing region (> 3 eps).
     """
     if probe_offset <= 3.0 * reg.eps:
         raise ProbeInsideSmoothing(
@@ -692,12 +685,6 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
         m00, m01, m10, m11 = _propagators(np.array([k2]), np.array([-x]))
         return (m00 * u + m01 * ux)[0], (m10 * u + m11 * ux)[0]
 
-    (u_l, ux_l), (u_r, ux_r) = (transported(-probe_offset, 0.0),
-                                transported(probe_offset, reg.v0))
-    return FVBoundary(
-        psi0=0.5 * (u_l + u_r),
-        psix0=0.5 * (ux_l + ux_r),
-        Psi_left=_lift_pair(u_l, energy, 0.0, params),
-        Psi_right=_lift_pair(u_r, energy, reg.v0, params),
-        Psix_left=_lift_pair(ux_l, energy, 0.0, params),
-        Psix_right=_lift_pair(ux_r, energy, reg.v0, params))
+    return FVBoundary.lift(transported(-probe_offset, 0.0),
+                           transported(probe_offset, reg.v0),
+                           energy, reg.v0, params)

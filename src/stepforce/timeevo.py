@@ -52,8 +52,8 @@ class PacketSpec:
 
     The packet must start clear of the interface (|x0| >= 5 sigma), the
     box must hold its initial tails with room, and the grid spacing must
-    resolve the packet (dx <= sigma/4); travel room is enforced
-    dynamically by the wall guard during evolution.
+    resolve the packet (dx <= sigma/4) and its carrier (|k0| dx < pi);
+    travel room is enforced dynamically by the wall guard during evolution.
     """
 
     x0: float
@@ -77,6 +77,10 @@ class PacketSpec:
             raise UnderResolved(
                 f"grid spacing {self.grid.dx} does not resolve the packet "
                 f"width {self.sigma}; need dx <= sigma/4 = {self.sigma / 4.0}")
+        if not abs(self.k0) * self.grid.dx < math.pi:      # NaN fails too
+            raise UnderResolved(
+                f"grid spacing {self.grid.dx} does not resolve the carrier "
+                f"k0 = {self.k0}; need |k0| < pi/dx = {math.pi / self.grid.dx}")
 
 
 @dataclass(frozen=True)

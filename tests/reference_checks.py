@@ -282,9 +282,9 @@ def complex_model(model: PiecewiseModel):
     (i / (hbar c)) (E - phi + mc^2, E - phi - mc^2), None for a scalar."""
     if model.theory != "dirac":
         return model.k2.astype(complex), None
-    p = model.params
-    return (model.k2.astype(complex),
-            (1j / (p.hbar * p.c)) * np.array(model._dirac_factors))
+    p, diff = model.params, model.energy - model.values
+    return (model.k2.astype(complex), (1j / (p.hbar * p.c)) * np.array(
+        (diff + p.rest_energy, diff - p.rest_energy)))
 
 
 def assert_complex_parts(got, entries, dirac: bool):

@@ -22,6 +22,8 @@ from stepforce.core import PhysicalParams
 from stepforce.errors import BoxTooSmall
 from stepforce.modes import solve_step_mode
 
+from test_cli_fuzz import _NAMED
+
 KFG_R = 0.21543808788147607
 S_R = 0.17157287525380990
 KFG_FORCE = 0.18466121818412234
@@ -950,7 +952,8 @@ def test_packet_audits_compute_two_at_a_time(monkeypatch):
 
     def report():
         caller.append(threading.get_ident())
-        return cli._report_ehrenfest(cli.load_config(None))
+        return cli._report_ehrenfest(
+            cli.build_params(cli.load_config(None), 0.5))
 
     _bounded(report)
     assert threading.active_count() == before
@@ -977,7 +980,8 @@ def test_packet_audit_results_keep_stage_order(monkeypatch):
     # the first stage is the cheapest, so it starts last; it also ends last
     threads, _ = _stub_audits(monkeypatch, lambda stage: time.sleep(
         0.2 if stage == "free" else 0.0))
-    out = _bounded(lambda: cli._report_ehrenfest(cli.load_config(None)))
+    out = _bounded(lambda: cli._report_ehrenfest(
+        cli.build_params(cli.load_config(None), 0.5)))
     assert set(threads) == set(_STAGES)
     assert list(out) == ["free", "scattering", "scattering_half_dt",
                          "dt_halving_ratio", "packet_rt"]
@@ -1006,7 +1010,8 @@ def test_first_failed_audit_in_stage_order_surfaces(monkeypatch):
     threads, log = _stub_audits(monkeypatch, act)
     before = threading.active_count()
     with pytest.raises(ValueError, match="stage 2"):
-        _bounded(lambda: cli._report_ehrenfest(cli.load_config(None)))
+        _bounded(lambda: cli._report_ehrenfest(
+            cli.build_params(cli.load_config(None), 0.5)))
     assert set(threads) == set(finished) == set(_STAGES)
     assert finished.index("packet_rt") < finished.index("scattering")
     # a failed audit frees its permit: the others still run to their end
@@ -1366,6 +1371,13 @@ _FAILED_RUNS = [
      "charge weight |E - phi|/mc^2 = 3.5838208865110866e+262 leaves the "
      "double range\n",
      _config_file({"params": {"c": 7.470365479648889e-132}})),
+    # charge weight 1.75e154 at psi(0) = 8/7: (1 + w)^2 / 2 alone is
+    # finite, the lifted values' squares are not
+    (["mode", "--energy", "2", "--config", "cfg.json"], 2,
+     "config: the spin-0 lift of psi(0) = (1.1428571428571428+0j) by the "
+     "charge weight |E - phi|/mc^2 = 1.7501472311358193e+154 leaves the "
+     "double range\n",
+     _config_file({"params": {"hbar": 1e10, "c": 1.069e-77}})),
     # k = 1e150 at a charge weight of 1e10: the lifted psi_x(0) is 1e160
     (["mode", "--energy", "1e10", "--config", "cfg.json"], 2,
      "config: the spin-0 lift of psi_x(0) = 9.99999999975e+149j by the "
@@ -1392,7 +1404,19 @@ _FAILED_RUNS = [
     # the step turns the phase by v0 dt / hbar = 4e296 rad a step
     (["ehrenfest", "--v0", "1e300", "--t-final", "0.1"], 1,
      "under-resolved: time step 0.0004 exceeds the potential's phase bound "
-     "hbar/max|phi| = 1e-300\n", None)]
+     "hbar/max|phi| = 1e-300\n", None),
+    # the Klein edge E - v0 = -mc^2: q = 0 over E - v0 + mc^2 = 0
+    (["mode", "--theory", "dirac", "--energy", "2", "--v0", "3"], 2,
+     "config: the spinor ratio hbar c k / (E - phi + mc^2) is 0/0 at E = "
+     "2.0, phi = 3.0 and mc^2 = 1.0\n", None),
+    (["converge", "--theory", "dirac", "--energy", "2", "--v0", "3"], 2,
+     "config: the spinor ratio hbar c k / (E - phi + mc^2) is 0/0 at E = "
+     "2.0, phi = 3.0 and mc^2 = 1.0\n", None),
+    # a carrier above the grid's Nyquist wavenumber pi/dx at dx = 0.02,
+    # where the grid would hold another packet
+    (["ehrenfest", "--k0", "160", "--t-final", "0.4"], 1,
+     "under-resolved: grid spacing 0.02 does not resolve the carrier k0 = "
+     "160.0; need |k0| < pi/dx = 157.07963267948966\n", None)]
 
 
 @pytest.mark.parametrize("argv,code,message,stub", [
@@ -1420,6 +1444,39 @@ def test_a_failed_run_raises_no_runtime_warning(
         warnings.simplefilter("error", RuntimeWarning)
         test_a_failed_run_prints_nothing_and_creates_nothing(
             argv, code, message, stub, monkeypatch, tmp_path, capsys)
+
+
+# each regime edge in exact doubles: E = v0 for s; v0 = E -+ mc^2 and the
+# k + q = 0 pole v0 = 2E for kfg; v0 = E -+ mc^2 for dirac, its Klein edge
+# also at mc^2 = 18 (hbar 0.7, mass 2, c 3).  The contract fuzz draws no
+# float that lands on one.
+_EDGES = [("s", 1.0, 1.0, {}), ("kfg", 2.0, 1.0, {}), ("kfg", 2.0, 3.0, {}),
+          ("kfg", 2.0, 4.0, {}), ("dirac", 2.0, 1.0, {}),
+          ("dirac", 2.0, 3.0, {}),
+          ("dirac", 20.0, 38.0, {"hbar": 0.7, "mass": 2.0, "c": 3.0})]
+
+
+@pytest.mark.parametrize("command", ["mode", "converge"])
+@pytest.mark.parametrize("theory,energy,v0,params", _EDGES)
+def test_every_regime_edge_keeps_the_output_contract(
+        command, theory, energy, v0, params, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_read_config", lambda path: {"params": params})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run([command, "--config", "cfg.json", "--theory", theory,
+                    "--energy", repr(energy), "--v0", repr(v0),
+                    "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert captured.out.startswith("resolved config:\n") and out.exists()
+        assert captured.err == ""
+    else:
+        assert (captured.out, out.exists()) == ("", False)
+        assert captured.err.count("\n") == 1
+        assert _NAMED.match(captured.err), captured.err
 
 
 def test_an_out_path_naming_a_file_exits_2(tmp_path, capsys):

@@ -746,13 +746,13 @@ def report_route_b_widths():
         densities.append((mode, on))
         return _smooth_density(mode, on)
 
-    cfg = cli.load_config(None)
+    pars = cli.build_params(cli.load_config(None), 0.5)
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(regularized, "solve_smooth_mode", solve)
         patched.setattr(regularized, "route_b_integral", integral)
         patched.setattr(regularized, "_smooth_density", density)
-        cli._report_route_b(cfg)
-        cli._report_jump_diagnostics(cfg)
+        cli._report_route_b(pars)
+        cli._report_jump_diagnostics(pars)
     return solves, integrals, densities
 
 
@@ -944,6 +944,16 @@ def test_the_spinor_refuses_nan_and_takes_no_points():
     with pytest.raises(ValueError, match="window .* only, got x = nan$"):
         nm.eval_spinor(np.array([0.0, math.nan]))
     assert nm.eval_spinor(np.empty(0)).shape == (0, 2)
+
+
+def test_the_scalar_takes_nan_to_nan():
+    # NaN lies on neither plateau, and the window lookup clamps it to the
+    # last segment, whose carry makes NaN of it
+    nm = _solve("kfg", 2.0, RegularizedPotential(v0=0.5, eps=0.05), PARS)
+    u, ux = nm.eval_scalar(np.array([0.0, math.nan]))
+    assert cmath.isnan(u[1]) and cmath.isnan(ux[1])
+    (u0,), (ux0,) = nm.eval_scalar(np.array([0.0]))
+    assert (u[0], ux[0]) == (u0, ux0)
 
 
 def test_each_evaluation_is_refused_for_the_other_kind_of_mode():

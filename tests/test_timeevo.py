@@ -1,5 +1,6 @@
 """Packet evolution: guards, conservation laws, momentum-balance audit."""
 
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -50,6 +51,20 @@ def test_packet_spec_guards():
                              r"packet width 2\.0; need dx <= sigma/4 = 0\.5"):
         PacketSpec(x0=-10.0, sigma=2.0, k0=1.0,
                    grid=GridSpec(x_min=-30.0, x_max=30.0, n_points=120))
+
+
+def test_packet_spec_refuses_a_carrier_the_grid_cannot_hold():
+    # FREE_GRID has dx = 0.05: pi/dx = 62.83185307179586, and that k0
+    # times dx rounds to pi itself
+    edge = math.pi / FREE_GRID.dx
+    for k0 in (0.99 * edge, -0.99 * edge):
+        PacketSpec(x0=-10.0, sigma=2.0, k0=k0, grid=FREE_GRID)
+    for k0 in (edge, -edge, 1.01 * edge, math.inf, math.nan):
+        with pytest.raises(UnderResolved, match=(
+                rf"^under-resolved: grid spacing 0\.05 does not resolve the "
+                rf"carrier k0 = {re.escape(str(k0))}; need \|k0\| < pi/dx = "
+                rf"62\.83185307179586$")):
+            PacketSpec(x0=-10.0, sigma=2.0, k0=k0, grid=FREE_GRID)
 
 
 def test_gaussian_packet_moments():
