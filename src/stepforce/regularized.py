@@ -26,8 +26,8 @@ import cmath
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from dataclasses import dataclass, replace
+from functools import cache, reduce
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from .core import PhysicalParams, RegularizedPotential
 from .errors import (InvalidWidth, NoConvergence, ProbeInsideSmoothing,
                      UnderResolved)
 from .modes import (FVBoundary, _charge_weight, _check_incidence, _check_theory,
-                    _k_squared, _plateau_k2, _spinor_ratio,
-                    _transmitted_weight, dispersion)
+                    _k_squared, _spinor_ratio, _transmitted_weight, dispersion)
 
 __all__ = [
     "PiecewiseModel",
@@ -69,7 +68,8 @@ _leggauss = cache(np.polynomial.legendre.leggauss)
 
 @dataclass(frozen=True)
 class PiecewiseModel:
-    """Piecewise-constant sampling of a smoothed step.
+    """Piecewise-constant sampling of a smoothed step, with every array a
+    width reads (_model forms them).
 
     ``edges``/``values`` describe the fine segments inside the smoothing
     window, where the profile actually varies; outside the window the two
@@ -85,62 +85,59 @@ class PiecewiseModel:
     values: np.ndarray         # potential per fine segment (midpoint samples)
     params: PhysicalParams
     reg: RegularizedPotential
+    k: complex                 # plateau wavenumbers (dispersion) left ...
+    q: complex                 # ... and right of the window
+    # per-segment k^2 of the scalar theories, q^2 of the Dirac theory
+    k2: np.ndarray
+    # per-segment g01, g10 of the Dirac generator's off-diagonal entries
+    # i g01 and i g10; None for the scalar theories
+    generator: np.ndarray | None
+    # route B's Gauss-Legendre nodes, weights and panel width
+    nodes: tuple
+    # what a scalar density needs of the nodes: _segments, and kfg's charge
+    # weight there (None for s); None for Dirac
+    node_sites: tuple | None
 
     @property
     def window(self) -> float:
         return float(self.edges[-1])
 
-    def _segments(self, x: np.ndarray):
-        """Each point's segment and its distance from the segment's left
-        edge, for points of a 1-D array inside the smoothing window."""
-        idx = np.minimum(np.searchsorted(self.edges, x, side="right") - 1,
-                         len(self.values) - 1)
-        return idx, x - self.edges[idx]
 
-    @cached_property
-    def nodes(self) -> tuple:
-        """Route B's Gauss-Legendre nodes, weights and panel width: panels
-        of twelve nodes over the window, at least 8, none wider than eps or
-        a quarter of the shortest plateau wavelength (or decay length)."""
-        kmax = max(abs(dispersion(self.theory, self.energy, phi, self.params))
-                   for phi in (0.0, self.reg.v0))
-        width = min(self.reg.eps, 2.0 * math.pi / (8.0 * max(kmax, 1e-6)))
-        return (*_gl_panels(self.window, width, 8, 12), width)
+def _segments(edges: np.ndarray, x: np.ndarray):
+    """Each point's segment and its distance from the segment's left edge,
+    for points of a 1-D array inside the smoothing window ``edges``."""
+    idx = np.minimum(np.searchsorted(edges, x, side="right") - 1,
+                     len(edges) - 2)
+    return idx, x - edges[idx]
 
-    @cached_property
-    def node_sites(self) -> tuple:
-        """What a scalar density needs of route B's nodes: _segments, and
-        kfg's charge weight there (None for s)."""
-        x = self.nodes[0]
-        return (*self._segments(x), _charge_weight(
-            self.energy, self.reg.eval(x), self.params)
-            if self.theory == "kfg" else None)
 
-    @cached_property
-    def k2(self) -> np.ndarray:
-        """Per-segment k^2 of the scalar theories, q^2 of the Dirac theory.
-
-        Elementwise the arithmetic of ``modes._k_squared``; the spin-0 square
-        goes through the C library's pow, as Python's ``**`` does there.
-        """
-        p, diff = self.params, self.energy - self.values
-        if self.theory == "s":
-            return 2.0 * p.mass * diff / p.hbar**2
-        if self.theory == "kfg":
-            return ((np.float_power(diff, 2.0) - p.rest_energy**2)
-                    / (p.hbar * p.c) ** 2)
-        return ((diff + p.rest_energy) * (diff - p.rest_energy)
-                / (p.hbar * p.c) ** 2)
-
-    @cached_property
-    def generator(self) -> np.ndarray | None:
-        """Per-segment g01, g10 of the Dirac generator's off-diagonal entries
-        i g01 and i g10; None for the scalar theories."""
-        if self.theory != "dirac":
-            return None
-        p, diff = self.params, self.energy - self.values
-        return (1.0 / (p.hbar * p.c)) * np.array(
+def _model(theory: str, energy: float, edges: np.ndarray, values: np.ndarray,
+           reg: RegularizedPotential, params: PhysicalParams, k: complex,
+           q: complex) -> PiecewiseModel:
+    """The model of these segments, every array a width reads formed once:
+    k^2 elementwise as ``modes._k_squared`` (the spin-0 square through the
+    C library's pow, as Python's ``**``), and route B's panels of twelve
+    nodes over the window, at least 8, none wider than eps or a quarter of
+    the shortest plateau wavelength (or decay length)."""
+    p, diff = params, energy - values
+    generator = None
+    if theory == "s":
+        k2 = 2.0 * p.mass * diff / p.hbar**2
+    elif theory == "kfg":
+        k2 = ((np.float_power(diff, 2.0) - p.rest_energy**2)
+              / (p.hbar * p.c) ** 2)
+    else:
+        k2 = ((diff + p.rest_energy) * (diff - p.rest_energy)
+              / (p.hbar * p.c) ** 2)
+        generator = (1.0 / (p.hbar * p.c)) * np.array(
             (diff + p.rest_energy, diff - p.rest_energy))
+    width = min(reg.eps, 2.0 * math.pi / (8.0 * max(abs(k), abs(q), 1e-6)))
+    x, weights = _gl_panels(float(edges[-1]), width, 8, 12)
+    sites = None if theory == "dirac" else (
+        *_segments(edges, x), _charge_weight(energy, reg.eval(x), params)
+        if theory == "kfg" else None)
+    return PiecewiseModel(theory, energy, edges, values, params, reg, k, q,
+                          k2, generator, (x, weights, width), sites)
 
 
 def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
@@ -152,7 +149,7 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     capped at a twentieth of the shortest local wavelength (or decay length).
     """
     _check_theory(theory)
-    eps = reg.eps
+    eps, energy = reg.eps, float(energy)
     if resolution < 8:
         raise UnderResolved(
             f"resolution {resolution} too coarse; need >= 8 segments per eps")
@@ -160,8 +157,8 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     xs = max(reg.support_halfwidth(), 5.0 * eps)
     # the profile lies between its plateaus, so finite plateau k^2 bound
     # every segment's k^2
-    kmax = max(abs(cmath.sqrt(_plateau_k2(theory, energy, phi, params)))
-               for phi in (0.0, reg.v0))
+    k, q = (dispersion(theory, energy, phi, params) for phi in (0.0, reg.v0))
+    kmax = max(abs(k), abs(q))
     width = eps / resolution
     if width == 0.0:
         raise ValueError(f"the segment width eps / {resolution} rounds to 0 "
@@ -177,8 +174,7 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
     n_seg = int(math.ceil(needed))
     edges = _linspace(-xs, xs, n_seg + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    values = reg.eval(mids)
-    return PiecewiseModel(theory, float(energy), edges, values, params, reg)
+    return _model(theory, energy, edges, reg.eval(mids), reg, params, k, q)
 
 
 def _rescaled(prev: PiecewiseModel,
@@ -191,16 +187,11 @@ def _rescaled(prev: PiecewiseModel,
             and prev.nodes[2] == prev.reg.eps):
         return None
     s = math.ldexp(1.0, e - e0)
-    model = PiecewiseModel(prev.theory, prev.energy, prev.edges * s,
-                           prev.values, prev.params, reg)
-    cached, known = model.__dict__, prev.__dict__
-    cached.update((name, known[name]) for name in ("k2", "generator")
-                  if name in known)
-    cached["nodes"] = tuple(a * s for a in prev.nodes)
-    if "node_sites" in known:
-        idx, d, charge = prev.node_sites
-        cached["node_sites"] = idx, d * s, charge
-    return model
+    sites = prev.node_sites
+    return replace(prev, reg=reg, edges=prev.edges * s,
+                   nodes=tuple(a * s for a in prev.nodes),
+                   node_sites=None if sites is None
+                   else (sites[0], sites[1] * s, sites[2]))
 
 
 def _linspace(start: float, stop: float, num: int) -> np.ndarray:
@@ -263,18 +254,19 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
 # * _linspace is numpy 2.4's np.linspace for a nonzero step, arange(num) *
 #   ((stop - start) / (num - 1)) + start with the last entry set to stop;
 #   the build divides by its step, the segment width, before;
-# * the model at eps = 2**j eps_prev is the one at eps_prev with its edges
-#   and route B's nodes, weights, panel width and node offsets times 2**j:
-#   route_b_sweep solves one problem at strictly decreasing widths (j < 0).
-#   Scaling normal doubles by 2**j commutes with each rounding, so every
-#   ratio (segment and panel counts, u = x / eps) keeps its bits and the
-#   arrays of u alone carry over (values, k2, the Dirac generator, node
-#   segments, kfg's charge weight).  Not phi': 18 erf nodes a width have a
-#   subnormal phi'.  Each length formed is a multiple of a power of two
-#   >= eps 2**-71 (the segment width is over 10 eps / _MAX_SEGMENTS), so
-#   normal for eps >= 2**-950.  No width cap may bind: the segment cap
-#   2 pi / (20 k_max) binds at resolution >= 8 only where the panel cap
-#   2 pi / (8 k_max) does, so the panel width must be eps.
+# * the model at eps = 2**j eps_prev is the one at eps_prev, replaced with
+#   its edges and route B's nodes, weights, panel width and node offsets
+#   times 2**j: route_b_sweep solves one problem at strictly decreasing
+#   widths (j < 0).  Scaling normal doubles by 2**j commutes with each
+#   rounding, so every ratio (segment and panel counts, u = x / eps) keeps
+#   its bits and the fields of u alone carry over (values, k2, the Dirac
+#   generator, node segments, kfg's charge weight; k and q have no eps).
+#   Not phi': 18 erf nodes a width have a subnormal phi'.  Each length
+#   formed is a multiple of a power of two >= eps 2**-71 (the segment width
+#   is over 10 eps / _MAX_SEGMENTS), so normal for eps >= 2**-950.  No
+#   width cap may bind: the segment cap 2 pi / (20 k_max) binds at
+#   resolution >= 8 only where the panel cap 2 pi / (8 k_max) does, so the
+#   panel width must be eps.
 
 def _complex(re, im) -> np.ndarray:
     """Complex array with exactly these real and imaginary parts."""
@@ -402,7 +394,7 @@ class NumericalMode:
             e_t = _cmul(self.t, np.exp(iq * x[right]))
             u[right] = e_t
             ux[right] = iq * e_t
-        u[inside], ux[inside] = self._carry(*self.model._segments(x[inside]))
+        u[inside], ux[inside] = self._carry(*_segments(edges, x[inside]))
         return u, ux
 
     # -- spinor reconstruction ---------------------------------------------
@@ -418,7 +410,7 @@ class NumericalMode:
             outside = float(x[~((edges[0] < x) & (x < edges[-1]))][0])
             raise ValueError(f"spinor evaluation covers the smoothing window "
                              f"({-xs!r}, {xs!r}) only, got x = {outside!r}")
-        return np.stack(self._carry(*self.model._segments(x)), axis=-1)
+        return np.stack(self._carry(*_segments(edges, x)), axis=-1)
 
 
 def _march(model: PiecewiseModel, init_state: np.ndarray) -> np.ndarray:
@@ -476,9 +468,7 @@ def solve_smooth_mode(model: PiecewiseModel) -> NumericalMode:
     theory, energy, params = model.theory, model.energy, model.params
     _check_incidence(theory, energy, params)
 
-    k = dispersion(theory, energy, 0.0, params)
-    q = dispersion(theory, energy, model.reg.v0, params)
-    xs = model.window
+    k, q, xs = model.k, model.q, model.window
     # the transmitted wave at the window edge, which the march starts from:
     # on an evanescent right side it decays as exp(-kappa xs), and below the
     # normal doubles it has lost its digits (or is zero, and so is every state)
@@ -671,12 +661,12 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
     to x = 0 along its exact plateau flow, are lifted there
     (FVBoundary.lift).  Its jump must reproduce (v0 / 2mc^2) [-1, +1] psi(0)
     as eps -> 0, while its (tau3 + i tau2) projection, the discontinuity of
-    psi itself, must die with eps.  ``probe_offset`` must clear the
-    smoothing region (> 3 eps).
+    psi itself, must die with eps.  ``probe_offset`` must be finite and
+    clear the smoothing region (> 3 eps).
     """
-    if probe_offset <= 3.0 * reg.eps:
-        raise ProbeInsideSmoothing(
-            f"probe offset {probe_offset} must exceed 3*eps = {3.0 * reg.eps}")
+    if not 3.0 * reg.eps < probe_offset < math.inf:     # NaN fails too
+        raise ProbeInsideSmoothing(f"probe offset {probe_offset} must exceed "
+                                   f"3*eps = {3.0 * reg.eps} and be finite")
     nm = solve_smooth_mode(build_piecewise_model("kfg", energy, reg, params))
 
     def transported(x: float, phi: float):

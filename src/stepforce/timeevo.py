@@ -44,16 +44,18 @@ __all__ = [
 
 # the amplitude next to a hard wall past which an evolution aborts
 _WALL_TOL = 1e-6
+# far above the report's 9,501 points; complex arrays of 16 MB at the bound
+_MAX_POINTS = 10**6
 
 
 @dataclass(frozen=True)
 class PacketSpec:
     """Initial Gaussian wave packet and the box it lives in.
 
-    The packet must start clear of the interface (|x0| >= 5 sigma), the
-    box must hold its initial tails with room, and the grid spacing must
-    resolve the packet (dx <= sigma/4) and its carrier (|k0| dx < pi);
-    travel room is enforced dynamically by the wall guard during evolution.
+    The grid has at most _MAX_POINTS points, the packet starts clear of the
+    interface (|x0| >= 5 sigma), the box holds its initial tails with room,
+    and dx resolves the packet (dx <= sigma/4) and its carrier (|k0| dx <
+    pi); the wall guard enforces travel room during evolution.
     """
 
     x0: float
@@ -62,6 +64,9 @@ class PacketSpec:
     grid: GridSpec
 
     def __post_init__(self):
+        if self.grid.n_points > _MAX_POINTS:
+            raise ValueError(f"the packet grid has {self.grid.n_points} "
+                             f"points; the bound is {_MAX_POINTS:.0e}")
         if self.sigma <= 0.0:
             raise ValueError(f"packet width must be positive, got {self.sigma}")
         if abs(self.x0) < 5.0 * self.sigma:

@@ -1315,6 +1315,10 @@ _FAILED_RUNS = [
      "config: save_stride must be at least 1, got 0\n", None),
     (["ehrenfest", "--n-points", "1"], 2,
      "config: need at least 2 grid points, got 1\n", None),
+    # refused before the packet's grid of 74.5 GiB is asked for
+    (["ehrenfest", "--n-points", "10000000000"], 2,
+     "config: the packet grid has 10000000000 points; the bound is 1e+06\n",
+     None),
     (["ehrenfest", "--x-min", "5", "--x-max", "-5"], 2,
      "config: x_max must exceed x_min, got x_min = 5.0 and x_max = -5.0\n",
      None),

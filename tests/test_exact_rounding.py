@@ -5,7 +5,6 @@ the values: the batched code must reproduce the scalar formulas exactly.
 """
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,8 @@ import pytest
 from reference_checks import (assert_complex_parts, cdiv, complex_model,
                               complex_propagators)
 from stepforce.core import PhysicalParams, RegularizedPotential
-from stepforce.regularized import _cmul, _propagators, build_piecewise_model
+from stepforce.regularized import (_cmul, _model, _propagators,
+                                   build_piecewise_model)
 
 
 def bits(a) -> np.ndarray:
@@ -85,8 +85,8 @@ def test_propagators_at_zero_k2_are_the_free_propagator(theory, energy):
     # k^2 = 0 exactly, then propagating, evanescent and klein segments
     values = np.array([threshold, 0.0, 0.3, energy + 0.5,
                        energy + 4.0 * mc2])
-    model = replace(model, values=values,
-                    edges=np.linspace(-1.0, 1.0, len(values) + 1))
+    model = _model(theory, energy, np.linspace(-1.0, 1.0, len(values) + 1),
+                   values, model.reg, params, model.k, model.q)
     dists = np.array([-0.3, 0.7, -2.0, 1e-12, -1e-12, 0.0, -0.0])
     idx = np.repeat(np.arange(len(values)), len(dists))
     d = np.tile(dists, len(values))
@@ -223,8 +223,8 @@ def test_real_and_imaginary_axis_propagators_equal_the_complex_body(
     # k^2 = 0 (Dirac: +0 at the upper threshold, -0 at the lower one)
     values = np.concatenate([[threshold, energy + mc2, energy + 4.0 * mc2],
                              energy + rng.uniform(-6.0, 6.0, 40)])
-    model = replace(model, values=values,
-                    edges=np.linspace(-1.0, 1.0, len(values) + 1))
+    model = _model(theory, energy, np.linspace(-1.0, 1.0, len(values) + 1),
+                   values, model.reg, params, model.k, model.q)
     k2 = model.k2
     assert (k2 > 0.0).any() and (k2 < 0.0).any()
     if theory == "dirac":

@@ -464,6 +464,20 @@ def test_jump_diagnostics_probe_must_clear_the_smoothing():
         smooth_jump_diagnostics(2.0, reg, PARS, probe_offset=0.2)
 
 
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf, 0.03])
+def test_jump_diagnostics_refuse_a_non_finite_or_boundary_offset(offset):
+    """NaN and +-inf are refused by name, as is exactly 3 eps, before a
+    mode is solved: NaN would give an all-NaN boundary with no warning."""
+    reg = RegularizedPotential(v0=0.5, eps=0.01)
+    assert 3.0 * reg.eps == 0.03
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProbeInsideSmoothing, match=re.escape(
+                f"probe offset {offset} must exceed 3*eps = 0.03 and be "
+                f"finite")):
+            smooth_jump_diagnostics(2.0, reg, PARS, probe_offset=offset)
+
+
 def test_jump_diagnostics_reproduce_the_matricial_condition():
     fractions_v, fractions_d = [], []
     for eps in (0.01, 0.005, 0.0025):
@@ -721,7 +735,8 @@ def test_value_only_density_equals_the_per_node_reference(theory, energy,
         assert route_b_integral(nm) == _ref_route_b_integral(nm)
         x = _window_points(nm, np.linspace(-1.5, 1.5, 1001) * nm.model.window)
         u, _ = nm.eval_scalar(x)
-        value_only = nm._carry(*nm.model._segments(x), value_only=True)
+        value_only = nm._carry(*regularized._segments(nm.model.edges, x),
+                               value_only=True)
         assert np.array_equal(_bits(value_only), _bits(u))
 
 
@@ -873,7 +888,8 @@ def test_batched_propagators_cover_every_branch(theory, params, energy):
     threshold = energy if theory == "s" else energy - mc2
     # k^2 = 0 exactly, propagating, evanescent and (relativistic) klein
     values = np.array([threshold, 0.0, 0.3, energy + 0.5, energy + 4.0 * mc2])
-    model = replace(model, values=values, edges=np.linspace(-1.0, 1.0, 6))
+    model = regularized._model(theory, energy, np.linspace(-1.0, 1.0, 6),
+                               values, model.reg, params, model.k, model.q)
     assert model.k2[0] == 0.0
     dists = np.array([-0.3, -1e-12, 0.0, 1e-12, 0.7, -2.0])
     idx = np.repeat(np.arange(len(values)), len(dists))
@@ -987,7 +1003,8 @@ def test_batched_k2_equals_the_scalar_formula(theory, energy):
     phi = energy - POW_SQUARE_DIFFERS
     assert energy - phi == POW_SQUARE_DIFFERS
     values = np.concatenate([[phi, -phi], model.values])
-    model = replace(model, values=values)
+    model = regularized._model(theory, energy, model.edges, values, model.reg,
+                               ODD_UNITS, model.k, model.q)
     ref = [complex(modes._k_squared(theory, energy, v, ODD_UNITS))
            for v in values.tolist()]
     assert model.k2.tolist() == ref

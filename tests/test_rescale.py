@@ -6,6 +6,7 @@ direct build."""
 import math
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from stepforce import regularized
 from stepforce.core import REG_SHAPES, PhysicalParams, RegularizedPotential
 from stepforce.modes import solve_step_mode
-from stepforce.regularized import (_RESCALE_FLOOR, _rescaled,
+from stepforce.regularized import (_RESCALE_FLOOR, PiecewiseModel, _rescaled,
                                    build_piecewise_model, route_b_integral,
                                    route_b_sweep, solve_smooth_mode)
 
@@ -28,13 +29,27 @@ PARS = PhysicalParams(v0=0.5)
 ODD_UNITS = PhysicalParams(hbar=2.0, mass=3.0, c=1.5, v0=0.5)
 
 
-def _words(mode, value) -> bytes:
+def _field_words(value):
+    """A model field with every number as its words, zero signs included:
+    None, a string or a parameter record as it is, tuples entry by entry."""
+    if value is None or isinstance(value, (str, PhysicalParams,
+                                           RegularizedPotential)):
+        return value
+    if isinstance(value, tuple):
+        return tuple(map(_field_words, value))
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def _words(mode, value) -> tuple:
     """The float words of a width's route-B value, r, t, defect and
-    seg_states, and of the model and nodes they come from."""
+    seg_states, and of every field of the model they come from."""
     model = mode.model
-    return b"".join(np.ascontiguousarray(a).tobytes() for a in (
-        np.array([value, mode.r, mode.t, mode.defect], dtype=complex),
-        mode.seg_states, model.edges, model.values, *model.nodes[:2]))
+    return (np.array([value, mode.r, mode.t, mode.defect],
+                     dtype=complex).tobytes(),
+            np.ascontiguousarray(mode.seg_states).tobytes(),
+            {f.name: _field_words(getattr(model, f.name))
+             for f in fields(PiecewiseModel)})
 
 
 def _ladder(theory, energy, shape, v0, params, epsilons):

@@ -67,6 +67,23 @@ def test_packet_spec_refuses_a_carrier_the_grid_cannot_hold():
             PacketSpec(x0=-10.0, sigma=2.0, k0=k0, grid=FREE_GRID)
 
 
+def test_packet_spec_refuses_a_grid_over_the_point_bound():
+    # refused before gaussian_packet's linspace: 10^10 points would ask
+    # numpy for 74.5 GiB
+    grid = GridSpec(x_min=-30.0, x_max=30.0, n_points=timeevo._MAX_POINTS)
+    PacketSpec(x0=-10.0, sigma=2.0, k0=1.0, grid=grid)
+    for n in (timeevo._MAX_POINTS + 1, 10**10):
+        with pytest.raises(ValueError, match=(
+                rf"^the packet grid has {n} points; the bound is 1e\+06$")):
+            PacketSpec(x0=-10.0, sigma=2.0, k0=1.0,
+                       grid=replace(grid, n_points=n))
+
+
+def test_a_step_free_state_feels_no_force():
+    force = expectation_force(gaussian_packet(FREE_SPEC))
+    assert type(force) is float and force == 0.0
+
+
 def test_gaussian_packet_moments():
     state = gaussian_packet(FREE_SPEC)
     assert state.psi[0] == 0.0 and state.psi[-1] == 0.0
