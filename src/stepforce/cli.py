@@ -432,7 +432,7 @@ def _report_route_b(pars: PhysicalParams) -> dict:
                                                    abs(max(limits)), 1e-300)
         out[theory] = {
             "energy": energy,
-            "v0": 0.5,
+            "v0": pars.v0,
             "series": series_by_shape,
             "verdicts": verdicts,
             "shape_spread_rel": spread,
@@ -470,8 +470,9 @@ def _report_limits(pars: PhysicalParams) -> dict:
 def _report_jump_diagnostics(pars: PhysicalParams) -> dict:
     rows = []
     for eps in (0.01, 0.005, 0.0025):
-        reg = RegularizedPotential(v0=0.5, eps=eps, shape="logistic")
-        diag = smooth_jump_diagnostics(2.0, reg, pars, probe_offset=0.2)
+        reg = RegularizedPotential(v0=pars.v0, eps=eps, shape="logistic")
+        diag = smooth_jump_diagnostics(FLAGSHIP_ENERGY["kfg"], reg, pars,
+                                       probe_offset=0.2)
         rows.append({
             "eps": eps,
             "jump_value_norm": float(np.linalg.norm(diag.jump_value)),

@@ -28,7 +28,6 @@ class StepForceError(Exception):
 
     def __init__(self, message: str):
         super().__init__(f"{self.code}: {message}")
-        self.message = message
 
 
 class ConfigError(StepForceError):

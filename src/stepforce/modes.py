@@ -60,22 +60,17 @@ def _check_theory(theory: str):
         raise ValueError(f"unknown theory {theory!r}; expected one of {THEORIES}")
 
 
-def _k_squared(theory: str, energy: float, phi: float,
-               params: PhysicalParams) -> float:
-    """Squared wavenumber (Dirac: q^2) where the potential equals ``phi``;
-    ``theory`` is one of THEORIES."""
-    if theory == "s":
-        return 2.0 * params.mass * (energy - phi) / params.hbar**2
-    mc2 = params.rest_energy
-    return ((energy - phi) ** 2 - mc2**2) / (params.hbar * params.c) ** 2
-
-
 def _plateau_k2(theory: str, energy: float, phi: float,
                 params: PhysicalParams) -> float:
-    """``_k_squared``; ValueError unless it is finite.  The one energy
-    check of the sharp and the smooth solvers."""
+    """Squared wavenumber (Dirac: q^2) where the potential equals ``phi``;
+    ValueError unless it is finite.  The one energy check of the sharp and
+    the smooth solvers."""
     try:
-        k2 = _k_squared(theory, energy, phi, params)
+        if theory == "s":
+            k2 = 2.0 * params.mass * (energy - phi) / params.hbar**2
+        else:
+            mc2 = params.rest_energy
+            k2 = ((energy - phi) ** 2 - mc2**2) / (params.hbar * params.c) ** 2
     except ArithmeticError:     # ** overflowed, or hbar * c underflowed
         k2 = math.inf
     if not math.isfinite(k2):
@@ -118,6 +113,14 @@ def _check_incidence(theory: str, energy: float, params: PhysicalParams):
     if energy <= mc2:
         bound = "0" if theory == "s" else f"mc^2 = {mc2}"
         raise BelowThreshold(f"incidence needs E > {bound}, got E = {energy}")
+
+
+def _check_incident_k(k: complex, energy: float):
+    """ValueError unless the incident wavenumber ``k`` is nonzero: past
+    _check_incidence, its k^2 underflowed.  Both solvers call it."""
+    if k == 0.0:
+        raise ValueError(f"k^2 on the plateau phi = 0.0 at energy "
+                         f"{energy!r} underflows to 0")
 
 
 def dispersion(theory: str, energy: float, phi: float,
@@ -225,9 +228,7 @@ def solve_step_mode(theory: str, energy: float,
     _check_incidence(theory, energy, params)
 
     k = dispersion(theory, energy, 0.0, params)
-    if k == 0.0:        # above the threshold, so k^2 underflowed
-        raise ValueError(f"k^2 on the plateau phi = 0.0 at energy "
-                         f"{energy!r} underflows to 0")
+    _check_incident_k(k, energy)
     q = dispersion(theory, energy, params.v0, params)
 
     if theory in ("s", "kfg"):

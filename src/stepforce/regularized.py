@@ -34,8 +34,9 @@ import numpy as np
 from .core import PhysicalParams, RegularizedPotential
 from .errors import (InvalidWidth, NoConvergence, ProbeInsideSmoothing,
                      UnderResolved)
-from .modes import (FVBoundary, _charge_weight, _check_incidence, _check_theory,
-                    _k_squared, _spinor_ratio, _transmitted_weight, dispersion)
+from .modes import (FVBoundary, _charge_weight, _check_incidence,
+                    _check_incident_k, _check_theory, _plateau_k2,
+                    _spinor_ratio, _transmitted_weight, dispersion)
 
 __all__ = [
     "PiecewiseModel",
@@ -115,7 +116,7 @@ def _model(theory: str, energy: float, edges: np.ndarray, values: np.ndarray,
            reg: RegularizedPotential, params: PhysicalParams, k: complex,
            q: complex) -> PiecewiseModel:
     """The model of these segments, every array a width reads formed once:
-    k^2 elementwise as ``modes._k_squared`` (the spin-0 square through the
+    k^2 elementwise as ``modes._plateau_k2`` (the spin-0 square through the
     C library's pow, as Python's ``**``), and route B's panels of twelve
     nodes over the window, at least 8, none wider than eps or a quarter of
     the shortest plateau wavelength (or decay length)."""
@@ -155,9 +156,13 @@ def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
             f"resolution {resolution} too coarse; need >= 8 segments per eps")
 
     xs = max(reg.support_halfwidth(), 5.0 * eps)
-    # the profile lies between its plateaus, so finite plateau k^2 bound
-    # every segment's k^2
+    # the profile lies between its plateaus, so finite plateau k^2 (and
+    # kfg's charge weights) bound every segment's (and every node's)
     k, q = (dispersion(theory, energy, phi, params) for phi in (0.0, reg.v0))
+    w = max(abs(energy), abs(energy - reg.v0)) / params.rest_energy
+    if theory == "kfg" and not w < math.inf:
+        raise ValueError(f"the spin-0 charge weight |E - phi|/mc^2 = {w!r} "
+                         f"at E = {energy!r} leaves the double range")
     kmax = max(abs(k), abs(q))
     width = eps / resolution
     if width == 0.0:
@@ -342,15 +347,15 @@ class NumericalMode:
     marching error and vanishes for a correct propagation.
     """
 
-    theory: str
-    energy: float
     r: complex
     t: complex
     defect: float
     model: PiecewiseModel
-    k: complex
-    q: complex
     seg_states: np.ndarray     # state at each fine segment's left edge
+
+    @property
+    def theory(self) -> str:
+        return self.model.theory
 
     def _carry(self, idx, d, value_only=False):
         """Segment states carried to the window points: the two components,
@@ -384,13 +389,13 @@ class NumericalMode:
         u = np.empty(x.shape, dtype=complex)
         ux = np.empty(x.shape, dtype=complex)
         if left.any():
-            ik = 1j * self.k
+            ik = 1j * self.model.k
             e_p = np.exp(ik * x[left])
-            r_e_m = _cmul(self.r, np.exp(-1j * self.k * x[left]))
+            r_e_m = _cmul(self.r, np.exp(-1j * self.model.k * x[left]))
             u[left] = e_p + r_e_m
             ux[left] = ik * (e_p - r_e_m)
         if right.any():
-            iq = 1j * self.q
+            iq = 1j * self.model.q
             e_t = _cmul(self.t, np.exp(iq * x[right]))
             u[right] = e_t
             ux[right] = iq * e_t
@@ -467,6 +472,7 @@ def solve_smooth_mode(model: PiecewiseModel) -> NumericalMode:
     that ``model`` samples."""
     theory, energy, params = model.theory, model.energy, model.params
     _check_incidence(theory, energy, params)
+    _check_incident_k(model.k, energy)
 
     k, q, xs = model.k, model.q, model.window
     # the transmitted wave at the window edge, which the march starts from:
@@ -496,10 +502,9 @@ def solve_smooth_mode(model: PiecewiseModel) -> NumericalMode:
     w_t = _transmitted_weight(t, k, q, lams)
     flux_residual = abs(1.0 - abs(r) ** 2 - w_t) / (1.0 + abs(r) ** 2 + abs(w_t))
 
-    return NumericalMode(
-        theory=theory, energy=energy, r=complex(r), t=complex(t),
-        defect=float(flux_residual), model=model, k=k, q=q,
-        seg_states=states)
+    return NumericalMode(r=complex(r), t=complex(t),
+                         defect=float(flux_residual), model=model,
+                         seg_states=states)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +676,7 @@ def smooth_jump_diagnostics(energy: float, reg: RegularizedPotential,
 
     def transported(x: float, phi: float):
         u, ux = nm.eval_scalar(np.array([x]))
-        k2 = _k_squared("kfg", energy, phi, params)
+        k2 = _plateau_k2("kfg", energy, phi, params)
         m00, m01, m10, m11 = _propagators(np.array([k2]), np.array([-x]))
         return (m00 * u + m01 * ux)[0], (m10 * u + m11 * ux)[0]
 

@@ -46,6 +46,8 @@ __all__ = [
 _WALL_TOL = 1e-6
 # far above the report's 9,501 points; complex arrays of 16 MB at the bound
 _MAX_POINTS = 10**6
+# far above the report's audits, of at most 100,000 steps
+_MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -266,6 +268,8 @@ def evolve(state: EvolutionState, dt: float, n_steps: int) -> EvolutionState:
         raise ValueError(f"time step must be positive, got {dt}")
     if n_steps < 0:
         raise ValueError(f"step count must be non-negative, got {n_steps}")
+    if n_steps > _MAX_STEPS:
+        raise ValueError(f"{n_steps} steps exceed the bound {_MAX_STEPS:.0e}")
     psi = state.psi
     for _, psi in _cn_steps(state, dt, n_steps):
         pass
@@ -297,10 +301,8 @@ class EhrenfestReport:
 
     def rows(self):
         """(t, momentum, dpdt, force, norm) tuples for tabular output."""
-        for i in range(len(self.times)):
-            yield (float(self.times[i]), float(self.momenta[i]),
-                   float(self.dpdt[i]), float(self.forces[i]),
-                   float(self.norms[i]))
+        return zip(*(a.tolist() for a in (self.times, self.momenta, self.dpdt,
+                                           self.forces, self.norms)))
 
 
 def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
@@ -322,6 +324,9 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
     if not 0.0 < t_final < math.inf:
         raise ValueError(
             f"final time must be positive and finite, got {t_final}")
+    if not t_final / dt <= _MAX_STEPS:
+        raise ValueError(f"t_final = {t_final!r} and dt = {dt!r} take more "
+                         f"than {_MAX_STEPS:.0e} steps")
     n_steps = int(math.ceil(t_final / dt - 1e-12))
     n_steps += (-n_steps) % save_stride
     saves = n_steps // save_stride + 1
@@ -331,23 +336,17 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
             f"{t_final!r}, dt = {dt!r} and save_stride = {save_stride}")
     state = gaussian_packet(spec, reg, params)
 
-    times, momenta, forces, norms = [], [], [], []
-    wall_max = 0.0
     # expectation_force and norm with phi' once per run, |psi|^2 once a save;
     # phi' only on a grid that resolves it, as unresolved it can overflow
-    x = state.x
+    rows, x = [], state.x
     _check_smoothing(state)
     dphi = None if reg is None else reg.deriv(x)
 
-    def record(cur: EvolutionState):
-        nonlocal wall_max
-        wall_max = max(wall_max, cur.wall_amplitude())
+    def record(cur: EvolutionState):    # one row a save
         rho = np.abs(cur.psi) ** 2
-        times.append(cur.t)
-        momenta.append(expectation_momentum(cur))
-        forces.append(0.0 if dphi is None
-                      else float(-np.trapezoid(dphi * rho, x)))
-        norms.append(float(np.trapezoid(rho, x)))
+        force = 0.0 if dphi is None else float(-np.trapezoid(dphi * rho, x))
+        rows.append((cur.t, expectation_momentum(cur), force,
+                     float(np.trapezoid(rho, x)), cur.wall_amplitude()))
 
     record(state)
     for step, psi in _cn_steps(state, dt, n_steps):
@@ -357,22 +356,17 @@ def ehrenfest_report(spec: PacketSpec, reg: RegularizedPotential | None,
             if checkpoint is not None and step < n_steps:
                 checkpoint(len(x) * (n_steps - step))
 
-    times_a = np.asarray(times)
-    momenta_a = np.asarray(momenta)
-    forces_a = np.asarray(forces)
-    norms_a = np.asarray(norms)
-    dpdt = np.full_like(momenta_a, np.nan)
-    dpdt[1:-1] = (momenta_a[2:] - momenta_a[:-2]) / (2.0 * save_stride * dt)
-    max_dev = float(np.max(np.abs(dpdt[1:-1] - forces_a[1:-1])))
-    fmax = float(np.max(np.abs(forces_a)))
+    times, momenta, forces, norms, walls = np.array(rows).T
+    dpdt = np.full_like(momenta, np.nan)
+    dpdt[1:-1] = (momenta[2:] - momenta[:-2]) / (2.0 * save_stride * dt)
+    max_dev = float(np.max(np.abs(dpdt[1:-1] - forces[1:-1])))
+    fmax = float(np.max(np.abs(forces)))
     return EhrenfestReport(
-        times=times_a, momenta=momenta_a, forces=forces_a,
-        norms=norms_a, dpdt=dpdt,
-        max_deviation=max_dev,
+        times=times, momenta=momenta, forces=forces, norms=norms, dpdt=dpdt,
+        max_deviation=max_dev, wall_amplitude=float(walls.max()),
         max_deviation_rel=(max_dev / fmax if fmax > 0.0 else max_dev),
-        norm_drift=float(np.max(np.abs(norms_a - norms_a[0]))),
-        wall_amplitude=wall_max, dt=dt, save_stride=save_stride,
-        final_state=state)
+        norm_drift=float(np.max(np.abs(norms - norms[0]))), dt=dt,
+        save_stride=save_stride, final_state=state)
 
 
 def packet_rt(state: EvolutionState) -> tuple[float, float]:

@@ -19,7 +19,16 @@ Written from the equations, not from the library's code:
 On the transmitted side a real root takes the sign of the group velocity
 (negative in the Klein regime, E - v0 < -mc^2), an imaginary one decays.
 
-It also gives, at ``RAMP_DIGITS`` digits, the Schrodinger reflection
+It also gives route E: a level of the sharp step at x = a in the box
+[-L, L] with u(+-L) = 0, its dE/da, and the one-sided densities at a under
+the charge normalization.  The level solves
+
+    g(E, a) = k cos k(a + L) sin q(L - a) + q cos q(L - a) sin k(a + L) = 0,
+
+and dE/da = -g_a / g_E, both derivatives taken numerically at the working
+precision.  By the Hellmann-Feynman theorem dE/da is the mean force.
+
+And it gives, at ``RAMP_DIGITS`` digits, the Schrodinger reflection
 probability of the ramp, the step smoothed linearly across [-eps, eps]:
 there u'' = a (x - x_t) u with a = m v0 / (hbar^2 eps) and turning point
 x_t = eps (2E/v0 - 1), solved by Ai and Bi of a^(1/3) (x - x_t).
@@ -96,6 +105,63 @@ def sharp(theory: str, energy: float, v0: float, hbar: float = 1.0,
         return Sharp(k, q, r, t, rho_left, rho_right,
                      (rho_left + rho_right) / 2, (rho_right - rho_left) / 2,
                      route_a)
+
+
+@dataclass(frozen=True)
+class BoxLevel:
+    """A level of the sharp step in a box and its interface densities,
+    normalized to unit charge, each to at least ``DIGITS`` digits."""
+
+    energy: mpmath.mpf
+    de_da: mpmath.mpf
+    rho_left: mpmath.mpf
+    rho_right: mpmath.mpf
+    midpoint: mpmath.mpf
+    half_jump: mpmath.mpf
+
+
+def box_level(theory: str, v0: float, a: float, half_length: float,
+              guess: float, hbar: float = 1.0, mass: float = 1.0,
+              c: float = 1.0) -> BoxLevel:
+    """The level of ``theory`` (s or kfg) that a root search from ``guess``
+    finds, for the step of height ``v0`` at x = ``a`` in the box
+    [-half_length, half_length]; the right side may be evanescent."""
+    with mpmath.workdps(DIGITS + 10):
+        v0, a, L, hbar, mass, c = map(mpmath.mpf, (v0, a, half_length, hbar,
+                                                   mass, c))
+        mc2 = mass * c**2
+
+        def wavenumbers(energy):
+            return (_wavenumber(theory, energy, 0, hbar, mass, c),
+                    _wavenumber(theory, energy, v0, hbar, mass, c))
+
+        def g(energy, x):   # g / (k q), real in both regimes
+            k, q = wavenumbers(energy)
+            return mpmath.re(
+                mpmath.cos(k * (x + L)) * mpmath.sin(q * (L - x)) / q
+                + mpmath.cos(q * (L - x)) * mpmath.sin(k * (x + L)) / k)
+
+        energy = mpmath.findroot(lambda e: g(e, a), mpmath.mpf(guess))
+        de_da = (-mpmath.diff(lambda x: g(energy, x), a)
+                 / mpmath.diff(lambda e: g(e, a), energy))
+        k, q = wavenumbers(energy)
+
+        def weight(phi):
+            return 1 if theory == "s" else (energy - phi) / mc2
+
+        def density(x):     # |u|^2 of the level, continuous at a
+            if x < a:
+                return abs(mpmath.sin(q * (L - a))
+                           * mpmath.sin(k * (x + L))) ** 2
+            return abs(mpmath.sin(k * (a + L)) * mpmath.sin(q * (L - x))) ** 2
+
+        charge = (weight(0) * mpmath.quad(density, mpmath.linspace(-L, a, 17))
+                  + weight(v0) * mpmath.quad(density,
+                                             mpmath.linspace(a, L, 17)))
+        rho_left = weight(0) * density(a) / charge
+        rho_right = weight(v0) * density(a) / charge
+        return BoxLevel(energy, de_da, rho_left, rho_right,
+                        (rho_left + rho_right) / 2, (rho_right - rho_left) / 2)
 
 
 def ramp_reflection_s(energy: float, v0: float, eps: float,

@@ -3,19 +3,23 @@
 Each rebuilds a quantity the package computes by a second route: the
 spin-1/2 observables in another matrix representation, the coupled
 two-component spin-0 equations and density, the imaginary part of the
-packet momentum, and the smooth-step propagators in complex arithmetic.  No command prints them, so they live here rather than in
-``src/``.
+packet momentum, the smooth-step propagators in complex arithmetic, and
+route E, the mean force as dE/da of a level in a box.  No command prints
+them, so they live here rather than in ``src/``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from stepforce.core import PhysicalParams
 from stepforce.errors import UndefinedAtOrigin
-from stepforce.modes import ScatterMode, _lift_pair, dispersion, solve_step_mode
+from stepforce.modes import (ScatterMode, _charge_weight, _lift_pair,
+                             _plateau_k2, dispersion, solve_step_mode)
 from stepforce.regularized import PiecewiseModel, _complex
 from stepforce.timeevo import EvolutionState, _momentum_integral
 
@@ -304,3 +308,73 @@ def assert_complex_parts(got, entries, dirac: bool):
                               np.ascontiguousarray(part[nonzero]).view(np.int64))
         assert np.array_equal(g == 0.0, ~nonzero)
         assert not other.any()
+
+
+# ---------------------------------------------------------------------------
+# route E: the mean force as dE/da of a level in a box
+# ---------------------------------------------------------------------------
+#
+# The sharp step at x = a in the box [-L, L], u(+-L) = 0.  With l = a + L,
+# r = L - a and, for k^2 of either sign, C = cos(k l) and S = sin(k l) / k
+# (cosh and sinh(kappa l) / kappa for k = i kappa), the left solution
+# S_q(r) sin(k (x + L)) / k and the right one S_k(l) sin(q (L - x)) / q
+# meet in u(a) = S_k S_q, and their slopes match where
+#
+#     G(E, a) = C_k S_q + C_q S_k = 0,
+#
+# the level condition g over k q, real on both axes.  dG/da is
+# (q^2 - k^2) S_k S_q; dG/dE goes through dC/dk^2 = -l S / 2 and
+# dS/dk^2 = (l C - S) / (2 k^2), and int_0^l (sin(k t) / k)^2 dt is
+# (l - S C) / (2 k^2).
+
+def _cos_sinc(k2: float, d: float) -> tuple[float, float]:
+    if k2 >= 0.0:
+        k = math.sqrt(k2)
+        return math.cos(k * d), math.sin(k * d) / k
+    kappa = math.sqrt(-k2)
+    return math.cosh(kappa * d), math.sinh(kappa * d) / kappa
+
+
+def _box_sides(theory: str, energy: float, a: float, half_length: float,
+               params: PhysicalParams):
+    """(k^2, C, S) left of the step, over l = a + L, then right of it,
+    over r = L - a."""
+    return [(k2, *_cos_sinc(k2, d)) for k2, d in (
+        (_plateau_k2(theory, energy, 0.0, params), a + half_length),
+        (_plateau_k2(theory, energy, params.v0, params), half_length - a))]
+
+
+def box_condition(theory: str, energy: float, a: float, half_length: float,
+                  params: PhysicalParams) -> float:
+    """G(E, a) of the step of height ``params.v0`` at x = a in the box
+    [-half_length, half_length]: its levels are the roots."""
+    (_, ck, sk), (_, cq, sq) = _box_sides(theory, energy, a, half_length,
+                                          params)
+    return ck * sq + cq * sk
+
+
+def box_level(theory: str, lo: float, hi: float, a: float,
+              half_length: float, params: PhysicalParams):
+    """Route E in doubles: the level of ``theory`` (s or kfg) that
+    ``brentq`` finds in the bracket [lo, hi] of box_condition, its
+    dE/da = -G_a / G_E, and the one-sided densities at a, normalized to
+    unit charge."""
+    energy = brentq(lambda e: box_condition(theory, e, a, half_length, params),
+                    lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    (k2, ck, sk), (q2, cq, sq) = _box_sides(theory, energy, a, half_length,
+                                            params)
+    l, r, v0 = a + half_length, half_length - a, params.v0
+    if theory == "s":
+        dk2 = dq2 = 2.0 * params.mass / params.hbar**2
+        w_l = w_r = 1.0
+    else:
+        dk2, dq2 = (2.0 * (energy - phi) / (params.hbar * params.c) ** 2
+                    for phi in (0.0, v0))
+        w_l, w_r = (_charge_weight(energy, phi, params) for phi in (0.0, v0))
+    g_e = (dk2 * (cq * (l * ck - sk) / (2.0 * k2) - 0.5 * l * sk * sq)
+           + dq2 * (ck * (r * cq - sq) / (2.0 * q2) - 0.5 * r * sq * sk))
+    charge = (w_l * sq**2 * (l - sk * ck) / (2.0 * k2)
+              + w_r * sk**2 * (r - sq * cq) / (2.0 * q2))
+    u2 = (sk * sq) ** 2
+    return (energy, -(q2 - k2) * sk * sq / g_e, w_l * u2 / charge,
+            w_r * u2 / charge)

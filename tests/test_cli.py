@@ -1328,6 +1328,14 @@ _FAILED_RUNS = [
     (["ehrenfest", "--case", "free", "--t-final", "0.04"], 2,
      "config: the audit needs at least 3 saves, got 2 from t_final = 0.04, "
      "dt = 0.001 and save_stride = 40\n", None),
+    # t_final / dt is inf, whose ceil raises, and 1e301 steps, which would
+    # run for ever: both refused before the packet is built
+    (["ehrenfest", "--case", "free", "--dt", "1e-310", "--t-final", "1"], 2,
+     "config: t_final = 1.0 and dt = 1e-310 take more than 1e+07 steps\n",
+     None),
+    (["ehrenfest", "--dt", "1e-300", "--t-final", "10"], 2,
+     "config: t_final = 10.0 and dt = 1e-300 take more than 1e+07 steps\n",
+     None),
     (["converge", "--config", "cfg.json"], 2,
      "config: config key converge.shapes must be a list\n",
      _config_file({"converge": {"shapes": "erf"}})),
@@ -1357,6 +1365,18 @@ _FAILED_RUNS = [
     (["mode", "--config", "cfg.json", "--theory", "s", "--energy", "1e-300"],
      2, "config: k^2 on the plateau phi = 0.0 at energy 1e-300 underflows "
      "to 0\n", _config_file({"params": {"mass": 1e-300}})),
+    # the smooth solver refuses it as the sharp one does, before the march
+    # divides by ik = 0
+    (["converge", "--config", "cfg.json", "--theory", "s", "--energy",
+      "1e-300", "--shapes", "logistic"], 2,
+     "config: k^2 on the plateau phi = 0.0 at energy 1e-300 underflows "
+     "to 0\n", _config_file({"params": {"mass": 1e-300}})),
+    # mc^2 = DBL_MIN / 2: kfg's charge weight (E - phi)/mc^2 at E = 2
+    # overflows, at the route-B nodes of the smooth model
+    (["converge", "--config", "cfg.json"], 2,
+     "config: the spin-0 charge weight |E - phi|/mc^2 = inf at E = 2.0 "
+     "leaves the double range\n",
+     _config_file({"params": {"mass": 1.1125369292536007e-308}})),
     (["mode", "--theory", "kfg", "--config", "cfg.json"], 2,
      "config: the rest energy mass * c^2 of mass 1.0 and c 1e-300 must be "
      "finite and positive\n",

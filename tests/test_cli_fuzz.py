@@ -24,7 +24,7 @@ import tempfile
 import warnings
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -58,10 +58,13 @@ _BAD = [0.0, -1.0, float("nan"), float("inf")]
 # that every ehrenfest draw overlays (the box holds 10 sigma on each side
 # of either case's packet, h = 0.021 resolves eps = 0.1, and dt <= h^2):
 # at most 2001 points times 563 steps (500, rounded up to whole save
-# intervals of at most 64)
+# intervals of at most 64); a dt of 1e-300 or 5e-324 asks for more steps
+# than timeevo._MAX_STEPS and is refused before the first (few draws reach
+# it past the other keys, so the property also runs both on the base)
 _BOUNDED = {"n_points": st.integers(-1, 2001),
             "t_final": st.one_of(st.floats(1e-3, 0.05), st.sampled_from(_BAD)),
-            "dt": st.one_of(st.floats(1e-4, 1e-2), st.sampled_from(_BAD))}
+            "dt": st.one_of(st.floats(1e-4, 1e-2),
+                            st.sampled_from(_BAD + [1e-300, 5e-324]))}
 _EHRENFEST_BASE = {"sigma": 1.5, "x_min": -27.0, "x_max": 15.0,
                    "n_points": 2001, "dt": 4e-4, "t_final": 0.05,
                    "save_stride": 10}
@@ -119,6 +122,8 @@ _NAMED = re.compile(r"^error: [a-z-]+: .*\b(%s)\b"
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(_runs())
+@example(("ehrenfest", {"ehrenfest": {**_EHRENFEST_BASE, "dt": 1e-300}}))
+@example(("ehrenfest", {"ehrenfest": {**_EHRENFEST_BASE, "dt": 5e-324}}))
 def test_every_run_keeps_the_output_contract(run):
     command, config = run
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \

@@ -90,6 +90,41 @@ def test_a_march_that_leaves_the_double_range_is_refused_by_name():
             _march(model, np.array([1e308, 1e308j]))
 
 
+@pytest.mark.parametrize("v0,mass", [(0.5, 1.1125369292536007e-308),
+                                     (-2.0, 1.3e-308)])
+def test_a_spin0_charge_weight_past_the_doubles_is_refused(v0, mass):
+    # (E - phi)/mc^2 at E = 2 overflows on the left plateau at mc^2 =
+    # DBL_MIN / 2, and only on the right one, E - v0 = 4, at 1.3e-308:
+    # refused before the model forms it at route B's nodes; at mc^2 =
+    # 5e-308 it is 8e307 at most, and the model builds
+    reg = RegularizedPotential(v0=v0, eps=0.1)
+    build_piecewise_model("kfg", 2.0, reg, PhysicalParams(mass=5e-308, v0=v0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=(
+                r"^the spin-0 charge weight \|E - phi\|/mc\^2 = inf at "
+                r"E = 2\.0 leaves the double range$")):
+            build_piecewise_model("kfg", 2.0, reg,
+                                  PhysicalParams(mass=mass, v0=v0))
+
+
+def test_an_underflowed_incident_k_is_refused_as_the_sharp_solver_does():
+    # above the threshold E > 0, k^2 = 2 m E / hbar^2 = 2e-600 rounds to 0:
+    # the split into incident and reflected waves would divide by ik = 0
+    pars = PhysicalParams(mass=1e-300, v0=0.5)
+    reg = RegularizedPotential(v0=0.5, eps=0.1)
+    message = (r"^k\^2 on the plateau phi = 0\.0 at energy 1e-300 underflows "
+               r"to 0$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            solve_step_mode("s", 1e-300, pars)
+        with pytest.raises(ValueError, match=message):
+            _solve("s", 1e-300, reg, pars)
+        with pytest.raises(ValueError, match=message):
+            route_b_sweep("s", 1e-300, "logistic", 0.5, pars)
+
+
 def _scalar_matrix(k2: complex, d: float) -> np.ndarray:
     entries = _propagators(np.array([k2]), np.array([d]))
     return np.array([[entries[0][0], entries[1][0]],
@@ -248,7 +283,7 @@ def test_route_b_panels_resolve_the_local_wavelength(theory, energy, v0,
     # 4.3e-7)
     reg = RegularizedPotential(v0=v0, eps=0.2, shape=shape)
     nm = _solve(theory, energy, reg, PhysicalParams(v0=v0))
-    width = 2.0 * math.pi / (8.0 * max(abs(nm.k), abs(nm.q)))
+    width = 2.0 * math.pi / (8.0 * max(abs(nm.model.k), abs(nm.model.q)))
     assert width < reg.eps
     x, weights = regularized._gl_panels(nm.model.window, width / 32, 8, 12)
     # the density at the finer nodes from the mode's own evaluation
@@ -592,8 +627,8 @@ def _ref_propagator(model, i, d):
     if model.theory == "dirac":
         return _ref_dirac_propagator(phi, model.energy, model.params, d)
     return _ref_scalar_propagator(
-        complex(modes._k_squared(model.theory, model.energy, phi,
-                                 model.params)), d)
+        complex(modes._plateau_k2(model.theory, model.energy, phi,
+                                  model.params)), d)
 
 
 def _ref_march(model, init_state):
@@ -616,12 +651,12 @@ def _ref_inside(mode, x):
 def _ref_eval_scalar(mode, x):
     edges = mode.model.edges
     if x <= edges[0]:
-        e_p = cmath.exp(1j * mode.k * x)
-        e_m = cmath.exp(-1j * mode.k * x)
-        return (e_p + mode.r * e_m, 1j * mode.k * (e_p - mode.r * e_m))
+        e_p = cmath.exp(1j * mode.model.k * x)
+        e_m = cmath.exp(-1j * mode.model.k * x)
+        return (e_p + mode.r * e_m, 1j * mode.model.k * (e_p - mode.r * e_m))
     if x >= edges[-1]:
-        e_t = mode.t * cmath.exp(1j * mode.q * x)
-        return (e_t, 1j * mode.q * e_t)
+        e_t = mode.t * cmath.exp(1j * mode.model.q * x)
+        return (e_t, 1j * mode.model.q * e_t)
     v = _ref_inside(mode, x)
     return (complex(v[0]), complex(v[1]))
 
@@ -631,7 +666,7 @@ def _ref_density(mode, x):
         return abs(_ref_eval_scalar(mode, x)[0]) ** 2
     if mode.theory == "kfg":
         u = _ref_eval_scalar(mode, x)[0]
-        return ((mode.energy - mode.model.reg.eval(x))
+        return ((mode.model.energy - mode.model.reg.eval(x))
                 / mode.model.params.rest_energy * abs(u) ** 2)
     psi = _ref_inside(mode, x)
     return float(np.real(np.vdot(psi, psi)))
@@ -640,7 +675,7 @@ def _ref_density(mode, x):
 def _ref_route_b_integral(mode):
     reg = mode.model.reg
     xs = mode.model.window
-    kmax = max(abs(mode.k), abs(mode.q), 1e-6)
+    kmax = max(abs(mode.model.k), abs(mode.model.q), 1e-6)
     width = min(reg.eps, 2.0 * math.pi / (8.0 * kmax))
     n_panels = max(int(math.ceil(2.0 * xs / width)), 8)
     edges = np.linspace(-xs, xs, n_panels + 1)
@@ -1005,7 +1040,7 @@ def test_batched_k2_equals_the_scalar_formula(theory, energy):
     values = np.concatenate([[phi, -phi], model.values])
     model = regularized._model(theory, energy, model.edges, values, model.reg,
                                ODD_UNITS, model.k, model.q)
-    ref = [complex(modes._k_squared(theory, energy, v, ODD_UNITS))
+    ref = [complex(modes._plateau_k2(theory, energy, v, ODD_UNITS))
            for v in values.tolist()]
     assert model.k2.tolist() == ref
 

@@ -329,6 +329,26 @@ def test_audit_refuses_fewer_than_three_saves(monkeypatch, dt, t_final,
         ehrenfest_report(FREE_SPEC, None, dt, t_final, save_stride)
 
 
+def test_evolution_and_audit_refuse_more_steps_than_the_bound(monkeypatch):
+    # the bound lowered to 8, so that no test runs 10^7 steps; h = 2^-10
+    # divides the final times exactly
+    monkeypatch.setattr(timeevo, "_MAX_STEPS", 8)
+    h = 2.0**-10
+    state = gaussian_packet(FREE_SPEC)
+    assert evolve(state, h, 8).t == 8 * h
+    with pytest.raises(ValueError, match=r"^9 steps exceed the bound 8e\+00$"):
+        evolve(state, h, 9)
+    assert len(ehrenfest_report(FREE_SPEC, None, h, 8 * h, 4).times) == 3
+    # refused before the step count is rounded up or the packet is built:
+    # t_final / dt is 9, 1e301 and inf (whose ceil raises OverflowError)
+    monkeypatch.setattr(timeevo, "gaussian_packet", None)
+    for dt, t_final in ((h, 9 * h), (1e-300, 10.0), (1e-310, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"t_final = {t_final!r} and dt = {dt!r} take more than "
+                f"8e+00 steps")):
+            ehrenfest_report(FREE_SPEC, None, dt, t_final, 1)
+
+
 def test_audit_of_three_saves_checks_the_middle_one():
     rep = ehrenfest_report(FREE_SPEC, None, 1e-3, 0.002, save_stride=1)
     assert len(rep.times) == 3
