@@ -88,7 +88,10 @@ class RegularizedPotential:
     * ``ramp``:     linear ramp from 0 to v0 across [-eps, +eps]
 
     ``deriv`` is the exact derivative; divided by v0 it is a unit-mass
-    nascent delta, which is what the smooth force integrand uses.
+    nascent delta, which is what the smooth force integrand uses.  It is
+    ``deriv_from(deriv_factors(x))``: the factors are functions of
+    u = x / eps alone, so a caller whose u keeps its bits at another width
+    forms them once.
     """
 
     v0: float
@@ -119,15 +122,28 @@ class RegularizedPotential:
 
     def deriv(self, x):
         """d(phi_eps)/dx, numpy's result; nonnegative, integrates to v0."""
+        return self.deriv_from(self.deriv_factors(x))
+
+    def deriv_factors(self, x) -> tuple:
+        """deriv's factors of u = x / eps alone: expit(u) and 1 - expit(u)
+        (logistic), exp(-u^2) (erf) or the mask |u| <= 1 (ramp)."""
         u = np.asarray(x, dtype=float) / self.eps
         if self.shape == "logistic":
             s = _special().expit(u)
-            out = self.v0 / self.eps * s * (1.0 - s)
-        elif self.shape == "erf":
-            out = self.v0 / (self.eps * np.sqrt(np.pi)) * np.exp(-(u**2))
-        else:  # ramp
-            out = np.where(np.abs(u) <= 1.0, self.v0 / (2.0 * self.eps), 0.0)
-        return out
+            return s, 1.0 - s
+        if self.shape == "erf":
+            return (np.exp(-(u**2)),)
+        return (np.abs(u) <= 1.0,)
+
+    def deriv_from(self, factors: tuple):
+        """deriv from its ``deriv_factors``, the scale v0 / eps applied in
+        one order per shape."""
+        if self.shape == "logistic":
+            s, rest = factors
+            return self.v0 / self.eps * s * rest
+        if self.shape == "erf":
+            return self.v0 / (self.eps * np.sqrt(np.pi)) * factors[0]
+        return np.where(factors[0], self.v0 / (2.0 * self.eps), 0.0)
 
     def support_halfwidth(self) -> float:
         """Half-width outside which the profile equals its plateaus to 1 ulp."""

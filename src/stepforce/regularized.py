@@ -95,6 +95,8 @@ class PiecewiseModel:
     generator: np.ndarray | None
     # route B's Gauss-Legendre nodes, weights and panel width
     nodes: tuple
+    # reg.deriv_factors at the nodes: phi' there is reg.deriv_from of them
+    slope_factors: tuple
     # what a scalar density needs of the nodes: _segments, and kfg's charge
     # weight there (None for s); None for Dirac
     node_sites: tuple | None
@@ -138,7 +140,8 @@ def _model(theory: str, energy: float, edges: np.ndarray, values: np.ndarray,
         *_segments(edges, x), _charge_weight(energy, reg.eval(x), params)
         if theory == "kfg" else None)
     return PiecewiseModel(theory, energy, edges, values, params, reg, k, q,
-                          k2, generator, (x, weights, width), sites)
+                          k2, generator, (x, weights, width),
+                          reg.deriv_factors(x), sites)
 
 
 def build_piecewise_model(theory: str, energy: float, reg: RegularizedPotential,
@@ -265,13 +268,14 @@ def _linspace(start: float, stop: float, num: int) -> np.ndarray:
 #   widths (j < 0).  Scaling normal doubles by 2**j commutes with each
 #   rounding, so every ratio (segment and panel counts, u = x / eps) keeps
 #   its bits and the fields of u alone carry over (values, k2, the Dirac
-#   generator, node segments, kfg's charge weight; k and q have no eps).
-#   Not phi': 18 erf nodes a width have a subnormal phi'.  Each length
-#   formed is a multiple of a power of two >= eps 2**-71 (the segment width
-#   is over 10 eps / _MAX_SEGMENTS), so normal for eps >= 2**-950.  No
-#   width cap may bind: the segment cap 2 pi / (20 k_max) binds at
-#   resolution >= 8 only where the panel cap 2 pi / (8 k_max) does, so the
-#   panel width must be eps.
+#   generator, node segments, kfg's charge weight, phi''s factors at the
+#   nodes; k and q have no eps).  Not phi': 18 erf nodes a width have a
+#   subnormal phi', so each width applies v0 / eps to the factors as
+#   deriv does.  Each length formed is a multiple of a power of two
+#   >= eps 2**-71 (the segment width is over 10 eps / _MAX_SEGMENTS), so
+#   normal for eps >= 2**-950.  No width cap may bind: the segment cap
+#   2 pi / (20 k_max) binds at resolution >= 8 only where the panel cap
+#   2 pi / (8 k_max) does, so the panel width must be eps.
 
 def _complex(re, im) -> np.ndarray:
     """Complex array with exactly these real and imaginary parts."""
@@ -301,14 +305,14 @@ def _cos_sinc(k2: np.ndarray, d: np.ndarray):
     imag = k2 < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         c, s_over_k = np.cos(kd), np.sin(kd) / kabs
-        if imag.any():
+        if np.count_nonzero(imag):
             # imaginary axis: the complex cos and sin of i kappa d
             z = np.sqrt(k2[imag].astype(complex)) * d[imag]
             c[imag] = np.cos(z).real
             s_over_k[imag] = np.sin(z).imag / kabs[imag]
     # below |k d| = 1e-8 the series' (k d)^2 terms are under half an ulp
     series = np.abs(kd) < 1e-8
-    if series.any():
+    if np.count_nonzero(series):
         c[series] = 1.0
         s_over_k[series] = d[series]
     return c, s_over_k
@@ -362,13 +366,13 @@ class NumericalMode:
         or with ``value_only`` (scalar theories) u = c a + (sin kd / k) b
         alone, the first row of the propagator, rounded as the full carry
         rounds it.  Each part is formed from real products."""
-        ar, ai, br, bi = self.seg_states[idx].view(float).T
-        k2, gen = self.model.k2[idx], self.model.generator
+        ar, ai, br, bi = self.seg_states.take(idx, axis=0).view(float).T
+        k2, gen = self.model.k2.take(idx), self.model.generator
         if value_only:
             c, s_over_k = _cos_sinc(k2, d)
             return _complex(c * ar + s_over_k * br, c * ai + s_over_k * bi)
         m00, m01, m10, _ = _propagators(
-            k2, d, None if gen is None else gen[:, idx])
+            k2, d, None if gen is None else gen.take(idx, axis=1))
         if gen is None:
             return (_complex(m00 * ar + m01 * br, m00 * ai + m01 * bi),
                     _complex(m10 * ar + m00 * br, m10 * ai + m00 * bi))
@@ -498,7 +502,7 @@ def solve_smooth_mode(model: PiecewiseModel) -> NumericalMode:
     b_coef = b_loc * cmath.exp(-1j * k * xs)      # e^{-ikx} coefficient
     r = b_coef / a_coef
     t = 1.0 / a_coef
-    states /= a_coef
+    states = states / a_coef          # C-contiguous, for _carry's gathers
     w_t = _transmitted_weight(t, k, q, lams)
     flux_residual = abs(1.0 - abs(r) ** 2 - w_t) / (1.0 + abs(r) ** 2 + abs(w_t))
 
@@ -551,12 +555,14 @@ def route_b_integral(mode: NumericalMode) -> float:
     panels are far below the 1e-8 relative tolerance this quadrature owes.
     The nodes where phi_eps' is not exactly 0 (elsewhere a term is +-0 for
     a finite density) are evaluated in one batch and summed panel by panel,
-    node by node.
+    node by node.  phi_eps' there is formed at this width from the model's
+    factors of u alone.
     """
-    x, weights, _ = mode.model.nodes
-    slope = mode.model.reg.deriv(x)
+    model = mode.model
+    slope = model.reg.deriv_from(model.slope_factors)
     on = slope != 0.0
-    return -_running_sum((weights * slope)[on] * _smooth_density(mode, on))
+    return -_running_sum((model.nodes[1] * slope)[on]
+                         * _smooth_density(mode, on))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ compared against stationary probabilities at the carrier momentum.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
@@ -170,7 +171,8 @@ def _cn_arrays(state: EvolutionState, dt: float):
     factors, the interior diagonal of the explicit half-step and the
     off-diagonal coupling.  dt must resolve both the kinetic scale,
     dt <= m h^2/hbar, and the potential's phase per step,
-    dt <= hbar/max|phi|.
+    dt <= hbar/max|phi|; dt/(2 hbar) must be finite and hbar^2/(m h^2) a
+    positive normal double.
     """
     x = state.x
     h = state.dx
@@ -188,8 +190,22 @@ def _cn_arrays(state: EvolutionState, dt: float):
             f"time step {dt} exceeds the potential's phase bound "
             f"hbar/max|phi| = {hbar / phi_max}")
 
+    # alpha's scale and kin are refused before alpha (kin + phi) is
+    # formed, where inf * 0 is NaN (a NaN dt is the matrix check's)
+    scale = dt / (2.0 * hbar)
+    if math.isinf(scale):
+        raise ValueError(f"the Crank-Nicolson phase scale dt/(2 hbar) = "
+                         f"{scale!r} at dt {dt!r} and hbar {hbar!r} is not "
+                         f"finite")
+    try:
+        kin = hbar**2 / (mass * h * h)
+    except OverflowError:           # hbar**2 leaves the doubles
+        kin = math.inf
+    if not sys.float_info.min <= kin < math.inf:
+        raise ValueError(f"the kinetic coefficient hbar^2/(m h^2) = {kin!r} "
+                         f"at hbar {hbar!r}, mass {mass!r} and h {h!r} is "
+                         f"not a positive normal double")
     alpha = 1j * dt / (2.0 * hbar)
-    kin = hbar**2 / (mass * h * h)
     off = alpha * (-(hbar**2) / (2.0 * mass * h * h))
     diag_a = 1.0 + alpha * (kin + phi)
     diag_b = 1.0 - alpha * (kin + phi)

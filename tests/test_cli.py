@@ -1436,6 +1436,17 @@ _FAILED_RUNS = [
     (["converge", "--theory", "dirac", "--energy", "2", "--v0", "3"], 2,
      "config: the spinor ratio hbar c k / (E - phi + mc^2) is 0/0 at E = "
      "2.0, phi = 3.0 and mc^2 = 1.0\n", None),
+    # dt/(2 hbar) overflows while hbar^2/(m h^2) underflows to 0: the
+    # Crank-Nicolson matrix would hold inf * 0
+    (["ehrenfest", "--case", "free", "--config", "cfg.json"], 2,
+     "config: the Crank-Nicolson phase scale dt/(2 hbar) = inf at dt 0.001 "
+     "and hbar 5e-324 is not finite\n",
+     _config_file({"params": {"hbar": 5e-324}})),
+    # hbar^2 overflows where a mass as large keeps dt below m h^2/hbar
+    (["ehrenfest", "--case", "free", "--config", "cfg.json"], 2,
+     "config: the kinetic coefficient hbar^2/(m h^2) = inf at hbar 1e+200, "
+     "mass 1e+200 and h 0.03999999999999915 is not a positive normal "
+     "double\n", _config_file({"params": {"hbar": 1e200, "mass": 1e200}})),
     # a carrier above the grid's Nyquist wavenumber pi/dx at dx = 0.02,
     # where the grid would hold another packet
     (["ehrenfest", "--k0", "160", "--t-final", "0.4"], 1,

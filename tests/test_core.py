@@ -8,6 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -131,6 +132,54 @@ def test_smoothed_step_derivative_matches_finite_difference():
             h = 1e-6
             fd = (reg.eval(x + h) - reg.eval(x - h)) / (2.0 * h)
             assert reg.deriv(x) == pytest.approx(fd, rel=1e-8, abs=1e-12)
+
+
+def _inline_deriv(reg, x):
+    """deriv as one expression per shape, its factors formed inline."""
+    u = np.asarray(x, dtype=float) / reg.eps
+    if reg.shape == "logistic":
+        s = scipy.special.expit(u)
+        return reg.v0 / reg.eps * s * (1.0 - s)
+    if reg.shape == "erf":
+        return reg.v0 / (reg.eps * np.sqrt(np.pi)) * np.exp(-(u**2))
+    return np.where(np.abs(u) <= 1.0, reg.v0 / (2.0 * reg.eps), 0.0)
+
+
+def _field_words(a):
+    return a.dtype.str, np.ascontiguousarray(a).view(np.uint8).tobytes()
+
+
+@pytest.mark.parametrize("shape", REG_SHAPES)
+def test_deriv_is_its_factors_combined_word_for_word(shape):
+    """deriv(x) has the words of the inline formula, at every point its
+    factors or the scale v0 / eps can round differently: +-0, the logistic
+    tails where expit rounds to 1 (and 1 - s to 0), erf's band where
+    exp(-u^2) turns subnormal and the ramp's edges |u| = 1.  Its factors
+    are of u alone: at x and eps times 2^-5 they keep their words, and
+    deriv_from of them at that width has the inline formula's words."""
+    rng = np.random.default_rng(36)
+    tails = rng.uniform(36.0, 800.0, 100)
+    band = rng.uniform(26.6, 27.3, 400)
+    u = np.concatenate([rng.normal(scale=8.0, size=2000), [0.0, -0.0],
+                        tails, -tails, band, -band])
+    for v0, eps in ((0.5, 0.05), (-3.0, 0.2), (1e-300, 1e-3),
+                    (7.0, 2.0**-40), (1e300, 3.0)):
+        reg = RegularizedPotential(v0=v0, eps=eps, shape=shape)
+        edges = np.array([-eps, eps])
+        x = np.concatenate([u * eps, edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, 2.0 * edges)])
+        want = _field_words(_inline_deriv(reg, x))
+        factors = reg.deriv_factors(x)
+        assert _field_words(reg.deriv(x)) == want
+        assert _field_words(reg.deriv_from(factors)) == want
+        if shape == "ramp":
+            assert np.array_equal(factors[0], np.abs(x / eps) <= 1.0)
+        narrow = RegularizedPotential(v0=v0, eps=eps * 2.0**-5, shape=shape)
+        x_narrow = x * 2.0**-5
+        assert (list(map(_field_words, narrow.deriv_factors(x_narrow)))
+                == list(map(_field_words, factors)))
+        assert (_field_words(narrow.deriv_from(factors))
+                == _field_words(_inline_deriv(narrow, x_narrow)))
 
 
 def test_shapes_outside_reg_shapes_are_refused():

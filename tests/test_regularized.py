@@ -806,6 +806,44 @@ def report_route_b_widths():
     return solves, integrals, densities
 
 
+def test_carried_slope_factors_give_deriv_at_every_report_width(
+        report_route_b_widths):
+    """Each sweep forms phi''s factors at its first width and carries them
+    to the four it rescales; at each of the 35 widths phi' from them has
+    the words of a fresh reg.deriv at the width's nodes."""
+    solves, integrals, _ = report_route_b_widths
+    assert sum(b.model.slope_factors is a.model.slope_factors
+               for a, b in zip(solves[:35], solves[1:35])) == 7 * 4
+    for nm, _ in integrals:
+        reg = nm.model.reg
+        fresh = reg.deriv(nm.model.nodes[0])
+        carried = reg.deriv_from(nm.model.slope_factors)
+        assert np.array_equal(fresh.view(np.uint64), carried.view(np.uint64))
+
+
+@pytest.mark.parametrize("theory,energy", [
+    ("s", 1.0), ("kfg", 2.0), ("dirac", 2.0)])
+def test_carry_reads_the_same_words_from_a_reversed_view(theory, energy):
+    """solve_smooth_mode's seg_states is C-contiguous, at a built and at a
+    rescaled width, and _carry's gathers give the words of the reversed
+    view the march returns."""
+    model = None
+    for eps in (0.2, 0.05):
+        reg = RegularizedPotential(v0=0.5, eps=eps, shape="erf")
+        model = (model and regularized._rescaled(model, reg)
+                 or build_piecewise_model(theory, energy, reg, PARS))
+        nm = solve_smooth_mode(model)
+        assert nm.seg_states.flags.c_contiguous
+        reversed_view = np.ascontiguousarray(nm.seg_states[::-1])[::-1]
+        assert not reversed_view.flags.c_contiguous
+        viewed = replace(nm, seg_states=reversed_view)
+        sites = regularized._segments(model.edges, model.nodes[0])
+        for value_only in (False,) if theory == "dirac" else (False, True):
+            want = nm._carry(*sites, value_only=value_only)
+            got = viewed._carry(*sites, value_only=value_only)
+            assert np.array_equal(_bits(np.stack(want)), _bits(np.stack(got)))
+
+
 def _np_panels(window: float, n_panels: int):
     """Twelve-point Gauss-Legendre panels over np.linspace's edges."""
     edges = np.linspace(-window, window, n_panels + 1)

@@ -297,6 +297,31 @@ def test_non_finite_matrix_is_rejected():
         evolve(state, dt=np.nan, n_steps=3)
 
 
+@pytest.mark.parametrize("hbar,mass,message", [
+    # dt/(2 hbar) overflows and hbar^2/(m h^2) underflows to 0: the matrix
+    # would hold inf * 0
+    (5e-324, 1.0, "the Crank-Nicolson phase scale dt/(2 hbar) = inf at dt "
+     "0.001 and hbar 5e-324 is not finite"),
+    # hbar^2 underflows to 0, or kin to a subnormal
+    (1e-300, 1.0, "the kinetic coefficient hbar^2/(m h^2) = 0.0 at hbar "
+     "1e-300, mass 1.0 and h 0.05000000000000071 is not a positive normal "
+     "double"),
+    (1e-156, 1.0, "the kinetic coefficient hbar^2/(m h^2) = "
+     "3.99999999999376e-310 at hbar 1e-156, mass 1.0 and h "
+     "0.05000000000000071 is not a positive normal double"),
+    # hbar^2 overflows, where the mass keeps dt below m h^2/hbar
+    (1e200, 1e200, "the kinetic coefficient hbar^2/(m h^2) = inf at hbar "
+     "1e+200, mass 1e+200 and h 0.05000000000000071 is not a positive "
+     "normal double")])
+def test_a_matrix_scale_past_the_doubles_is_refused(hbar, mass, message):
+    state = gaussian_packet(FREE_SPEC, params=PhysicalParams(hbar=hbar,
+                                                             mass=mass))
+    with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            evolve(state, dt=1e-3, n_steps=1)
+
+
 @pytest.mark.parametrize("dt,n_steps,match", [
     (0.0, 3, "time step"), (-1e-3, 3, "time step"),
     (1e-3, -1, "step count")])
@@ -354,6 +379,14 @@ def test_audit_of_three_saves_checks_the_middle_one():
     assert len(rep.times) == 3
     assert np.isnan(rep.dpdt[[0, -1]]).all() and np.isfinite(rep.dpdt[1])
     assert rep.max_deviation == abs(rep.dpdt[1] - rep.forces[1])
+
+
+def test_audit_checkpoints_pass_the_point_steps_still_to_go():
+    # after each save but the last: grid points times the steps left
+    seen = []
+    ehrenfest_report(FREE_SPEC, None, 1e-3, 0.006, save_stride=2,
+                     checkpoint=seen.append)
+    assert seen == [1201 * 4, 1201 * 2]
 
 
 def test_time_step_resolution_guard():

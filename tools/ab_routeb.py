@@ -14,9 +14,10 @@ loaded copy's ``solve_smooth_mode`` is wrapped, as perfbench's tracer
 wraps it, so a model the sweep rescales from the width before is the
 one compared.  It exits 1 naming the first sweep or width that differs.
 Then it runs N full passes of the seven sweeps on each side, alternating
-which side goes first, and prints each side's median pass time, the
-median change/parent ratio of the paired passes with its quartiles, and
-the passes the change wins.
+which side goes first, and prints each side's median pass time, then per
+sweep and for the whole pass the median change/parent ratio of the paired
+runs with its quartiles and the runs the change wins: a change that helps
+one theory or shape only shows in that sweep's row.
 
 Paired passes in one process share the host's drift, so a ratio of a few
 tenths of a per cent shows after a few hundred passes, where separate
@@ -90,11 +91,14 @@ class Side:
         finally:
             reg.solve_smooth_mode = solve
 
-    def timed_pass(self) -> float:
-        started = time.perf_counter()
+    def timed_pass(self) -> list:
+        """The seconds each sweep of one pass takes, in SWEEPS order."""
+        seconds = []
         for case in SWEEPS:
+            started = time.perf_counter()
             self.sweep(*case)
-        return time.perf_counter() - started
+            seconds.append(time.perf_counter() - started)
+        return seconds
 
 
 def outputs(series) -> str:
@@ -137,14 +141,27 @@ def main(argv=None) -> int:
             for side, name in order if i % 2 == 0 else order[::-1]:
                 times[name].append(side.timed_pass())
 
-    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-    q1, median, q3 = statistics.quantiles(ratios, n=4)
     print(f"{len(SWEEPS)} sweeps: values, defects and limits identical")
-    for name, values in times.items():
-        print(f"{name}: median pass {statistics.median(values) * 1e3:.3f} ms")
-    print(f"change/parent: median ratio {median:.4f} [{q1:.4f}, {q3:.4f}], "
-          f"change wins {sum(r < 1.0 for r in ratios)}/{len(ratios)} passes")
+    for name, passes in times.items():
+        median = statistics.median(map(sum, passes))
+        print(f"{name}: median pass {median * 1e3:.3f} ms")
+    for i, case in enumerate(SWEEPS):
+        print(f"{' '.join(map(str, case))}: " + paired(
+            [(p[i], c[i]) for p, c in zip(times["parent"], times["change"])],
+            "runs"))
+    print("change/parent: " + paired(
+        [(sum(p), sum(c)) for p, c in zip(times["parent"], times["change"])],
+        "passes"))
     return 0
+
+
+def paired(pairs: list, unit: str) -> str:
+    """The median change/parent ratio of (parent, change) pairs with its
+    quartiles, and the pairs the change wins."""
+    ratios = [c / p for p, c in pairs]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return (f"median ratio {median:.4f} [{q1:.4f}, {q3:.4f}], change wins "
+            f"{sum(r < 1.0 for r in ratios)}/{len(ratios)} {unit}")
 
 
 if __name__ == "__main__":
